@@ -129,6 +129,10 @@ def _validate(config: RunConfig) -> list[str]:
     adapt = config.extras.get("adapt_steps")
     if adapt is not None and adapt < 0:
         errors.append("adapt_steps: must be nonnegative")
+    # grid-q's per-q reports go next to the output, so one check covers them
+    for key, target in (("output", config.output), ("trace_csv", config.extras.get("trace_csv"))):
+        if target is not None and not Path(target).parent.is_dir():
+            errors.append(f"{key}: directory does not exist: {target}")
     return errors
 
 

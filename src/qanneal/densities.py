@@ -296,14 +296,15 @@ def logistic_posterior(model: LogisticModel) -> UnnormalizedDensity:
     d = X.shape[1]
     var = model.prior_sd**2
     log_prior_norm = -0.5 * d * math.log(2.0 * math.pi * var)
+    # rows negated where y = 1, so each row's negative log-likelihood is
+    # softplus(u) with u = (1 - 2y) * (w . x); the sign flip is exact
+    signed_X_T = ((1.0 - 2.0 * y)[:, None] * X).T
 
     def log_density(w):
         wb, squeeze = _as_batch(w, d)
-        t = wb @ X.T
-        # log sigmoid(t) = -log(1 + exp(-t)), stable on both tails
-        loglik = -np.sum(
-            y * np.logaddexp(0.0, -t) + (1.0 - y) * np.logaddexp(0.0, t), axis=1
-        )
+        u = wb @ signed_X_T
+        # softplus(u) = max(u, 0) + log1p(exp(-|u|)), stable on both tails
+        loglik = -np.sum(np.maximum(u, 0.0) + np.log1p(np.exp(-np.abs(u))), axis=1)
         log_prior = log_prior_norm - 0.5 * np.sum(wb**2, axis=1) / var
         return _maybe_scalar(log_prior + loglik, squeeze)
 

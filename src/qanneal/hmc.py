@@ -3,6 +3,13 @@
 The kernel is vectorized over a batch of chains: positions have shape (n, d)
 and every chain draws its own momentum and accept threshold from the shared
 generator, in a fixed order, so results are reproducible given a seed.
+
+The energy is one callable, ``energy(z) -> (logp, grad)``, returning the
+log-density (n,) and its gradient (n, d) together.  The kernel calls it once
+per leapfrog position and never on a point it has already evaluated: a
+transition takes the (logp, grad) state of its start point and returns the
+state of the point it ends on, so callers carry it from one transition to
+the next.
 """
 
 from __future__ import annotations
@@ -13,8 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-LogDensityFn = Callable[[np.ndarray], np.ndarray]
-GradientFn = Callable[[np.ndarray], np.ndarray]
+EnergyFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+State = tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -39,10 +46,16 @@ class HmcConfig:
 def leapfrog(
     z: np.ndarray,
     momentum: np.ndarray,
-    grad: GradientFn,
+    energy: EnergyFn,
     cfg: HmcConfig,
-) -> tuple[np.ndarray, np.ndarray]:
+    grad0: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, State]:
     """Run ``cfg.n_leapfrog`` leapfrog steps along the log-density gradient.
+
+    ``grad0`` is the gradient at ``z`` when the caller already holds it;
+    otherwise it is evaluated first.  ``energy`` is then called exactly once
+    per new position, ``cfg.n_leapfrog`` times, and the (logp, grad) of the
+    final position is returned with it as ``(z, p, (logp, grad))``.
 
     The update is volume preserving and time reversible: negating the returned
     momentum and integrating again retraces the trajectory.  Nonfinite
@@ -51,13 +64,17 @@ def leapfrog(
     eps = cfg.step_size
     inv_mass = 1.0 / cfg.mass
     with np.errstate(over="ignore", invalid="ignore"):
-        p = momentum + 0.5 * eps * grad(z)
+        if grad0 is None:
+            grad0 = energy(z)[1]
+        p = momentum + 0.5 * eps * grad0
         z = z + eps * inv_mass * p
+        logp, grad = energy(z)
         for _ in range(cfg.n_leapfrog - 1):
-            p = p + eps * grad(z)
+            p = p + eps * grad
             z = z + eps * inv_mass * p
-        p = p + 0.5 * eps * grad(z)
-    return z, p
+            logp, grad = energy(z)
+        p = p + 0.5 * eps * grad
+    return z, p, (logp, grad)
 
 
 def _kinetic(p: np.ndarray, mass: np.ndarray) -> np.ndarray:
@@ -66,26 +83,26 @@ def _kinetic(p: np.ndarray, mass: np.ndarray) -> np.ndarray:
 
 def _hmc_core(
     positions: np.ndarray,
-    logp: LogDensityFn,
-    grad: GradientFn,
+    energy: EnergyFn,
     cfg: HmcConfig,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One Metropolis-corrected HMC update for a (n, d) batch.
+    state: State,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, State]:
+    """One Metropolis-corrected HMC update for a (n, d) batch whose
+    (logp, grad) is ``state``.
 
-    Returns (positions, accepted mask, per-chain acceptance probability).
-    Divergent trajectories (nonfinite state or energy) are auto-rejected.
+    Returns (positions, accepted mask, per-chain acceptance probability,
+    state of the returned positions).  Divergent trajectories (nonfinite
+    state or energy) are auto-rejected.
     """
     n, d = positions.shape
+    lp0, g0 = state
     p0 = rng.standard_normal((n, d)) * np.sqrt(cfg.mass)
-    lp0 = np.atleast_1d(np.asarray(logp(positions), dtype=float))
     k0 = _kinetic(p0, cfg.mass)
 
-    proposal, p1 = leapfrog(positions, p0, grad, cfg)
+    proposal, p1, (lp1, g1) = leapfrog(positions, p0, energy, cfg, g0)
     ok = np.all(np.isfinite(proposal), axis=1) & np.all(np.isfinite(p1), axis=1)
-    lp1 = np.full(n, -np.inf)
-    if np.any(ok):
-        lp1[ok] = np.atleast_1d(np.asarray(logp(proposal[ok]), dtype=float))
+    lp1 = np.where(ok, lp1, -np.inf)
     k1 = np.where(ok, _kinetic(np.where(ok[:, None], p1, 0.0), cfg.mass), np.inf)
 
     with np.errstate(invalid="ignore"):
@@ -97,51 +114,72 @@ def _hmc_core(
     accepted = log_u < log_ratio
     accept_prob = np.exp(np.minimum(log_ratio, 0.0))
 
-    out = np.where(accepted[:, None], np.where(ok[:, None], proposal, 0.0), positions)
-    return out, accepted, accept_prob
+    keep = accepted[:, None]
+    out = np.where(keep, np.where(ok[:, None], proposal, 0.0), positions)
+    state = (np.where(accepted, lp1, lp0), np.where(keep, g1, g0))
+    return out, accepted, accept_prob, state
+
+
+def _as_batch(z, energy: EnergyFn, state: State | None) -> tuple[np.ndarray, State, bool]:
+    """Batch view of a point or batch and of its state, evaluated if absent."""
+    arr = np.asarray(z, dtype=float)
+    single = arr.ndim == 1
+    batch = arr[None, :] if single else arr
+    logp, grad = energy(batch) if state is None else state
+    logp = np.atleast_1d(np.asarray(logp, dtype=float))
+    grad = np.asarray(grad, dtype=float).reshape(batch.shape)
+    return batch, (logp, grad), single
+
+
+def _unbatch(state: State, single: bool) -> State:
+    return (float(state[0][0]), state[1][0]) if single else state
 
 
 def hmc_step(
     z: np.ndarray,
-    energy: tuple[LogDensityFn, GradientFn],
+    energy: EnergyFn,
     cfg: HmcConfig,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
+    state: State | None = None,
+) -> tuple[np.ndarray, np.ndarray, State]:
     """Metropolis-corrected HMC transition leaving exp(log-density) invariant.
 
-    Accepts a single point (d,) or a batch (n, d); returns the new state and
-    the accepted flag(s).  Proposals with -inf energy or nonfinite state are
-    rejected in place.
+    Accepts a single point (d,) or a batch (n, d); returns the new state, the
+    accepted flag(s) and the (logp, grad) of the returned positions.
+    ``state`` is the (logp, grad) of ``z``, as returned by the previous
+    transition; when omitted it is evaluated once here.  The transition then
+    calls ``energy`` exactly ``cfg.n_leapfrog`` times, never on ``z``.
+    Proposals with -inf energy or nonfinite state are rejected in place.
     """
-    logp, grad = energy
-    arr = np.asarray(z, dtype=float)
-    single = arr.ndim == 1
-    batch = arr[None, :] if single else arr
-    out, accepted, _ = _hmc_core(batch, logp, grad, cfg, rng)
+    batch, state, single = _as_batch(z, energy, state)
+    out, accepted, _, state = _hmc_core(batch, energy, cfg, rng, state)
+    state = _unbatch(state, single)
     if single:
-        return out[0], bool(accepted[0])
-    return out, accepted
+        return out[0], bool(accepted[0]), state
+    return out, accepted, state
 
 
 def tune_step_size(
     positions: np.ndarray,
-    energy: tuple[LogDensityFn, GradientFn],
+    energy: EnergyFn,
     cfg: HmcConfig,
     rng: np.random.Generator,
     target_accept: float = 0.65,
     n_adapt: int = 50,
-) -> tuple[HmcConfig, np.ndarray]:
+    state: State | None = None,
+) -> tuple[HmcConfig, np.ndarray, State]:
     """Dual-averaging warm-up of the step size toward a target acceptance.
 
-    Returns the tuned config and the warmed-up positions.  ``n_adapt = 0``
-    is a no-op so callers can disable adaptation entirely.
+    Returns the tuned config, the warmed-up positions and their (logp, grad).
+    ``state`` is the (logp, grad) of ``positions``, carried in from the
+    previous transition; when omitted it is evaluated once here.  Each of
+    the ``n_adapt`` transitions calls ``energy`` ``cfg.n_leapfrog`` times and
+    hands its end state to the next.  ``n_adapt = 0`` is a no-op so callers
+    can disable adaptation entirely.
     """
+    batch, state, single = _as_batch(positions, energy, state)
     if n_adapt == 0:
-        return cfg, positions
-    logp, grad = energy
-    arr = np.asarray(positions, dtype=float)
-    single = arr.ndim == 1
-    batch = arr[None, :] if single else arr
+        return cfg, positions, _unbatch(state, single)
 
     eps = cfg.step_size
     mu = math.log(10.0 * eps)
@@ -149,8 +187,8 @@ def tune_step_size(
     h_bar = 0.0
     gamma, t0, kappa = 0.05, 10.0, 0.75
     for m in range(1, n_adapt + 1):
-        batch, _, accept_prob = _hmc_core(
-            batch, logp, grad, replace(cfg, step_size=eps), rng
+        batch, _, accept_prob, state = _hmc_core(
+            batch, energy, replace(cfg, step_size=eps), rng, state
         )
         h_bar += ((target_accept - float(np.mean(accept_prob))) - h_bar) / (m + t0)
         log_eps = mu - math.sqrt(m) / gamma * h_bar
@@ -160,4 +198,4 @@ def tune_step_size(
         eps = math.exp(log_eps)
 
     tuned = replace(cfg, step_size=math.exp(log_eps_bar))
-    return tuned, (batch[0] if single else batch)
+    return tuned, (batch[0] if single else batch), _unbatch(state, single)

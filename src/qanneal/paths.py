@@ -76,48 +76,31 @@ class QPath:
     def dim(self) -> int:
         return self.base.dim
 
-    def log_density(self, z, beta: float):
-        beta = _check_beta(beta)
-        if beta == 0.0:
-            return self.base.log_density(z)
-        if beta == 1.0:
-            return self.target.log_density(z)
-        lp0 = np.asarray(self.base.log_density(z), dtype=float)
-        lp1 = np.asarray(self.target.log_density(z), dtype=float)
-        scalar = lp0.ndim == 0
-        lp0, lp1 = np.atleast_1d(lp0), np.atleast_1d(lp1)
+    def _endpoint_log_densities(self, z):
+        lp0 = np.atleast_1d(np.asarray(self.base.log_density(z), dtype=float))
+        lp1 = np.atleast_1d(np.asarray(self.target.log_density(z), dtype=float))
+        return lp0, lp1
+
+    def _blend(self, lp0, lp1, beta: float):
+        """Path log-density from (n,) endpoint log-densities at an interior beta."""
         if is_geometric_order(self.q):
             # difference form keeps equal endpoints bit-exact at every beta
             dead = (lp0 == -np.inf) | (lp1 == -np.inf)
             diff = np.where(dead, 0.0, lp1) - np.where(dead, 0.0, lp0)
-            out = np.where(dead, -np.inf, lp0 + beta * diff)
-        else:
-            d = 1.0 - self.q
-            dead = (lp0 == -np.inf) & (lp1 == -np.inf)
-            x = d * (np.where(dead, 0.0, lp1) - np.where(dead, 0.0, lp0))
-            # anchor at whichever endpoint dominates in the deformed scale,
-            # so expm1 only ever sees nonpositive arguments
-            swap = x > 0.0
-            lo = np.log1p(beta * np.expm1(np.where(swap, 0.0, x)))
-            hi = np.log1p((1.0 - beta) * np.expm1(np.where(swap, -x, 0.0)))
-            out = np.where(swap, lp1 + hi / d, lp0 + lo / d)
-            out = np.where(dead, -np.inf, out)
-        return float(out[0]) if scalar else out
+            return np.where(dead, -np.inf, lp0 + beta * diff)
+        d = 1.0 - self.q
+        dead = (lp0 == -np.inf) & (lp1 == -np.inf)
+        x = d * (np.where(dead, 0.0, lp1) - np.where(dead, 0.0, lp0))
+        # anchor at whichever endpoint dominates in the deformed scale,
+        # so expm1 only ever sees nonpositive arguments
+        swap = x > 0.0
+        lo = np.log1p(beta * np.expm1(np.where(swap, 0.0, x)))
+        hi = np.log1p((1.0 - beta) * np.expm1(np.where(swap, -x, 0.0)))
+        out = np.where(swap, lp1 + hi / d, lp0 + lo / d)
+        return np.where(dead, -np.inf, out)
 
-    def gradient(self, z, beta: float):
-        beta = _check_beta(beta)
-        if beta == 0.0:
-            return self.base.gradient(z)
-        if beta == 1.0:
-            return self.target.gradient(z)
-        lp0 = np.atleast_1d(np.asarray(self.base.log_density(z), dtype=float))
-        lp1 = np.atleast_1d(np.asarray(self.target.log_density(z), dtype=float))
-        if is_geometric_order(self.q) or self.q > 1.0:
-            vanished = (lp0 == -np.inf) | (lp1 == -np.inf)
-        else:
-            vanished = (lp0 == -np.inf) & (lp1 == -np.inf)
-        if np.any(vanished):
-            raise ValueError("gradient undefined where the path density vanishes")
+    def _mixed_gradient(self, z, lp0, lp1, beta: float):
+        """Path gradient (n, d) at an interior beta where the path lives."""
         if is_geometric_order(self.q):
             w1 = np.full_like(lp0, beta)
         else:
@@ -126,8 +109,64 @@ class QPath:
         g0 = np.atleast_2d(np.asarray(self.base.gradient(z), dtype=float))
         g1 = np.atleast_2d(np.asarray(self.target.gradient(z), dtype=float))
         col = w1[:, None]
-        mixed = np.where(col == 1.0, g1, np.where(col == 0.0, g0, (1.0 - col) * g0 + col * g1))
-        return mixed[0] if np.asarray(z).ndim == 1 else mixed
+        return np.where(col == 1.0, g1, np.where(col == 0.0, g0, (1.0 - col) * g0 + col * g1))
+
+    def log_density(self, z, beta: float):
+        beta = _check_beta(beta)
+        if beta == 0.0:
+            return self.base.log_density(z)
+        if beta == 1.0:
+            return self.target.log_density(z)
+        out = self._blend(*self._endpoint_log_densities(z), beta)
+        return float(out[0]) if np.ndim(z) == 1 else out
+
+    def gradient(self, z, beta: float):
+        beta = _check_beta(beta)
+        if beta == 0.0:
+            return self.base.gradient(z)
+        if beta == 1.0:
+            return self.target.gradient(z)
+        lp0, lp1 = self._endpoint_log_densities(z)
+        if is_geometric_order(self.q) or self.q > 1.0:
+            vanished = (lp0 == -np.inf) | (lp1 == -np.inf)
+        else:
+            vanished = (lp0 == -np.inf) & (lp1 == -np.inf)
+        if np.any(vanished):
+            raise ValueError("gradient undefined where the path density vanishes")
+        mixed = self._mixed_gradient(z, lp0, lp1, beta)
+        return mixed[0] if np.ndim(z) == 1 else mixed
+
+    def value_and_grad(self, z, beta: float):
+        """Path log-density (n,) and gradient (n, d) of a batch, together.
+
+        Each endpoint's ``log_density`` and ``gradient`` is called once.  The
+        gradient is zero on rows whose path log-density is not finite, so
+        leapfrog trajectories can enter dead regions and be Metropolis-
+        rejected instead of raising.
+        """
+        beta = _check_beta(beta)
+        z = np.atleast_2d(np.asarray(z, dtype=float))
+        if beta == 0.0 or beta == 1.0:
+            end = self.base if beta == 0.0 else self.target
+            lp = np.atleast_1d(np.asarray(end.log_density(z), dtype=float))
+            return lp, _live_gradient(lp, z, lambda rows, live: end.gradient(rows))
+        lp0, lp1 = self._endpoint_log_densities(z)
+        lp = self._blend(lp0, lp1, beta)
+        return lp, _live_gradient(
+            lp, z, lambda rows, live: self._mixed_gradient(rows, lp0[live], lp1[live], beta)
+        )
+
+
+def _live_gradient(lp, z, gradient):
+    """``gradient(rows, index)`` on the rows of ``z`` where ``lp`` is finite,
+    zero elsewhere; ``index`` selects those rows from per-row arrays."""
+    live = np.isfinite(lp)
+    if np.all(live):
+        return np.atleast_2d(np.asarray(gradient(z, slice(None)), dtype=float))
+    g = np.zeros_like(z)
+    if np.any(live):
+        g[live] = gradient(z[live], live)
+    return g
 
 
 def geometric_path(base: UnnormalizedDensity, target: UnnormalizedDensity) -> QPath:
@@ -261,23 +300,30 @@ class MomentPath:
         self.nu = nu
         self.log_scale0 = float(log_scale0)
         self.log_scale1 = float(log_scale1)
+        # the endpoints stay built; of the interior waypoints only the most
+        # recent is kept, which serves every evaluation at a fixed beta
+        self._ends = (self._build_waypoint(0.0), self._build_waypoint(1.0))
         self._waypoints: dict[float, UnnormalizedDensity] = {}
-        self.base = with_log_scale(self._waypoint(0.0), self.log_scale0)
-        self.target = with_log_scale(self._waypoint(1.0), self.log_scale1)
+        self.base = with_log_scale(self._ends[0], self.log_scale0)
+        self.target = with_log_scale(self._ends[1], self.log_scale1)
 
     @property
     def dim(self) -> int:
         return self.mu0.size
 
+    def _build_waypoint(self, beta: float) -> UnnormalizedDensity:
+        mu_b, cov_b = moment_path_params(
+            self.mu0, self.cov0, self.mu1, self.cov1, beta, nu=self.nu
+        )
+        if self.nu is None:
+            return gaussian(mu_b, cov_b)
+        return student_t(mu_b, cov_b, nu=self.nu)
+
     def _waypoint(self, beta: float) -> UnnormalizedDensity:
+        if beta == 0.0 or beta == 1.0:
+            return self._ends[int(beta)]
         if beta not in self._waypoints:
-            mu_b, cov_b = moment_path_params(
-                self.mu0, self.cov0, self.mu1, self.cov1, beta, nu=self.nu
-            )
-            if self.nu is None:
-                self._waypoints[beta] = gaussian(mu_b, cov_b)
-            else:
-                self._waypoints[beta] = student_t(mu_b, cov_b, nu=self.nu)
+            self._waypoints = {beta: self._build_waypoint(beta)}
         return self._waypoints[beta]
 
     def _offset(self, beta: float) -> float:
@@ -290,3 +336,12 @@ class MomentPath:
     def gradient(self, z, beta: float):
         beta = _check_beta(beta)
         return self._waypoint(beta).gradient(z)
+
+    def value_and_grad(self, z, beta: float):
+        """Path log-density (n,) and gradient (n, d) of a batch from one
+        waypoint; the gradient is zero where the log-density is not finite."""
+        beta = _check_beta(beta)
+        z = np.atleast_2d(np.asarray(z, dtype=float))
+        waypoint = self._waypoint(beta)
+        lp = np.atleast_1d(np.asarray(waypoint.log_density(z) + self._offset(beta), dtype=float))
+        return lp, _live_gradient(lp, z, lambda rows, live: waypoint.gradient(rows))

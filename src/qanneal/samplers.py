@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.special import logsumexp
@@ -115,30 +116,6 @@ def _betas_of(schedule) -> np.ndarray:
     return betas
 
 
-def _path_energy(path, beta: float):
-    """Log-density and gradient callables for the path at fixed beta.
-
-    The gradient is zeroed on points where the path energy is -inf so that
-    leapfrog trajectories can enter dead regions and be Metropolis-rejected
-    instead of raising.
-    """
-
-    def logp(z):
-        return path.log_density(z, beta)
-
-    def grad(z):
-        lp = np.atleast_1d(np.asarray(path.log_density(z, beta), dtype=float))
-        alive = np.isfinite(lp)
-        if np.all(alive):
-            return path.gradient(z, beta)
-        g = np.zeros_like(np.asarray(z, dtype=float))
-        if np.any(alive):
-            g[alive] = path.gradient(z[alive], beta)
-        return g
-
-    return logp, grad
-
-
 def _masked_increment(lp_new: np.ndarray, lp_old: np.ndarray) -> np.ndarray:
     """Energy difference with dead evaluations mapped to -inf, never nan."""
     with np.errstate(invalid="ignore"):
@@ -148,15 +125,24 @@ def _masked_increment(lp_new: np.ndarray, lp_old: np.ndarray) -> np.ndarray:
 
 def _accumulate(log_w: np.ndarray, incr: np.ndarray) -> np.ndarray:
     dead = (log_w == -np.inf) | (incr == -np.inf)
-    return np.where(dead, -np.inf, np.where(dead, 0.0, log_w) + np.where(dead, 0.0, incr))
+    with np.errstate(invalid="ignore"):
+        return np.where(dead, -np.inf, log_w + incr)
 
 
-def _moves(z, energy, cfg, rng, moves_per_step):
+def _transition(path, beta, z, state, cfg, rng, adapt_steps, moves_per_step):
+    """Step-size warm-up and HMC moves at fixed beta, carrying the
+    (logp, grad) state from each transition to the next.
+
+    Returns the positions, their state, the config used and the mean
+    acceptance of the moves.
+    """
+    energy = partial(path.value_and_grad, beta=beta)
+    cfg, z, state = tune_step_size(z, energy, cfg, rng, n_adapt=adapt_steps, state=state)
     rates = []
     for _ in range(moves_per_step):
-        z, accepted = hmc_step(z, energy, cfg, rng)
+        z, accepted, state = hmc_step(z, energy, cfg, rng, state=state)
         rates.append(float(np.mean(accepted)))
-    return z, (float(np.mean(rates)) if rates else math.nan)
+    return z, state, cfg, (float(np.mean(rates)) if rates else math.nan)
 
 
 def ais_forward(
@@ -180,21 +166,7 @@ def ais_forward(
     if chains < 1:
         raise ValueError("chains must be positive")
     z = path.base.exact_sampler(rng, chains)
-    log_w = np.zeros(chains)
-    acceptance = np.full(betas.size - 1, math.nan)
-    ess = np.full(betas.size - 1, math.nan)
-    step_cfg = cfg
-    for t in range(1, betas.size):
-        lp_new = np.atleast_1d(path.log_density(z, betas[t]))
-        lp_old = np.atleast_1d(path.log_density(z, betas[t - 1]))
-        log_w = _accumulate(log_w, _masked_increment(lp_new, lp_old))
-        if np.any(np.isfinite(log_w)):
-            ess[t - 1] = ess_of_log_weights(log_w)
-        energy = _path_energy(path, betas[t])
-        step_cfg, z = tune_step_size(z, energy, step_cfg, rng, n_adapt=adapt_steps)
-        z, acc = _moves(z, energy, step_cfg, rng, moves_per_step)
-        acceptance[t - 1] = acc
-    return _finish_ais(log_w, betas, acceptance, ess)
+    return _ais_sweep(path, betas, betas, z, cfg, moves_per_step, rng, adapt_steps)
 
 
 def ais_reverse(
@@ -219,21 +191,29 @@ def ais_reverse(
         z = z[:, None]
     if z.shape[0] < 1:
         raise ValueError("reverse AIS requires at least one target sample")
-    descending = betas[::-1]
+    return _ais_sweep(path, betas, betas[::-1], z, cfg, moves_per_step, rng, adapt_steps)
+
+
+def _ais_sweep(path, betas, run_betas, z, cfg, moves_per_step, rng, adapt_steps) -> AisResult:
+    """Telescope the path energy of chains ``z`` along ``run_betas``.
+
+    Each increment is taken before the HMC moves at its beta; the chains'
+    log-density at the previous beta comes from the state the moves there
+    ended on, so no point is evaluated twice.
+    """
     log_w = np.zeros(z.shape[0])
-    acceptance = np.full(betas.size - 1, math.nan)
-    ess = np.full(betas.size - 1, math.nan)
-    step_cfg = cfg
-    for t in range(1, descending.size):
-        lp_new = np.atleast_1d(path.log_density(z, descending[t]))
-        lp_old = np.atleast_1d(path.log_density(z, descending[t - 1]))
-        log_w = _accumulate(log_w, _masked_increment(lp_new, lp_old))
+    acceptance = np.full(run_betas.size - 1, math.nan)
+    ess = np.full(run_betas.size - 1, math.nan)
+    lp_old = np.atleast_1d(np.asarray(path.log_density(z, run_betas[0]), dtype=float))
+    for t in range(1, run_betas.size):
+        state = path.value_and_grad(z, run_betas[t])
+        log_w = _accumulate(log_w, _masked_increment(state[0], lp_old))
         if np.any(np.isfinite(log_w)):
             ess[t - 1] = ess_of_log_weights(log_w)
-        energy = _path_energy(path, descending[t])
-        step_cfg, z = tune_step_size(z, energy, step_cfg, rng, n_adapt=adapt_steps)
-        z, acc = _moves(z, energy, step_cfg, rng, moves_per_step)
-        acceptance[t - 1] = acc
+        z, state, cfg, acceptance[t - 1] = _transition(
+            path, run_betas[t], z, state, cfg, rng, adapt_steps, moves_per_step
+        )
+        lp_old = state[0]
     return _finish_ais(log_w, betas, acceptance, ess)
 
 
@@ -338,6 +318,7 @@ def smc_run(
     resamples = 0
     step_cfg = cfg
     step = 0
+    lp_old = np.atleast_1d(np.asarray(path.log_density(z, beta), dtype=float))
     while beta < 1.0:
         step += 1
         if step > max_steps:
@@ -346,10 +327,8 @@ def smc_run(
                 {"beta_trace": np.asarray(beta_trace)},
             )
         if adaptive:
-            lp_here = np.atleast_1d(path.log_density(z, beta))
-
             def incr_fn(b):
-                return _masked_increment(np.atleast_1d(path.log_density(z, b)), lp_here)
+                return _masked_increment(np.atleast_1d(path.log_density(z, b)), lp_old)
 
             beta_next, converged = _next_beta_by_ess(incr_fn, beta, ess_target, tol)
             if not converged:
@@ -360,9 +339,8 @@ def smc_run(
         else:
             beta_next = float(betas[step])
 
-        lp_new = np.atleast_1d(path.log_density(z, beta_next))
-        lp_old = np.atleast_1d(path.log_density(z, beta))
-        log_w_next = _accumulate(log_w, _masked_increment(lp_new, lp_old))
+        state = path.value_and_grad(z, beta_next)
+        log_w_next = _accumulate(log_w, _masked_increment(state[0], lp_old))
         total_next = logsumexp(log_w_next)
         if total_next == -np.inf:
             raise WeightCollapseError(
@@ -379,12 +357,14 @@ def smc_run(
         if adaptive or ess < ess_target:
             idx = systematic_resample(log_w, gen)
             z = z[idx]
+            state = (state[0][idx], state[1][idx])
             log_w = np.full(particles, -math.log(particles))
             resamples += 1
 
-        energy = _path_energy(path, beta_next)
-        step_cfg, z = tune_step_size(z, energy, step_cfg, gen, n_adapt=adapt_steps)
-        z, acc = _moves(z, energy, step_cfg, gen, moves_per_step)
+        z, state, step_cfg, acc = _transition(
+            path, beta_next, z, state, step_cfg, gen, adapt_steps, moves_per_step
+        )
+        lp_old = state[0]
 
         beta = beta_next
         beta_trace.append(beta)

@@ -265,6 +265,24 @@ class TestMainExitCodes:
         assert "config error: dataset" in err
         assert "config error: particles" in err
 
+    @pytest.mark.parametrize(
+        "command, flag, key",
+        [
+            ("heuristic-q", "--output", "output"),
+            ("heuristic-q", "--trace-csv", "trace_csv"),
+            ("grid-q", "--output", "output"),
+        ],
+    )
+    def test_missing_output_directory_is_a_config_error(
+        self, capsys, tmp_path, command, flag, key
+    ):
+        requested = tmp_path / "missing" / "dir" / "h.json"
+        code = main([command, "--particles", "8", "--k", "2", flag, str(requested)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"config error: {key}: directory does not exist: {requested}" in err
+        assert list(tmp_path.rglob("*.tmp")) == []
+
     def test_runtime_failure_returns_three(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("0,1\n1,oops\n")

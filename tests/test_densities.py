@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 from scipy.integrate import quad
+from scipy.special import expit
 
 from conftest import fd_gradient, rel_err
 from qanneal.densities import (
@@ -206,6 +207,27 @@ class TestLogisticPosterior:
         w = np.array([500.0, -500.0, 250.0])
         assert np.isfinite(post.log_density(w))
         assert np.all(np.isfinite(post.gradient(w)))
+
+    def test_one_pass_likelihood_matches_two_logaddexp_passes(self):
+        model = self._toy_model()
+        post = logistic_posterior(model)
+        X, y, var = model.X, model.y, model.prior_sd**2
+        rng = np.random.default_rng(11)
+        w = rng.standard_normal((40, 3))
+        # rescale each row so its largest logit |w . x| spans 1e-3 .. 1e3
+        w *= (np.logspace(-3.0, 3.0, 40) / np.max(np.abs(w @ X.T), axis=1))[:, None]
+        t = w @ X.T
+        assert np.max(np.abs(t)) == pytest.approx(1e3)
+        two_pass = (
+            -0.5 * 3 * math.log(2.0 * math.pi * var)
+            - 0.5 * np.sum(w**2, axis=1) / var
+            - np.sum(y * np.logaddexp(0.0, -t) + (1.0 - y) * np.logaddexp(0.0, t), axis=1)
+        )
+        lp = post.log_density(w)
+        assert np.all(np.isfinite(lp))
+        np.testing.assert_allclose(lp, two_pass, rtol=1e-12, atol=0.0)
+        grad = -w / var + (y - expit(t)) @ X
+        assert np.array_equal(post.gradient(w), grad)
 
     def test_prior_factor(self):
         # at the likelihood-free limit (no data) the posterior is the prior

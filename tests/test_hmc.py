@@ -1,7 +1,12 @@
+from dataclasses import replace
+from functools import partial
+
 import numpy as np
 import pytest
 
+from qanneal.densities import gaussian
 from qanneal.hmc import HmcConfig, hmc_step, leapfrog, tune_step_size
+from qanneal.paths import QPath
 
 
 def standard_normal_energy():
@@ -12,6 +17,10 @@ def standard_normal_energy():
         return -np.asarray(z, dtype=float)
 
     return logp, grad
+
+
+def fused(logp, grad):
+    return lambda z: (logp(z), grad(z))
 
 
 class TestConfig:
@@ -33,18 +42,18 @@ class TestLeapfrog:
         cfg = HmcConfig(step_size=0.3, n_leapfrog=7, mass=np.ones(2))
         z = np.array([[1.5, -0.25], [0.0, 2.0]])
         p = np.zeros_like(z)
-        z1, p1 = leapfrog(z, p, lambda x: np.zeros_like(x), cfg)
+        z1, p1, _ = leapfrog(z, p, lambda x: (np.zeros(len(x)), np.zeros_like(x)), cfg)
         assert np.array_equal(z1, z)
         assert np.array_equal(p1, p)
 
     def test_reversibility(self):
         rng = np.random.default_rng(0)
         cfg = HmcConfig(step_size=0.15, n_leapfrog=25, mass=np.array([1.0, 2.0]))
-        _, grad = standard_normal_energy()
+        energy = fused(*standard_normal_energy())
         z0 = rng.normal(size=(6, 2))
         p0 = rng.normal(size=(6, 2))
-        z1, p1 = leapfrog(z0, p0, grad, cfg)
-        z2, p2 = leapfrog(z1, -p1, grad, cfg)
+        z1, p1, _ = leapfrog(z0, p0, energy, cfg)
+        z2, p2, _ = leapfrog(z1, -p1, energy, cfg)
         np.testing.assert_allclose(z2, z0, atol=1e-8)
         np.testing.assert_allclose(-p2, p0, atol=1e-8)
 
@@ -56,7 +65,7 @@ class TestLeapfrog:
 
         def max_energy_error(eps):
             cfg = HmcConfig(step_size=eps, n_leapfrog=int(round(2.0 / eps)), mass=np.ones(1))
-            z1, p1 = leapfrog(z0, p0, grad, cfg)
+            z1, p1, _ = leapfrog(z0, p0, fused(logp, grad), cfg)
             h0 = -logp(z0) + 0.5 * np.sum(p0**2, axis=1)
             h1 = -logp(z1) + 0.5 * np.sum(p1**2, axis=1)
             return float(np.max(np.abs(h1 - h0)))
@@ -75,7 +84,7 @@ class TestHmcStep:
         cfg = HmcConfig(step_size=0.5, n_leapfrog=4, mass=np.ones(1))
         rng = np.random.default_rng(2)
         z = np.zeros((64, 1))
-        z1, accepted = hmc_step(z, (logp, lambda x: np.zeros_like(x)), cfg, rng)
+        z1, accepted, _ = hmc_step(z, fused(logp, lambda x: np.zeros_like(x)), cfg, rng)
         assert accepted.all()
         assert not np.allclose(z1, z)
 
@@ -87,7 +96,7 @@ class TestHmcStep:
         cfg = HmcConfig(step_size=50.0, n_leapfrog=1, mass=np.ones(1))
         rng = np.random.default_rng(3)
         z = np.zeros((16, 1))
-        z1, accepted = hmc_step(z, (logp, lambda x: np.zeros_like(x)), cfg, rng)
+        z1, accepted, _ = hmc_step(z, fused(logp, lambda x: np.zeros_like(x)), cfg, rng)
         assert not accepted.any()
         assert np.array_equal(z1, z)
 
@@ -95,7 +104,7 @@ class TestHmcStep:
         logp, grad = standard_normal_energy()
         cfg = HmcConfig(step_size=0.5, n_leapfrog=8, mass=np.ones(2))
         rng = np.random.default_rng(4)
-        z1, accepted = hmc_step(np.zeros(2), (logp, grad), cfg, rng)
+        z1, accepted, _ = hmc_step(np.zeros(2), fused(logp, grad), cfg, rng)
         assert z1.shape == (2,)
         assert isinstance(accepted, bool)
 
@@ -109,7 +118,7 @@ class TestHmcStep:
         sq_sums = np.zeros(chains)
         steps = 1500
         for _ in range(steps):
-            z, _ = hmc_step(z, (logp, grad), cfg, rng)
+            z, _, _ = hmc_step(z, fused(logp, grad), cfg, rng)
             sums += z[:, 0]
             sq_sums += z[:, 0] ** 2
         chain_means = sums / steps
@@ -127,7 +136,7 @@ class TestHmcStep:
             rng = np.random.default_rng(99)
             z = np.zeros((8, 2))
             for _ in range(5):
-                z, _ = hmc_step(z, (logp, grad), cfg, rng)
+                z, _, _ = hmc_step(z, fused(logp, grad), cfg, rng)
             runs.append(z)
         assert np.array_equal(runs[0], runs[1])
 
@@ -139,10 +148,10 @@ class TestTuneStepSize:
         cfg = HmcConfig(step_size=eps0, n_leapfrog=8, mass=np.ones(1))
         rng = np.random.default_rng(6)
         z = rng.normal(size=(64, 1))
-        tuned, z = tune_step_size(z, (logp, grad), cfg, rng, n_adapt=80)
+        tuned, z, _ = tune_step_size(z, fused(logp, grad), cfg, rng, n_adapt=80)
         rates = []
         for _ in range(30):
-            z, accepted = hmc_step(z, (logp, grad), tuned, rng)
+            z, accepted, _ = hmc_step(z, fused(logp, grad), tuned, rng)
             rates.append(accepted.mean())
         assert 0.4 < np.mean(rates) < 0.95
 
@@ -151,6 +160,70 @@ class TestTuneStepSize:
         cfg = HmcConfig(step_size=0.2, n_leapfrog=3, mass=np.ones(1))
         rng = np.random.default_rng(7)
         z = np.zeros((4, 1))
-        tuned, z_out = tune_step_size(z, (logp, grad), cfg, rng, n_adapt=0)
+        tuned, z_out, _ = tune_step_size(z, fused(logp, grad), cfg, rng, n_adapt=0)
         assert tuned is cfg
         assert z_out is z
+
+
+class CountingDensity:
+    """Endpoint wrapper that records every batch its callables receive."""
+
+    def __init__(self, density):
+        self.log_density_calls, self.gradient_calls = [], []
+        self.density = replace(
+            density,
+            log_density=self._counted(density.log_density, self.log_density_calls),
+            gradient=self._counted(density.gradient, self.gradient_calls),
+        )
+
+    @staticmethod
+    def _counted(fn, seen):
+        def wrapped(z):
+            seen.append(np.array(z, copy=True))
+            return fn(z)
+
+        return wrapped
+
+
+class TestEnergyContract:
+    """One energy call per leapfrog position; the start state is carried."""
+
+    L = 5
+
+    def setup_toy(self, beta=0.4, q=0.5):
+        base, target = CountingDensity(gaussian([-4.0], 3.0)), CountingDensity(gaussian([4.0], 1.0))
+        path = QPath(base.density, target.density, q=q)
+        rng = np.random.default_rng(12)
+        z = rng.normal(size=(32, 1))
+        energy = partial(path.value_and_grad, beta=beta)
+        state = energy(z)
+        for counter in (base, target):
+            counter.log_density_calls.clear()
+            counter.gradient_calls.clear()
+        cfg = HmcConfig(step_size=2.5, n_leapfrog=self.L, mass=np.ones(1))
+        return path, (base, target), z, energy, state, cfg, rng
+
+    def assert_calls(self, counters, z, expected):
+        for counter in counters:
+            for seen in (counter.log_density_calls, counter.gradient_calls):
+                assert len(seen) == expected
+                assert not any(np.array_equal(batch, z) for batch in seen)
+
+    def assert_state_fresh(self, path, z, state, beta=0.4):
+        fresh = path.value_and_grad(z, beta)
+        assert np.array_equal(state[0], fresh[0])
+        assert np.array_equal(state[1], fresh[1])
+
+    def test_hmc_step_evaluates_each_position_once(self):
+        path, counters, z, energy, state, cfg, rng = self.setup_toy()
+        z1, accepted, state1 = hmc_step(z, energy, cfg, rng, state=state)
+        assert 0 < accepted.sum() < accepted.size
+        self.assert_calls(counters, z, self.L)
+        self.assert_state_fresh(path, z1, state1)
+
+    def test_tune_step_size_sweep_carries_state(self):
+        path, counters, z, energy, state, cfg, rng = self.setup_toy()
+        n_adapt = 7
+        _, z1, state1 = tune_step_size(z, energy, cfg, rng, n_adapt=n_adapt, state=state)
+        self.assert_calls(counters, z, n_adapt * self.L)
+        self.assert_state_fresh(path, z1, state1)

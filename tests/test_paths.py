@@ -14,6 +14,7 @@ from qanneal.densities import (
     pareto,
     student_t,
 )
+from qanneal.hmc import HmcConfig
 from qanneal.paths import (
     MomentPath,
     QPath,
@@ -25,6 +26,7 @@ from qanneal.paths import (
     same_family_qpath_params,
     student_t_natural_params,
 )
+from qanneal.samplers import smc_run
 
 
 def toy_gaussian_pair():
@@ -230,6 +232,37 @@ class TestQPathGradient:
         assert np.allclose(batch, single, atol=1e-14)
 
 
+class TestValueAndGrad:
+    @pytest.mark.parametrize("q", [0.0, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("beta", [0.0, 0.3, 1.0])
+    def test_matches_separate_evaluations(self, q, beta):
+        for base, target, dim in TestQPathGradient()._pairs():
+            path = QPath(base=base, target=target, q=q)
+            zs = np.random.default_rng(14).uniform(-5.0, 5.0, size=(9, dim))
+            lp, g = path.value_and_grad(zs, beta)
+            assert np.array_equal(lp, path.log_density(zs, beta))
+            assert np.array_equal(g, path.gradient(zs, beta))
+
+    @pytest.mark.parametrize("q", [0.5, 1.0, 1.5])
+    def test_gradient_zero_where_the_path_vanishes(self, q):
+        path = QPath(base=gaussian([0.0], 1.0), target=pareto(0.0, 1.0, 0.0), q=q)
+        zs = np.array([[-1.0], [0.5], [-2.0], [1.5]])
+        lp, g = path.value_and_grad(zs, 0.5)
+        assert np.array_equal(lp, path.log_density(zs, 0.5))
+        live = np.isfinite(lp)
+        assert np.all(g[~live] == 0.0)
+        assert np.array_equal(g[live], path.gradient(zs[live], 0.5))
+
+    @pytest.mark.parametrize("nu", [None, 3.0])
+    def test_moment_path_matches_separate_evaluations(self, nu):
+        path = MomentPath([-4.0], 3.0, [4.0], 1.0, nu=nu, log_scale1=2.0)
+        zs = np.linspace(-8.0, 8.0, 9)[:, None]
+        for beta in (0.0, 0.4, 1.0):
+            lp, g = path.value_and_grad(zs, beta)
+            assert np.array_equal(lp, path.log_density(zs, beta))
+            assert np.array_equal(g, path.gradient(zs, beta))
+
+
 class TestSameFamilyClosure:
     def test_natural_param_evaluators(self):
         zs = np.linspace(-6.0, 6.0, 50)
@@ -302,6 +335,15 @@ class TestMomentPath:
         ref = student_t([0.0], 50.0, nu=1.0)
         zs = np.linspace(-10.0, 10.0, 11)[:, None]
         assert np.allclose(path.log_density(zs, 0.5), ref.log_density(zs), atol=1e-12)
+
+    @pytest.mark.parametrize("nu", [None, 3.0])
+    def test_waypoint_cache_stays_bounded(self, nu):
+        path = MomentPath([-4.0], 3.0, [4.0], 1.0, nu=nu)
+        cfg = HmcConfig(step_size=0.5, n_leapfrog=5, mass=np.ones(1))
+        _, diag = smc_run(path, "adaptive", particles=64, moves_per_step=1, cfg=cfg,
+                          rng=3, ess_fraction=0.9, adapt_steps=2)
+        assert len(diag.beta_trace) > 10
+        assert len(path._waypoints) <= 1
 
     def test_beta_validation(self):
         path = MomentPath([-4.0], 3.0, [4.0], 1.0)
