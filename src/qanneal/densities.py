@@ -113,15 +113,6 @@ def gaussian(mean, cov) -> UnnormalizedDensity:
     )
 
 
-@dataclass(frozen=True)
-class StudentTParams:
-    """Location, positive-definite scale matrix, and degrees of freedom."""
-
-    mean: np.ndarray
-    scale: np.ndarray
-    nu: float
-
-
 def student_t(mean, scale, nu: float) -> UnnormalizedDensity:
     """Normalized multivariate Student-t with scale matrix ``scale``.
 
@@ -188,15 +179,6 @@ def nu_from_q(q: float, d: int) -> float:
     if not 1.0 < q < (d + 2.0) / d:
         raise ValueError("q outside the Student-t range for this dimension")
     return (d - d * q + 2.0) / (q - 1.0)
-
-
-@dataclass(frozen=True)
-class ParetoParams:
-    """Generalized Pareto location, scale, and shape (1-d support)."""
-
-    x_min: float
-    sigma: float
-    xi: float
 
 
 def pareto(x_min: float, sigma: float, xi: float) -> UnnormalizedDensity:

@@ -31,6 +31,26 @@ def _check_beta(beta: float) -> float:
     return beta
 
 
+def _blend(lp0, lp1, beta: float, q: float):
+    """(1/(1-q)) * log((1-beta) * p0^(1-q) + beta * p1^(1-q)) in log space,
+    from endpoint log-densities at an interior beta.
+
+    No row may have both endpoints at -inf, nor either one on the geometric
+    order; ``QPath`` masks such rows around the call.
+    """
+    if is_geometric_order(q):
+        # difference form keeps equal endpoints bit-exact at every beta
+        return lp0 + beta * (lp1 - lp0)
+    d = 1.0 - q
+    x = d * (lp1 - lp0)
+    # anchor at whichever endpoint dominates in the deformed scale,
+    # so expm1 only ever sees nonpositive arguments
+    swap = x > 0.0
+    lo = np.log1p(beta * np.expm1(np.where(swap, 0.0, x)))
+    hi = np.log1p((1.0 - beta) * np.expm1(np.where(swap, -x, 0.0)))
+    return np.where(swap, lp1 + hi / d, lp0 + lo / d)
+
+
 def blend_log_ratio(log_ratios, beta: float, q: float):
     """log(path density / base density) from finite endpoint log-ratios.
 
@@ -45,15 +65,7 @@ def blend_log_ratio(log_ratios, beta: float, q: float):
         return np.zeros_like(lr)
     if beta == 1.0:
         return lr.copy()
-    if is_geometric_order(q):
-        return beta * lr
-    d = 1.0 - q
-    x = d * lr
-    # each branch feeds expm1 a nonpositive argument, so nothing overflows
-    swap = x > 0.0
-    lo = np.log1p(beta * np.expm1(np.where(swap, 0.0, x)))
-    hi = np.log1p((1.0 - beta) * np.expm1(np.where(swap, -x, 0.0)))
-    return np.where(swap, lr + hi / d, lo / d)
+    return _blend(0.0, lr, beta, q)
 
 
 @dataclass(frozen=True)
@@ -82,21 +94,13 @@ class QPath:
         return lp0, lp1
 
     def _blend(self, lp0, lp1, beta: float):
-        """Path log-density from (n,) endpoint log-densities at an interior beta."""
+        """Path log-density from (n,) endpoint log-densities at an interior
+        beta; -inf where the power mean vanishes."""
         if is_geometric_order(self.q):
-            # difference form keeps equal endpoints bit-exact at every beta
             dead = (lp0 == -np.inf) | (lp1 == -np.inf)
-            diff = np.where(dead, 0.0, lp1) - np.where(dead, 0.0, lp0)
-            return np.where(dead, -np.inf, lp0 + beta * diff)
-        d = 1.0 - self.q
-        dead = (lp0 == -np.inf) & (lp1 == -np.inf)
-        x = d * (np.where(dead, 0.0, lp1) - np.where(dead, 0.0, lp0))
-        # anchor at whichever endpoint dominates in the deformed scale,
-        # so expm1 only ever sees nonpositive arguments
-        swap = x > 0.0
-        lo = np.log1p(beta * np.expm1(np.where(swap, 0.0, x)))
-        hi = np.log1p((1.0 - beta) * np.expm1(np.where(swap, -x, 0.0)))
-        out = np.where(swap, lp1 + hi / d, lp0 + lo / d)
+        else:
+            dead = (lp0 == -np.inf) & (lp1 == -np.inf)
+        out = _blend(np.where(dead, 0.0, lp0), np.where(dead, 0.0, lp1), beta, self.q)
         return np.where(dead, -np.inf, out)
 
     def _mixed_gradient(self, z, lp0, lp1, beta: float):
@@ -167,21 +171,6 @@ def _live_gradient(lp, z, gradient):
     if np.any(live):
         g[live] = gradient(z[live], live)
     return g
-
-
-def geometric_path(base: UnnormalizedDensity, target: UnnormalizedDensity) -> QPath:
-    """The classic log-linear annealing path."""
-    return QPath(base=base, target=target, q=1.0)
-
-
-def qpath_log_density(path: QPath, z, beta: float):
-    """Functional form of :meth:`QPath.log_density`."""
-    return path.log_density(z, beta)
-
-
-def qpath_gradient(path: QPath, z, beta: float):
-    """Functional form of :meth:`QPath.gradient`."""
-    return path.gradient(z, beta)
 
 
 @dataclass(frozen=True)

@@ -83,7 +83,6 @@ class ParticleSystem:
     log_weights: np.ndarray
     log_Z_accum: float = 0.0
     rng_seed: int | None = None
-    step_index: int = 0
 
     def __post_init__(self):
         if self.positions.shape[0] != self.log_weights.shape[0]:
@@ -272,6 +271,12 @@ def _next_beta_by_ess(incr_fn, beta_now, ess_target, tol, max_iter=100):
     return 0.5 * (lo + hi), False
 
 
+# adaptive steps bisect to within this fraction of the particle count of the
+# ESS target; a run that takes more than _MAX_STEPS steps is abandoned
+_ESS_TOL_FRACTION = 0.01
+_MAX_STEPS = 10_000
+
+
 def smc_run(
     path,
     schedule,
@@ -281,15 +286,15 @@ def smc_run(
     rng: np.random.Generator | int,
     ess_fraction: float = 0.5,
     adapt_steps: int = 10,
-    adaptive_ess_tol: float | None = None,
-    max_steps: int = 10_000,
 ) -> tuple[float, SmcDiagnostics]:
     """Sequential Monte Carlo estimate of log(Z_target / Z_base).
 
     ``schedule`` is either a fixed beta grid (resampling triggers when the
     carried-weight ESS drops below ``ess_fraction * particles``) or the string
     "adaptive" (each step bisects for the beta whose incremental ESS matches
-    the target, then always resamples).  Accumulation is the log of the
+    the target to within ``_ESS_TOL_FRACTION * particles``, then always
+    resamples); an adaptive run needs ``ess_fraction`` in (0, 1], since the
+    ESS never exceeds the particle count.  Accumulation is the log of the
     weighted mean incremental weight, so the estimate of Z is unbiased when
     no adaptation is used.  Deterministic given an integer seed.
     """
@@ -304,6 +309,10 @@ def smc_run(
     if adaptive:
         if schedule != "adaptive":
             raise ValueError(f"unknown schedule rule {schedule!r}")
+        if not 0.0 < ess_fraction <= 1.0:
+            raise ValueError(
+                f"ess_fraction must lie in (0, 1] for an adaptive schedule, got {ess_fraction}"
+            )
         betas = None
     else:
         betas = _betas_of(schedule)
@@ -312,7 +321,7 @@ def smc_run(
     log_w = np.full(particles, -math.log(particles))
     log_Z = 0.0
     ess_target = ess_fraction * particles
-    tol = adaptive_ess_tol if adaptive_ess_tol is not None else 0.01 * particles
+    tol = _ESS_TOL_FRACTION * particles
     beta = 0.0
     beta_trace, ess_trace, acc_trace, eps_trace = [0.0], [], [], []
     resamples = 0
@@ -321,7 +330,7 @@ def smc_run(
     lp_old = np.atleast_1d(np.asarray(path.log_density(z, beta), dtype=float))
     while beta < 1.0:
         step += 1
-        if step > max_steps:
+        if step > _MAX_STEPS:
             raise WeightCollapseError(
                 "adaptive schedule failed to reach beta = 1",
                 {"beta_trace": np.asarray(beta_trace)},
@@ -377,7 +386,6 @@ def smc_run(
         log_weights=log_w,
         log_Z_accum=log_Z,
         rng_seed=seed,
-        step_index=len(beta_trace) - 1,
     )
     diagnostics = SmcDiagnostics(
         beta_trace=np.asarray(beta_trace),

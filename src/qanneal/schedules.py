@@ -9,14 +9,13 @@ weights hits the target.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from qanneal.deformed import rho_from_log_weights
 from qanneal.paths import blend_log_ratio
-from qanneal.samplers import _masked_increment, _next_beta_by_ess, ess_of_log_weights
+from qanneal.samplers import _betas_of, ess_of_log_weights
 
 
 @dataclass(frozen=True)
@@ -26,14 +25,7 @@ class Schedule:
     betas: np.ndarray
 
     def __post_init__(self):
-        betas = np.asarray(self.betas, dtype=float)
-        if betas.ndim != 1 or betas.size < 2:
-            raise ValueError("a schedule needs at least the two endpoints")
-        if betas[0] != 0.0 or betas[-1] != 1.0:
-            raise ValueError("schedule must start at 0 and end at 1")
-        if np.any(np.diff(betas) <= 0.0):
-            raise ValueError("schedule must be strictly increasing")
-        object.__setattr__(self, "betas", betas)
+        object.__setattr__(self, "betas", _betas_of(self.betas))
 
     @property
     def n_steps(self) -> int:
@@ -45,30 +37,6 @@ def linear_schedule(K: int) -> Schedule:
     if K < 1:
         raise ValueError("K must be at least 1")
     return Schedule(betas=np.linspace(0.0, 1.0, K + 1))
-
-
-def adaptive_next_beta(system, path, beta_now: float, ess_target: float, tol: float) -> float:
-    """Smallest next beta whose incremental-weight ESS meets the target.
-
-    The increments are taken from the system's positions alone (carried
-    weights are assumed freshly resampled).  Returns 1 outright when even
-    the full jump keeps the ESS at or above the target.  A bracket where the
-    ESS is not monotone may leave the tolerance unmet; the bisection fixed
-    point is still returned, with a warning.
-    """
-    z = system.positions
-    lp_here = np.atleast_1d(path.log_density(z, beta_now))
-
-    def incr_fn(b):
-        return _masked_increment(np.atleast_1d(path.log_density(z, b)), lp_here)
-
-    beta, converged = _next_beta_by_ess(incr_fn, beta_now, ess_target, tol)
-    if not converged:
-        warnings.warn(
-            f"incremental ESS bisection left the target unmet at beta {beta:.6f}",
-            RuntimeWarning,
-        )
-    return beta
 
 
 def q_grid(count: int = 20, delta_min: float = 1e-5, delta_max: float = 1e-1) -> np.ndarray:

@@ -1,0 +1,8 @@
+import qanneal
+
+
+def test_every_export_resolves_once():
+    names = qanneal.__all__
+    assert len(names) == len(set(names)), sorted(n for n in set(names) if names.count(n) > 1)
+    missing = [n for n in names if not hasattr(qanneal, n)]
+    assert not missing, missing

@@ -20,9 +20,7 @@ from qanneal.paths import (
     QPath,
     blend_log_ratio,
     gaussian_natural_params,
-    geometric_path,
     moment_path_params,
-    qpath_log_density,
     same_family_qpath_params,
     student_t_natural_params,
 )
@@ -73,7 +71,7 @@ class TestQPathLogDensity:
 
     def test_geometric_branch_is_log_linear(self):
         base, target = toy_gaussian_pair()
-        path = geometric_path(base, target)
+        path = QPath(base, target, q=1.0)
         zs = np.linspace(-8.0, 8.0, 17)[:, None]
         for beta in (0.25, 0.75):
             expect = (1.0 - beta) * base.log_density(zs) + beta * target.log_density(zs)
@@ -93,7 +91,7 @@ class TestQPathLogDensity:
         for _ in range(10):
             base = gaussian([rng.uniform(-2.0, 2.0)], rng.uniform(0.8, 2.0))
             target = gaussian([rng.uniform(-2.0, 2.0)], rng.uniform(0.8, 2.0))
-            geo = geometric_path(base, target)
+            geo = QPath(base, target, q=1.0)
             for beta in (0.2, 0.5, 0.8):
                 ref = geo.log_density(zs, beta)
                 for q in (1.0 - 1e-6, 1.0 + 1e-6):
@@ -132,7 +130,7 @@ class TestQPathLogDensity:
         assert light.log_density(z, beta) == pytest.approx(expect, rel=1e-12)
         heavy = QPath(base=base, target=target, q=1.5)
         assert heavy.log_density(z, beta) == -np.inf
-        assert geometric_path(base, target).log_density(z, beta) == -np.inf
+        assert QPath(base, target, q=1.0).log_density(z, beta) == -np.inf
 
     def test_both_endpoints_dead(self):
         base = pareto(x_min=0.0, sigma=1.0, xi=-0.5)  # support [0, 2]
@@ -151,12 +149,6 @@ class TestQPathLogDensity:
         with pytest.raises(ValueError):
             blend_log_ratio(np.zeros(3), 1.2, 0.5)
 
-    def test_functional_wrapper(self):
-        base, target = toy_gaussian_pair()
-        path = QPath(base=base, target=target, q=0.5)
-        z = np.array([1.0])
-        assert qpath_log_density(path, z, 0.3) == path.log_density(z, 0.3)
-
 
 class TestBlendLogRatio:
     def test_matches_path_energy_difference(self):
@@ -168,6 +160,20 @@ class TestBlendLogRatio:
             for beta in (0.0, 0.3, 1.0):
                 expect = path.log_density(zs, beta) - base.log_density(zs)
                 assert np.allclose(blend_log_ratio(lr, beta, q), expect, atol=1e-10)
+
+    def test_is_the_path_kernel_bit_exact(self):
+        # with a zero base log-density, a QPath's log-density is the blended
+        # log-ratio itself: both must come from one kernel, to the last bit
+        lr = np.concatenate([np.linspace(-40.0, 40.0, 41), [-1e4, -1e-12, 0.0, 1e-12, 1e4]])
+        zero = UnnormalizedDensity(dim=1, log_density=lambda z: np.zeros(len(z)),
+                                   gradient=np.zeros_like)
+        ratio = UnnormalizedDensity(dim=1, log_density=lambda z: z[:, 0],
+                                    gradient=np.ones_like)
+        for q in (0.0, 0.5, 0.9, 1.0 - 1e-9, 1.0, 1.5, 2.0):
+            path = QPath(base=zero, target=ratio, q=q)
+            for beta in (1e-6, 0.3, 0.999999):
+                got = path.log_density(lr[:, None], beta)
+                assert np.array_equal(got, blend_log_ratio(lr, beta, q)), (q, beta)
 
     def test_extreme_ratios_stay_finite(self):
         lr = np.array([-1e4, -10.0, 0.0, 10.0, 1e4])
@@ -274,7 +280,7 @@ class TestSameFamilyClosure:
     def test_gaussian_closure_at_q_one(self):
         zs = np.linspace(-6.0, 6.0, 50)
         base, target = toy_gaussian_pair()
-        path = geometric_path(base, target)
+        path = QPath(base, target, q=1.0)
         p0 = gaussian_natural_params(-4.0, 3.0)
         p1 = gaussian_natural_params(4.0, 1.0)
         for beta in (0.3, 0.7):

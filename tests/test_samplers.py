@@ -1,4 +1,6 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -347,6 +349,22 @@ class TestSmc:
                     moves_per_step=1, cfg=small_cfg(),
                     rng=np.random.default_rng(47), adapt_steps=0)
         assert "beta_trace" in excinfo.value.diagnostics
+
+    @pytest.mark.parametrize("ess_fraction", [1.5, 0.0, -0.5, math.nan])
+    def test_adaptive_rejects_unreachable_ess_fraction_at_once(self, ess_fraction):
+        # the ESS never exceeds N, so a target above it could never be met;
+        # the call must fail before the base is sampled, without warnings
+        base, target = gaussian([-4.0], 3.0), gaussian([4.0], 1.0)
+
+        def sampler(rng, n):
+            raise AssertionError("sampled before the config was checked")
+
+        path = QPath(replace(base, exact_sampler=sampler), target, q=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="ess_fraction"):
+                smc_run(path, "adaptive", particles=16, moves_per_step=0,
+                        cfg=small_cfg(), rng=0, ess_fraction=ess_fraction)
 
     def test_particle_system_validation_and_ess(self):
         with pytest.raises(ValueError):

@@ -6,12 +6,11 @@ import pytest
 from qanneal.densities import gaussian
 from qanneal.hmc import HmcConfig
 from qanneal.paths import QPath, blend_log_ratio
-from qanneal.samplers import ParticleSystem, ess_of_log_weights, smc_run
+from qanneal.samplers import _next_beta_by_ess, ess_of_log_weights, smc_run
 from qanneal.schedules import (
     HeuristicConfig,
     HeuristicResult,
     Schedule,
-    adaptive_next_beta,
     ess_heuristic_q,
     linear_schedule,
     q_grid,
@@ -28,11 +27,10 @@ class RatioPath:
         return beta * self.ratios
 
 
-def make_system(n):
-    return ParticleSystem(
-        positions=np.zeros((n, 1)),
-        log_weights=np.full(n, -math.log(n)),
-    )
+def increments(path, beta_now):
+    """``incr_fn`` for _next_beta_by_ess: log incremental weights from beta_now."""
+    lp_here = path.log_density(None, beta_now)
+    return lambda b: path.log_density(None, b) - lp_here
 
 
 class TestSchedule:
@@ -131,42 +129,41 @@ class TestAdaptiveNextBeta:
         path = RatioPath([0.0, math.log(3.0)])
         ess_at_one = ess_of_log_weights(path.log_density(None, 1.0))
         assert ess_at_one == pytest.approx(1.6, abs=1e-12)
-        beta = adaptive_next_beta(make_system(2), path, 0.0, ess_target=1.0, tol=1e-3)
-        assert beta == 1.0
+        beta, converged = _next_beta_by_ess(increments(path, 0.0), 0.0, 1.0, 1e-3)
+        assert beta == 1.0 and converged
 
     def test_identical_endpoints_jump_to_one(self):
-        beta = adaptive_next_beta(make_system(8), RatioPath(np.zeros(8)), 0.0, 4.0, 1e-3)
-        assert beta == 1.0
+        beta, converged = _next_beta_by_ess(increments(RatioPath(np.zeros(8)), 0.0), 0.0, 4.0, 1e-3)
+        assert beta == 1.0 and converged
 
     def test_hits_target_within_tolerance(self):
         rng = np.random.default_rng(3)
         ratios = 6.0 * rng.standard_normal(64)
         path = RatioPath(ratios)
-        system = make_system(64)
         assert ess_of_log_weights(path.log_density(None, 1.0)) < 32.0
-        beta = adaptive_next_beta(system, path, 0.0, ess_target=32.0, tol=0.5)
-        assert 0.0 < beta < 1.0
+        beta, converged = _next_beta_by_ess(increments(path, 0.0), 0.0, 32.0, 0.5)
+        assert 0.0 < beta < 1.0 and converged
         achieved = ess_of_log_weights(path.log_density(None, beta))
         assert abs(achieved - 32.0) <= 0.5
 
     def test_progresses_from_interior_beta(self):
         rng = np.random.default_rng(4)
         path = RatioPath(5.0 * rng.standard_normal(64))
-        beta = adaptive_next_beta(make_system(64), path, 0.4, ess_target=32.0, tol=0.5)
+        beta, _ = _next_beta_by_ess(increments(path, 0.4), 0.4, 32.0, 0.5)
         assert beta > 0.4
 
-    def test_impossible_target_warns(self):
+    def test_impossible_target_does_not_converge(self):
         rng = np.random.default_rng(5)
         path = RatioPath(rng.standard_normal(32))
         # ESS never exceeds N, so a target above N pins the bisection
         # against beta_now and the tolerance is never met.
-        with pytest.warns(RuntimeWarning):
-            beta = adaptive_next_beta(make_system(32), path, 0.0, ess_target=40.0, tol=1e-6)
+        beta, converged = _next_beta_by_ess(increments(path, 0.0), 0.0, 40.0, 1e-6)
+        assert converged is False
         assert 0.0 <= beta < 1e-3
 
     def test_rejects_beta_now_at_one(self):
         with pytest.raises(ValueError):
-            adaptive_next_beta(make_system(4), RatioPath(np.zeros(4)), 1.0, 2.0, 1e-3)
+            _next_beta_by_ess(increments(RatioPath(np.zeros(4)), 1.0), 1.0, 2.0, 1e-3)
 
 
 class TestHeuristicConfig:
