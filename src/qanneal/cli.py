@@ -287,6 +287,7 @@ def _drive_heuristic(config: RunConfig) -> dict:
             "beta1": float(out.beta1),
             "loss": float(out.loss),
             "feasible": bool(out.feasible),
+            "loss_evals": int(out.loss_evals),
         },
     }
 
@@ -314,6 +315,8 @@ def _drive_grid(config: RunConfig) -> tuple[dict, list[tuple[str, RunReport]]]:
             "bdmc_gaps": [float(g) for g in gaps],
             "best_q": float(qs[best]),
             "best_gap": float(gaps[best]),
+            # the gaps are noisy estimates and can fall below 0
+            "negative_gaps": sum(g < 0.0 for g in gaps),
         },
     }
     return body, attachments

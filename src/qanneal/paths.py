@@ -31,14 +31,16 @@ def _check_beta(beta: float) -> float:
     return beta
 
 
-def _blend(lp0, lp1, beta: float, q: float):
+def _blend(lp0, lp1, beta, q):
     """(1/(1-q)) * log((1-beta) * p0^(1-q) + beta * p1^(1-q)) in log space,
     from endpoint log-densities at an interior beta.
 
     No row may have both endpoints at -inf, nor either one on the geometric
-    order; ``QPath`` masks such rows around the call.
+    order; ``QPath`` masks such rows around the call.  ``beta`` and ``q`` may
+    be arrays that broadcast against the endpoints, one value per row; an
+    array ``q`` must stay off the geometric order.
     """
-    if is_geometric_order(q):
+    if np.ndim(q) == 0 and is_geometric_order(q):
         # difference form keeps equal endpoints bit-exact at every beta
         return lp0 + beta * (lp1 - lp0)
     d = 1.0 - q

@@ -2,8 +2,8 @@
 Carlo over annealing paths.
 
 Every estimator works purely on log-densities; incremental weights are
-accumulated and aggregated with log-sum-exp so no unbounded log-ratio is ever
-exponentiated on its own.
+accumulated and aggregated by a max-shifted log-sum-exp so no unbounded
+log-ratio is ever exponentiated on its own.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.special import logsumexp
 
 from qanneal.hmc import HmcConfig, hmc_step, tune_step_size
 
@@ -30,10 +29,27 @@ class WeightCollapseError(RuntimeError):
         self.diagnostics = diagnostics or {}
 
 
+def _log_sum_exp(log_weights) -> float:
+    """log(sum(exp(lw))) shifted by the largest entry; -inf when every entry
+    is -inf."""
+    top = np.max(log_weights)
+    if not np.isfinite(top):
+        return float(top)
+    return float(top + np.log(np.sum(np.exp(log_weights - top))))
+
+
+def _ess_rows(log_weights):
+    """ESS along the last axis; every row needs a finite entry."""
+    w = np.exp(log_weights - np.max(log_weights, axis=-1, keepdims=True))
+    total = np.sum(w, axis=-1)
+    return total * total / np.sum(w * w, axis=-1)
+
+
 def ess_of_log_weights(log_weights) -> float:
     """Effective sample size (sum w)^2 / sum w^2 from log weights.
 
-    Computed via log-sum-exp; -inf entries count as zero-weight particles.
+    The weights are shifted by the largest before exponentiating; -inf
+    entries count as zero-weight particles.
     """
     lw = np.asarray(log_weights, dtype=float)
     if lw.ndim != 1 or lw.size == 0:
@@ -42,7 +58,7 @@ def ess_of_log_weights(log_weights) -> float:
         raise ValueError("log_weights must be finite or -inf")
     if not np.any(np.isfinite(lw)):
         raise ValueError("at least one log weight must be finite")
-    return float(np.exp(2.0 * logsumexp(lw) - logsumexp(2.0 * lw)))
+    return float(_ess_rows(lw))
 
 
 def systematic_resample(log_weights, rng: np.random.Generator) -> np.ndarray:
@@ -51,7 +67,7 @@ def systematic_resample(log_weights, rng: np.random.Generator) -> np.ndarray:
     if not np.any(np.isfinite(lw)):
         raise ValueError("at least one log weight must be finite")
     n = lw.shape[0]
-    w = np.exp(lw - logsumexp(lw))
+    w = np.exp(lw - _log_sum_exp(lw))
     w = w / np.sum(w)
     positions = (rng.uniform() + np.arange(n)) / n
     indices = np.searchsorted(np.cumsum(w), positions, side="right")
@@ -229,7 +245,7 @@ def _finish_ais(
             "excluded from the estimate",
             RuntimeWarning,
         )
-    estimate = float(logsumexp(log_w[finite]) - math.log(int(np.sum(finite))))
+    estimate = _log_sum_exp(log_w[finite]) - math.log(int(np.sum(finite)))
     return AisResult(
         log_Z_estimate=estimate,
         per_chain_log_w=log_w,
@@ -350,7 +366,7 @@ def smc_run(
 
         state = path.value_and_grad(z, beta_next)
         log_w_next = _accumulate(log_w, _masked_increment(state[0], lp_old))
-        total_next = logsumexp(log_w_next)
+        total_next = _log_sum_exp(log_w_next)
         if total_next == -np.inf:
             raise WeightCollapseError(
                 "all particle weights collapsed to -inf",
@@ -359,7 +375,7 @@ def smc_run(
                     "ess_trace": np.asarray(ess_trace),
                 },
             )
-        log_Z += float(total_next - logsumexp(log_w))
+        log_Z += total_next - _log_sum_exp(log_w)
         log_w = log_w_next - total_next
         ess = ess_of_log_weights(log_w)
 

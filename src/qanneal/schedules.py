@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from qanneal.deformed import rho_from_log_weights
-from qanneal.paths import blend_log_ratio
-from qanneal.samplers import _betas_of, ess_of_log_weights
+from qanneal.paths import _blend
+from qanneal.samplers import _betas_of, _ess_rows
 
 
 @dataclass(frozen=True)
@@ -71,31 +71,45 @@ class HeuristicConfig:
 
 @dataclass(frozen=True)
 class HeuristicResult:
+    """The chosen (q, beta1), its squared ESS error, and ``loss_evals``, the
+    number of (beta, q) points the search evaluated over all restarts."""
+
     q: float
     beta1: float
     loss: float
     feasible: bool
+    loss_evals: int = 0
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_ITERS = 40
+_MAX_SWEEPS = 50
 _BETA_BOUNDS = (1e-6, 1.0)
 _LOG10_DELTA_BOUNDS = (-12.0, 0.0)
 
 
-def _golden_min(f, a: float, b: float, iters: int = 40) -> tuple[float, float]:
+def _golden_rows(f, bounds: tuple[float, float], rows: int):
+    """Golden-section minimum of ``f`` on ``bounds`` for ``rows`` problems at
+    once; ``f`` maps an (rows,) array of points to their (rows,) losses.
+
+    Every row takes the same steps, so each row follows exactly the scalar
+    search: the new point, and which end of the bracket moves, are chosen
+    per row.  Returns the best point and its loss per row.
+    """
+    a, b = np.full(rows, bounds[0]), np.full(rows, bounds[1])
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    return (c, fc) if fc < fd else (d, fd)
+    for _ in range(_GOLDEN_ITERS):
+        left = fc < fd  # the minimum lies in [a, d]
+        a = np.where(left, a, c)
+        b = np.where(left, d, b)
+        x = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
+        fx = f(x)
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
+    pick = fc < fd
+    return np.where(pick, c, d), np.where(pick, fc, fd)
 
 
 def ess_heuristic_q(
@@ -108,8 +122,11 @@ def ess_heuristic_q(
     ``log_ws`` are log density ratios at draws from the base.  Restarts
     sample rho in log10 space around the largest ratio magnitude; each
     restart runs golden-section coordinate descent on (beta, log10(1-q))
-    from beta = 1.  Feasible means the squared ESS error got within
-    (5% of target)^2; ties across restarts keep the earliest.
+    from beta = 1, one beta search then one q search per sweep, until it
+    moves less than 1e-6 or has made 50 sweeps.  All restarts run together
+    as rows of one array, (restarts, n) floats at a time.  Feasible means
+    the squared ESS error got within (5% of target)^2; ties across restarts
+    keep the earliest.
     """
     ratios = np.asarray(log_ws, dtype=float)
     if ratios.ndim != 1 or ratios.size == 0:
@@ -125,34 +142,44 @@ def ess_heuristic_q(
         # All ratios zero: every (beta, q) gives equal weights.
         return HeuristicResult(q=choice.q, beta1=1.0, loss=(n - target) ** 2, feasible=False)
 
-    def loss(beta: float, u: float) -> float:
-        lw = blend_log_ratio(ratios, beta, 1.0 - 10.0**u)
-        return (ess_of_log_weights(lw) - target) ** 2
+    evals = 0
 
-    log10_rho0 = math.log10(choice.rho)
-    rho_draws = 10.0 ** rng.normal(log10_rho0, cfg.log10_sd, size=cfg.restarts)
+    def losses(beta, u):
+        nonlocal evals
+        evals += beta.size
+        beta, q = beta[:, None], (1.0 - 10.0**u)[:, None]
+        # the blend is the log ratio itself at beta = 1, for every q
+        lw = np.where(beta == 1.0, ratios, _blend(0.0, ratios, beta, q))
+        err = _ess_rows(lw) - target
+        return err * err
 
-    best: tuple[float, float, float] | None = None
-    for rho in rho_draws:
-        u = min(max(-math.log10(rho), _LOG10_DELTA_BOUNDS[0]), _LOG10_DELTA_BOUNDS[1])
-        beta = 1.0
-        current = loss(beta, u)
-        if best is None or current < best[0]:
-            best = (current, beta, u)
-        for _ in range(50):
-            beta_new, _ = _golden_min(lambda b: loss(b, u), *_BETA_BOUNDS)
-            u_new, value = _golden_min(lambda v: loss(beta_new, v), *_LOG10_DELTA_BOUNDS)
-            moved = abs(beta_new - beta) + abs(u_new - u)
-            beta, u = beta_new, u_new
-            if value < best[0]:
-                best = (value, beta, u)
-            if moved < 1e-6:
-                break
+    log10_rho = rng.normal(math.log10(choice.rho), cfg.log10_sd, size=cfg.restarts)
+    u = np.clip(-log10_rho, *_LOG10_DELTA_BOUNDS)
+    beta = np.ones(cfg.restarts)
+    best_loss = losses(beta, u)
+    best_beta, best_u = beta.copy(), u.copy()
+    active = np.arange(cfg.restarts)
+    for _ in range(_MAX_SWEEPS):
+        if active.size == 0:
+            break
+        u_now = u[active]
+        beta_new, _ = _golden_rows(lambda b: losses(b, u_now), _BETA_BOUNDS, active.size)
+        u_new, value = _golden_rows(lambda v: losses(beta_new, v), _LOG10_DELTA_BOUNDS, active.size)
+        moved = np.abs(beta_new - beta[active]) + np.abs(u_new - u_now)
+        beta[active], u[active] = beta_new, u_new
+        better = value < best_loss[active]
+        rows = active[better]
+        best_loss[rows] = value[better]
+        best_beta[rows], best_u[rows] = beta_new[better], u_new[better]
+        active = active[~(moved < 1e-6)]
 
-    loss_best, beta_best, u_best = best
+    # argmin keeps the earliest restart among equal losses; q goes through
+    # the same array power as in losses(), so it reproduces the loss exactly
+    k = int(np.argmin(best_loss))
     return HeuristicResult(
-        q=1.0 - 10.0**u_best,
-        beta1=beta_best,
-        loss=loss_best,
-        feasible=loss_best <= tol_sq,
+        q=float((1.0 - 10.0**best_u)[k]),
+        beta1=float(best_beta[k]),
+        loss=float(best_loss[k]),
+        feasible=bool(best_loss[k] <= tol_sq),
+        loss_evals=evals,
     )

@@ -149,8 +149,11 @@ class TestToyRuns:
         )
         report = run(config)
         assert math.isnan(report.log_Z)
-        assert set(report.extras) >= {"q", "beta1", "loss", "feasible"}
+        assert set(report.extras) >= {"q", "beta1", "loss", "feasible", "loss_evals"}
         assert report.extras["q"] < 1.0
+        # each restart's start, then 2 x (2 + 40) golden-section points per sweep
+        assert (report.extras["loss_evals"] - 10) % 84 == 0
+        assert report.extras["loss_evals"] >= 10 + 84 * 10
         text = out.read_text()
         assert '"log_Z": "nan"' in text
         assert report_from_json(text) == report
@@ -215,6 +218,7 @@ class TestGridQ:
         delta = 1.0 - report.extras["best_q"]
         assert 1e-5 <= delta <= 1e-1
         assert report.extras["best_gap"] == min(report.extras["bdmc_gaps"])
+        assert report.extras["negative_gaps"] == sum(g < 0.0 for g in report.extras["bdmc_gaps"])
 
         per_q = sorted(p for p in tmp_path.iterdir() if p.name != "grid.json")
         assert len(per_q) == 5

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from conftest import piecewise_density
 from qanneal.densities import UnnormalizedDensity, gaussian, with_log_scale
@@ -13,6 +14,7 @@ from qanneal.samplers import (
     AisResult,
     ParticleSystem,
     WeightCollapseError,
+    _log_sum_exp,
     ais_forward,
     ais_reverse,
     bdmc_gap,
@@ -72,6 +74,39 @@ class TestEss:
         with pytest.raises(ValueError):
             ess_of_log_weights(np.array([0.0, np.nan]))
 
+    def test_matches_the_log_sum_exp_formula(self):
+        rng = np.random.default_rng(2)
+        for size in (1, 2, 7, 256):
+            for scale in (0.1, 3.0, 30.0):
+                lw = rng.normal(scale=scale, size=size)
+                lw[1:][rng.random(size - 1) < 0.3] = -np.inf
+                old = math.exp(2.0 * logsumexp(lw) - logsumexp(2.0 * lw))
+                assert ess_of_log_weights(lw) == pytest.approx(old, rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e4, 1e300])
+    def test_finite_and_bounded_at_huge_log_weights(self, scale):
+        rng = np.random.default_rng(3)
+        for _ in range(10):
+            lw = scale * rng.standard_normal(50)
+            lw[:2] = lw.max()
+            lw[-1] = -np.inf
+            ess = ess_of_log_weights(lw)
+            assert math.isfinite(ess)
+            assert 2.0 <= ess <= 50.0
+        assert ess_of_log_weights(np.full(50, -scale)) == 50.0
+
+
+class TestLogSumExp:
+    def test_matches_scipy(self):
+        rng = np.random.default_rng(5)
+        for scale in (0.1, 10.0, 1e4):
+            lw = scale * rng.standard_normal(100)
+            lw[::7] = -np.inf
+            assert _log_sum_exp(lw) == pytest.approx(logsumexp(lw), rel=1e-14, abs=1e-14)
+
+    def test_all_minus_inf_is_minus_inf(self):
+        assert _log_sum_exp(np.full(3, -np.inf)) == -np.inf
+
 
 class TestSystematicResample:
     def test_degenerate_weight_takes_all(self):
@@ -103,6 +138,18 @@ class TestSystematicResample:
         a = systematic_resample(lw, np.random.default_rng(11))
         b = systematic_resample(lw, np.random.default_rng(11))
         assert np.array_equal(a, b)
+
+    def test_same_indices_as_log_sum_exp_normalisation(self):
+        n = 64
+        for seed in range(20):
+            gen = np.random.default_rng(seed)
+            lw = gen.normal(scale=5.0, size=n)
+            lw[1:][gen.random(n - 1) < 0.2] = -np.inf
+            w = np.exp(lw - logsumexp(lw))
+            w = w / np.sum(w)
+            positions = (np.random.default_rng(seed).uniform() + np.arange(n)) / n
+            want = np.minimum(np.searchsorted(np.cumsum(w), positions, side="right"), n - 1)
+            assert np.array_equal(systematic_resample(lw, np.random.default_rng(seed)), want)
 
 
 class TestAisForward:

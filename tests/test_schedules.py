@@ -208,6 +208,7 @@ class TestEssHeuristicQ:
         assert out.loss == 25.0
         assert out.q == 0.0
         assert out.beta1 == 1.0
+        assert out.loss_evals == 0
 
     def test_constant_nonzero_ratios_are_infeasible(self):
         cfg = HeuristicConfig(restarts=3)
@@ -251,3 +252,89 @@ class TestEssHeuristicQ:
     def test_result_is_a_plain_record(self):
         out = HeuristicResult(q=0.9, beta1=0.5, loss=1.0, feasible=True)
         assert (out.q, out.beta1, out.loss, out.feasible) == (0.9, 0.5, 1.0, True)
+        assert out.loss_evals == 0
+
+    def test_single_restart_keeps_its_answer(self):
+        ratios = target_minus_base_ratios(64, seed=3)
+        out = ess_heuristic_q(ratios, HeuristicConfig(restarts=1), np.random.default_rng(4))
+        # the answer of the scalar golden-section search on this input
+        assert out.q == pytest.approx(0.985224227529218, rel=1e-12)
+        assert out.beta1 == pytest.approx(0.07752305680240934, rel=1e-12)
+        assert out.feasible and out.loss < 1e-12
+        # the start, then two sweeps of 2 x (2 + 40) golden-section points
+        assert out.loss_evals == 1 + 2 * 84
+
+    @pytest.mark.parametrize("restarts", [1, 7, 30])
+    def test_batched_search_is_the_serial_search(self, restarts):
+        cfg = HeuristicConfig(restarts=restarts)
+        for seed in range(10):
+            ratios = target_minus_base_ratios(96, seed=seed)
+            got = ess_heuristic_q(ratios, cfg, np.random.default_rng(100 + seed))
+            want = serial_heuristic_q(ratios, cfg, np.random.default_rng(100 + seed))
+            assert got == want
+            assert (got.loss_evals - restarts) % 84 == 0
+
+
+def serial_heuristic_q(log_ws, cfg, rng):
+    """The restart-by-restart search on the public kernels: the reference the
+    batched ``ess_heuristic_q`` must reproduce bit for bit.
+
+    q = 1 - 10^u and the squared error are computed through numpy arrays, as
+    the batched search computes them: Python's float ``**`` calls the C
+    library's pow, whose last bit can differ from numpy's vector loops.
+    """
+    ratios = np.asarray(log_ws, dtype=float)
+    n = ratios.size
+    target = cfg.ess_target_fraction * n
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    evals = 0
+
+    def order(u):
+        return float((1.0 - 10.0 ** np.array([u]))[0])
+
+    def loss(beta, u):
+        nonlocal evals
+        evals += 1
+        err = ess_of_log_weights(blend_log_ratio(ratios, beta, order(u))) - target
+        return err * err
+
+    def golden_min(f, a, b):
+        c = b - golden * (b - a)
+        d = a + golden * (b - a)
+        fc, fd = f(c), f(d)
+        for _ in range(40):
+            if fc < fd:
+                b, d, fd = d, c, fc
+                c = b - golden * (b - a)
+                fc = f(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + golden * (b - a)
+                fd = f(d)
+        return (c, fc) if fc < fd else (d, fd)
+
+    log10_rho0 = math.log10(float(np.max(np.abs(ratios))))
+    best = None
+    for log10_rho in rng.normal(log10_rho0, cfg.log10_sd, size=cfg.restarts):
+        u = min(max(-log10_rho, -12.0), 0.0)
+        beta = 1.0
+        current = loss(beta, u)
+        if best is None or current < best[0]:
+            best = (current, beta, u)
+        for _ in range(50):
+            beta_new, _ = golden_min(lambda b: loss(b, u), 1e-6, 1.0)
+            u_new, value = golden_min(lambda v: loss(beta_new, v), -12.0, 0.0)
+            moved = abs(beta_new - beta) + abs(u_new - u)
+            beta, u = beta_new, u_new
+            if value < best[0]:
+                best = (value, beta, u)
+            if moved < 1e-6:
+                break
+    loss_best, beta_best, u_best = best
+    return HeuristicResult(
+        q=order(u_best),
+        beta1=beta_best,
+        loss=loss_best,
+        feasible=loss_best <= (0.05 * target) ** 2,
+        loss_evals=evals,
+    )
