@@ -52,6 +52,10 @@ _LEAPFROG = 5
 _DEFAULT_ADAPT_STEPS = 10
 _GROUND_TRUTH_PARTICLES = 50_000
 _GROUND_TRUTH_MOVES = 20
+# grid-q batches its orders into sweeps of at most this many chains, so
+# memory stays bounded at large chain counts (one order per sweep at
+# --ground-truth); the default grids run as a single sweep
+_GRID_SWEEP_CHAINS = 1 << 14
 
 _SMC_COMMANDS = ("anneal-toy", "smc")
 _AIS_COMMANDS = ("ais", "bdmc", "grid-q")
@@ -243,26 +247,36 @@ def _drive_ais(config: RunConfig, path) -> dict:
     }
 
 
-def _drive_bdmc(config: RunConfig, path) -> dict:
+def _bdmc_bodies(config: RunConfig, path, blocks: int) -> list[dict]:
+    """Forward then reverse AIS of ``blocks`` blocks of chains as one sweep
+    each, every block on its own ``default_rng(seed)``: one bdmc body per
+    block, each the body a single run of that block's path gives."""
     chains, moves = _effective_budget(config)
-    rng = np.random.default_rng(config.seed)
+    gens = [np.random.default_rng(config.seed) for _ in range(blocks)]
     cfg = _hmc_config(path.base.dim)
     schedule = linear_schedule(config.K)
     adapt = _adapt_steps(config)
-    fwd = ais_forward(path, schedule, chains, cfg, moves, rng, adapt_steps=adapt)
-    target_draws = path.target.exact_sampler(rng, chains)
-    rev = ais_reverse(path, schedule, target_draws, cfg, moves, rng, adapt_steps=adapt)
-    return {
-        "log_Z": fwd.log_Z_estimate,
-        "stderr_estimate": _is_stderr(fwd.ess_trace[-1], chains),
-        "extras": {
-            "upper_bound": float(-rev.log_Z_estimate),
-            "bdmc_gap": bdmc_gap(fwd, rev),
-            "n_dropped_forward": fwd.n_dropped,
-            "n_dropped_reverse": rev.n_dropped,
-        },
-        **_ais_traces(fwd),
-    }
+    fwd = ais_forward(path, schedule, chains, cfg, moves, gens, adapt_steps=adapt)
+    target_draws = np.concatenate([path.target.exact_sampler(g, chains) for g in gens])
+    rev = ais_reverse(path, schedule, target_draws, cfg, moves, gens, adapt_steps=adapt)
+    return [
+        {
+            "log_Z": f.log_Z_estimate,
+            "stderr_estimate": _is_stderr(f.ess_trace[-1], chains),
+            "extras": {
+                "upper_bound": float(-r.log_Z_estimate),
+                "bdmc_gap": bdmc_gap(f, r),
+                "n_dropped_forward": f.n_dropped,
+                "n_dropped_reverse": r.n_dropped,
+            },
+            **_ais_traces(f),
+        }
+        for f, r in zip(fwd.blocks(), rev.blocks())
+    ]
+
+
+def _drive_bdmc(config: RunConfig, path) -> dict:
+    return _bdmc_bodies(config, path, 1)[0]
 
 
 def _drive_heuristic(config: RunConfig) -> dict:
@@ -293,12 +307,28 @@ def _drive_heuristic(config: RunConfig) -> dict:
 
 
 def _drive_grid(config: RunConfig) -> tuple[dict, list[tuple[str, RunReport]]]:
+    """One bdmc sandwich per order of the grid, the orders batched into one
+    sweep (several only past ``_GRID_SWEEP_CHAINS`` chains).
+
+    Every order runs on its own ``default_rng(seed)``, as a bdmc run of that
+    order would alone: common random numbers sharpen the comparison, and
+    each per-q report equals that run's apart from ``wallclock_s``, which is
+    the whole grid's.
+    """
+    start = time.perf_counter()
     qs = q_grid(int(config.extras.get("grid_count", 20)))
-    sub_reports = []
-    for q in qs:
-        # Same seed for every q: common random numbers sharpen the comparison.
-        sub = replace(config, command="bdmc", path_kind="qpath", q=float(q), output=None)
-        sub_reports.append(_execute(sub)[0])
+    chains, _ = _effective_budget(config)
+    base, target, _ = _toy_endpoints(config.extras)
+    per_sweep = max(1, _GRID_SWEEP_CHAINS // chains)
+    bodies = []
+    for group in np.split(qs, range(per_sweep, qs.size, per_sweep)):
+        path = QPath(base=base, target=target, q=np.repeat(group, chains))
+        bodies += _bdmc_bodies(config, path, group.size)
+    sweep_s = time.perf_counter() - start
+    sub_reports = [
+        _report(replace(config, command="bdmc", path_kind="qpath", q=float(q), output=None), body, sweep_s)
+        for q, body in zip(qs, bodies)
+    ]
     gaps = [r.extras["bdmc_gap"] for r in sub_reports]
     best = int(np.argmin(gaps))
     width = max(2, len(str(len(qs) - 1)))
@@ -322,6 +352,22 @@ def _drive_grid(config: RunConfig) -> tuple[dict, list[tuple[str, RunReport]]]:
     return body, attachments
 
 
+def _report(config: RunConfig, body: dict, wallclock_s: float) -> RunReport:
+    if config.command != "smc" and config.command != "grid-q":
+        body.setdefault("extras", {})
+        body["extras"]["true_log_Z"] = _toy_params(config.extras)["target_log_scale"]
+    return RunReport(
+        log_Z=body["log_Z"],
+        stderr_estimate=body["stderr_estimate"],
+        ess_trace=body["ess_trace"],
+        beta_trace=body["beta_trace"],
+        acceptance_trace=body["acceptance_trace"],
+        wallclock_s=wallclock_s,
+        config_echo=config,
+        extras=body["extras"],
+    )
+
+
 def _execute(config: RunConfig) -> tuple[RunReport, list[tuple[str, RunReport]]]:
     start = time.perf_counter()
     attachments: list[tuple[str, RunReport]] = []
@@ -339,20 +385,7 @@ def _execute(config: RunConfig) -> tuple[RunReport, list[tuple[str, RunReport]]]
         body = _drive_bdmc(config, _toy_path(config))
     else:
         raise ConfigError([f"command: unknown command {config.command!r}"])
-    if config.command != "smc" and config.command != "grid-q":
-        body.setdefault("extras", {})
-        body["extras"]["true_log_Z"] = _toy_params(config.extras)["target_log_scale"]
-    report = RunReport(
-        log_Z=body["log_Z"],
-        stderr_estimate=body["stderr_estimate"],
-        ess_trace=body["ess_trace"],
-        beta_trace=body["beta_trace"],
-        acceptance_trace=body["acceptance_trace"],
-        wallclock_s=time.perf_counter() - start,
-        config_echo=config,
-        extras=body["extras"],
-    )
-    return report, attachments
+    return _report(config, body, time.perf_counter() - start), attachments
 
 
 def _summary_line(report: RunReport) -> str:

@@ -4,6 +4,12 @@ The kernel is vectorized over a batch of chains: positions have shape (n, d)
 and every chain draws its own momentum and accept threshold from the shared
 generator, in a fixed order, so results are reproducible given a seed.
 
+A batch can also hold several independent runs side by side: pass ``rng`` as
+a sequence of generators, one per block of equal, consecutive rows.  Each
+block then draws from its own generator exactly what it would draw alone,
+and ``tune_step_size`` adapts one step size per block from that block's
+acceptance, so every block reproduces its own single run bit for bit.
+
 The energy is one callable, ``energy(z) -> (logp, grad)``, returning the
 log-density (n,) and its gradient (n, d) together.  The kernel calls it once
 per leapfrog position and never on a point it has already evaluated: a
@@ -16,24 +22,29 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 EnergyFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 State = tuple[np.ndarray, np.ndarray]
+Rng = np.random.Generator | Sequence[np.random.Generator]
 
 
 @dataclass(frozen=True)
 class HmcConfig:
-    """Leapfrog step size, trajectory length, and diagonal mass matrix."""
+    """Leapfrog step size, trajectory length, and diagonal mass matrix.
 
-    step_size: float
+    ``step_size`` is one float, or an (n,) array with one step per chain of
+    the batch it is used on.
+    """
+
+    step_size: float | np.ndarray
     n_leapfrog: int
     mass: np.ndarray
 
     def __post_init__(self):
-        if not self.step_size > 0.0:
+        if not np.all(np.asarray(self.step_size) > 0.0):
             raise ValueError("step_size must be positive")
         if self.n_leapfrog < 1:
             raise ValueError("n_leapfrog must be at least 1")
@@ -60,8 +71,11 @@ def leapfrog(
     The update is volume preserving and time reversible: negating the returned
     momentum and integrating again retraces the trajectory.  Nonfinite
     gradients propagate into the outputs; callers detect divergence there.
+    A per-chain ``cfg.step_size`` steps each row of ``z`` by its own value.
     """
     eps = cfg.step_size
+    if np.ndim(eps):
+        eps = eps[:, None]
     inv_mass = 1.0 / cfg.mass
     with np.errstate(over="ignore", invalid="ignore"):
         if grad0 is None:
@@ -81,11 +95,29 @@ def _kinetic(p: np.ndarray, mass: np.ndarray) -> np.ndarray:
     return 0.5 * np.sum(p * p / mass, axis=-1)
 
 
+def _generators(rng: Rng) -> list[np.random.Generator]:
+    """The block generators of ``rng``: itself alone, or each one given."""
+    return [rng] if isinstance(rng, np.random.Generator) else list(rng)
+
+
+def _draw(rng: Rng, n: int, draw) -> np.ndarray:
+    """``draw(generator, rows)`` for the n rows, each block of rows from its
+    own generator, stacked in block order."""
+    gens = _generators(rng)
+    return np.concatenate([draw(g, n // len(gens)) for g in gens])
+
+
+def _block_means(values: np.ndarray, blocks: int) -> np.ndarray:
+    """Mean of each of ``blocks`` equal, consecutive runs of ``values``;
+    each equals ``np.mean`` of that run alone."""
+    return np.mean(np.reshape(values, (blocks, -1)), axis=1)
+
+
 def _hmc_core(
     positions: np.ndarray,
     energy: EnergyFn,
     cfg: HmcConfig,
-    rng: np.random.Generator,
+    rng: Rng,
     state: State,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, State]:
     """One Metropolis-corrected HMC update for a (n, d) batch whose
@@ -97,7 +129,7 @@ def _hmc_core(
     """
     n, d = positions.shape
     lp0, g0 = state
-    p0 = rng.standard_normal((n, d)) * np.sqrt(cfg.mass)
+    p0 = _draw(rng, n, lambda g, k: g.standard_normal((k, d))) * np.sqrt(cfg.mass)
     k0 = _kinetic(p0, cfg.mass)
 
     proposal, p1, (lp1, g1) = leapfrog(positions, p0, energy, cfg, g0)
@@ -110,7 +142,7 @@ def _hmc_core(
     log_ratio = np.where(np.isnan(log_ratio), -np.inf, log_ratio)
 
     with np.errstate(divide="ignore"):
-        log_u = np.log(rng.uniform(size=n))
+        log_u = np.log(_draw(rng, n, lambda g, k: g.uniform(size=k)))
     accepted = log_u < log_ratio
     accept_prob = np.exp(np.minimum(log_ratio, 0.0))
 
@@ -139,7 +171,7 @@ def hmc_step(
     z: np.ndarray,
     energy: EnergyFn,
     cfg: HmcConfig,
-    rng: np.random.Generator,
+    rng: Rng,
     state: State | None = None,
 ) -> tuple[np.ndarray, np.ndarray, State]:
     """Metropolis-corrected HMC transition leaving exp(log-density) invariant.
@@ -159,11 +191,23 @@ def hmc_step(
     return out, accepted, state
 
 
+def _block_steps(step_size, blocks: int, rows: int) -> list[float]:
+    """Each block's step size, from a shared or a per-chain ``step_size``."""
+    if np.ndim(step_size) == 0:
+        return [float(step_size)] * blocks
+    return [float(s) for s in step_size[:: rows // blocks]]
+
+
+def _row_steps(steps: list[float], rows: int):
+    """A shared float for one block; otherwise each block's step on its rows."""
+    return steps[0] if len(steps) == 1 else np.repeat(steps, rows // len(steps))
+
+
 def tune_step_size(
     positions: np.ndarray,
     energy: EnergyFn,
     cfg: HmcConfig,
-    rng: np.random.Generator,
+    rng: Rng,
     target_accept: float = 0.65,
     n_adapt: int = 50,
     state: State | None = None,
@@ -176,26 +220,33 @@ def tune_step_size(
     the ``n_adapt`` transitions calls ``energy`` ``cfg.n_leapfrog`` times and
     hands its end state to the next.  ``n_adapt = 0`` is a no-op so callers
     can disable adaptation entirely.
+
+    With ``rng`` a sequence of generators, each block of rows keeps its own
+    dual-averaging state in plain floats, fed by the mean acceptance of its
+    own rows, and the tuned config carries one step per chain.
     """
     batch, state, single = _as_batch(positions, energy, state)
     if n_adapt == 0:
         return cfg, positions, _unbatch(state, single)
 
-    eps = cfg.step_size
-    mu = math.log(10.0 * eps)
-    log_eps_bar = math.log(eps)
-    h_bar = 0.0
+    blocks, rows = len(_generators(rng)), batch.shape[0]
+    eps = _block_steps(cfg.step_size, blocks, rows)
+    mu = [math.log(10.0 * e) for e in eps]
+    log_eps_bar = [math.log(e) for e in eps]
+    h_bar = [0.0] * blocks
     gamma, t0, kappa = 0.05, 10.0, 0.75
     for m in range(1, n_adapt + 1):
         batch, _, accept_prob, state = _hmc_core(
-            batch, energy, replace(cfg, step_size=eps), rng, state
+            batch, energy, replace(cfg, step_size=_row_steps(eps, rows)), rng, state
         )
-        h_bar += ((target_accept - float(np.mean(accept_prob))) - h_bar) / (m + t0)
-        log_eps = mu - math.sqrt(m) / gamma * h_bar
-        log_eps = min(max(log_eps, math.log(1e-6)), math.log(1e2))
+        rates = _block_means(accept_prob, blocks)
         eta = m**-kappa
-        log_eps_bar = eta * log_eps + (1.0 - eta) * log_eps_bar
-        eps = math.exp(log_eps)
+        for b in range(blocks):
+            h_bar[b] += ((target_accept - float(rates[b])) - h_bar[b]) / (m + t0)
+            log_eps = mu[b] - math.sqrt(m) / gamma * h_bar[b]
+            log_eps = min(max(log_eps, math.log(1e-6)), math.log(1e2))
+            log_eps_bar[b] = eta * log_eps + (1.0 - eta) * log_eps_bar[b]
+            eps[b] = math.exp(log_eps)
 
-    tuned = replace(cfg, step_size=math.exp(log_eps_bar))
+    tuned = replace(cfg, step_size=_row_steps([math.exp(x) for x in log_eps_bar], rows))
     return tuned, (batch[0] if single else batch), _unbatch(state, single)

@@ -76,19 +76,33 @@ class QPath:
 
     q = 1 is the geometric (log-linear) path; q = 0 mixes the raw densities
     arithmetically; q > 1 behaves like a soft minimum of the endpoints.
+
+    ``q`` may also be an (n,) array, one order per row of the batches the
+    path is evaluated on, so runs at several orders share one batch.  Every
+    row then gets exactly what a path of its own scalar order gives it.  An
+    array ``q`` must stay off the geometric order.
     """
 
     base: UnnormalizedDensity
     target: UnnormalizedDensity
-    q: float = 1.0
+    q: float | np.ndarray = 1.0
 
     def __post_init__(self):
         if self.base.dim != self.target.dim:
             raise ValueError("endpoint dimensions differ")
+        if np.ndim(self.q):
+            q = np.asarray(self.q, dtype=float)
+            if q.ndim != 1 or np.any(is_geometric_order(q)):
+                raise ValueError("an array q must be a vector off the geometric order")
+            object.__setattr__(self, "q", q)
 
     @property
     def dim(self) -> int:
         return self.base.dim
+
+    @property
+    def _geometric(self) -> bool:
+        return np.ndim(self.q) == 0 and is_geometric_order(self.q)
 
     def _endpoint_log_densities(self, z):
         lp0 = np.atleast_1d(np.asarray(self.base.log_density(z), dtype=float))
@@ -98,20 +112,22 @@ class QPath:
     def _blend(self, lp0, lp1, beta: float):
         """Path log-density from (n,) endpoint log-densities at an interior
         beta; -inf where the power mean vanishes."""
-        if is_geometric_order(self.q):
+        if self._geometric:
             dead = (lp0 == -np.inf) | (lp1 == -np.inf)
         else:
             dead = (lp0 == -np.inf) & (lp1 == -np.inf)
         out = _blend(np.where(dead, 0.0, lp0), np.where(dead, 0.0, lp1), beta, self.q)
         return np.where(dead, -np.inf, out)
 
-    def _mixed_gradient(self, z, lp0, lp1, beta: float):
-        """Path gradient (n, d) at an interior beta where the path lives."""
-        if is_geometric_order(self.q):
+    def _mixed_gradient(self, z, lp0, lp1, beta: float, rows=slice(None)):
+        """Path gradient (n, d) at an interior beta where the path lives;
+        ``rows`` picks the orders of ``z``'s rows from an array ``q``."""
+        if self._geometric:
             w1 = np.full_like(lp0, beta)
         else:
+            q = self.q[rows] if np.ndim(self.q) else self.q
             # responsibility of the target endpoint in the power mean
-            w1 = expit(math.log(beta) - math.log1p(-beta) + (1.0 - self.q) * (lp1 - lp0))
+            w1 = expit(math.log(beta) - math.log1p(-beta) + (1.0 - q) * (lp1 - lp0))
         g0 = np.atleast_2d(np.asarray(self.base.gradient(z), dtype=float))
         g1 = np.atleast_2d(np.asarray(self.target.gradient(z), dtype=float))
         col = w1[:, None]
@@ -126,6 +142,20 @@ class QPath:
         out = self._blend(*self._endpoint_log_densities(z), beta)
         return float(out[0]) if np.ndim(z) == 1 else out
 
+    def log_density_of(self, z):
+        """``f(beta)``: the path log-density (n,) of the fixed batch ``z`` at
+        any beta, equal to ``log_density(z, beta)``; both endpoints are
+        evaluated once, here, and each call only blends."""
+        lp0, lp1 = self._endpoint_log_densities(z)
+
+        def at(beta: float):
+            beta = _check_beta(beta)
+            if beta == 0.0 or beta == 1.0:
+                return lp1 if beta == 1.0 else lp0
+            return self._blend(lp0, lp1, beta)
+
+        return at
+
     def gradient(self, z, beta: float):
         beta = _check_beta(beta)
         if beta == 0.0:
@@ -133,11 +163,7 @@ class QPath:
         if beta == 1.0:
             return self.target.gradient(z)
         lp0, lp1 = self._endpoint_log_densities(z)
-        if is_geometric_order(self.q) or self.q > 1.0:
-            vanished = (lp0 == -np.inf) | (lp1 == -np.inf)
-        else:
-            vanished = (lp0 == -np.inf) & (lp1 == -np.inf)
-        if np.any(vanished):
+        if np.any(self._blend(lp0, lp1, beta) == -np.inf):
             raise ValueError("gradient undefined where the path density vanishes")
         mixed = self._mixed_gradient(z, lp0, lp1, beta)
         return mixed[0] if np.ndim(z) == 1 else mixed
@@ -159,7 +185,7 @@ class QPath:
         lp0, lp1 = self._endpoint_log_densities(z)
         lp = self._blend(lp0, lp1, beta)
         return lp, _live_gradient(
-            lp, z, lambda rows, live: self._mixed_gradient(rows, lp0[live], lp1[live], beta)
+            lp, z, lambda rows, live: self._mixed_gradient(rows, lp0[live], lp1[live], beta, live)
         )
 
 
@@ -327,6 +353,10 @@ class MomentPath:
     def gradient(self, z, beta: float):
         beta = _check_beta(beta)
         return self._waypoint(beta).gradient(z)
+
+    def log_density_of(self, z):
+        """``f(beta)``: the path log-density (n,) of the fixed batch ``z``."""
+        return lambda beta: np.atleast_1d(self.log_density(z, beta))
 
     def value_and_grad(self, z, beta: float):
         """Path log-density (n,) and gradient (n, d) of a batch from one

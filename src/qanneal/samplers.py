@@ -15,7 +15,7 @@ from functools import partial
 
 import numpy as np
 
-from qanneal.hmc import HmcConfig, hmc_step, tune_step_size
+from qanneal.hmc import HmcConfig, Rng, _block_means, _draw, _generators, hmc_step, tune_step_size
 
 
 class WeightCollapseError(RuntimeError):
@@ -81,14 +81,34 @@ class AisResult:
     ``log_Z_estimate`` is the log-mean-exp of the finite per-chain weights;
     chains that hit -inf stay recorded in ``per_chain_log_w`` but are dropped
     from the mean, with the count in ``n_dropped``.
+
+    A run over several blocks of chains (``rng`` a sequence of generators)
+    holds every block at once: each field but ``schedule_used`` gains a
+    leading block axis, and ``blocks()`` splits it into one result per block.
     """
 
-    log_Z_estimate: float
+    log_Z_estimate: float | np.ndarray
     per_chain_log_w: np.ndarray
     schedule_used: np.ndarray
     acceptance_trace: np.ndarray
-    n_dropped: int = 0
+    n_dropped: int | np.ndarray = 0
     ess_trace: np.ndarray = field(default_factory=lambda: np.empty(0))
+
+    def blocks(self) -> list["AisResult"]:
+        """One result per block; a run of a single generator is its own."""
+        if np.ndim(self.log_Z_estimate) == 0:
+            return [self]
+        return [
+            AisResult(
+                log_Z_estimate=float(self.log_Z_estimate[b]),
+                per_chain_log_w=self.per_chain_log_w[b],
+                schedule_used=self.schedule_used,
+                acceptance_trace=self.acceptance_trace[b],
+                n_dropped=int(self.n_dropped[b]),
+                ess_trace=self.ess_trace[b],
+            )
+            for b in range(self.log_Z_estimate.size)
+        ]
 
 
 @dataclass
@@ -149,15 +169,18 @@ def _transition(path, beta, z, state, cfg, rng, adapt_steps, moves_per_step):
     (logp, grad) state from each transition to the next.
 
     Returns the positions, their state, the config used and the mean
-    acceptance of the moves.
+    acceptance of the moves in each block of ``rng``.
     """
     energy = partial(path.value_and_grad, beta=beta)
     cfg, z, state = tune_step_size(z, energy, cfg, rng, n_adapt=adapt_steps, state=state)
+    blocks = len(_generators(rng))
     rates = []
     for _ in range(moves_per_step):
         z, accepted, state = hmc_step(z, energy, cfg, rng, state=state)
-        rates.append(float(np.mean(accepted)))
-    return z, state, cfg, (float(np.mean(rates)) if rates else math.nan)
+        rates.append(_block_means(accepted, blocks))
+    if not rates:
+        return z, state, cfg, np.full(blocks, math.nan)
+    return z, state, cfg, np.mean(np.stack(rates, axis=1), axis=1)
 
 
 def ais_forward(
@@ -166,7 +189,7 @@ def ais_forward(
     chains: int,
     cfg: HmcConfig,
     moves_per_step: int,
-    rng: np.random.Generator,
+    rng: Rng,
     adapt_steps: int = 10,
 ) -> AisResult:
     """Forward AIS estimate of log(Z_target / Z_base).
@@ -174,13 +197,17 @@ def ais_forward(
     Per-chain weights telescope the path energy along the schedule, each
     increment evaluated before the HMC moves for that step.  The log-mean-exp
     of the weights is a stochastic lower bound in expectation.
+
+    With ``rng`` a sequence of generators, ``chains`` chains run per
+    generator, each block drawing its base samples and moves from its own
+    generator, and the result holds one estimate per block.
     """
     betas = _betas_of(schedule)
     if path.base.exact_sampler is None:
         raise ValueError("forward AIS requires an exact sampler for the base")
     if chains < 1:
         raise ValueError("chains must be positive")
-    z = path.base.exact_sampler(rng, chains)
+    z = _draw(rng, chains * len(_generators(rng)), path.base.exact_sampler)
     return _ais_sweep(path, betas, betas, z, cfg, moves_per_step, rng, adapt_steps)
 
 
@@ -190,7 +217,7 @@ def ais_reverse(
     exact_target_samples: np.ndarray,
     cfg: HmcConfig,
     moves_per_step: int,
-    rng: np.random.Generator,
+    rng: Rng,
     adapt_steps: int = 10,
 ) -> AisResult:
     """Reverse AIS from exact target samples down the schedule.
@@ -198,7 +225,8 @@ def ais_reverse(
     The returned ``log_Z_estimate`` is the log-mean-exp of the run-direction
     weights and so estimates log(Z_base / Z_target); negating it gives the
     stochastic upper bound on log(Z_target / Z_base) that ``bdmc_gap`` pairs
-    with a forward run.
+    with a forward run.  With ``rng`` a sequence of generators the samples
+    split into equal blocks, one per generator, as in ``ais_forward``.
     """
     betas = _betas_of(schedule)
     z = np.asarray(exact_target_samples, dtype=float)
@@ -214,38 +242,49 @@ def _ais_sweep(path, betas, run_betas, z, cfg, moves_per_step, rng, adapt_steps)
 
     Each increment is taken before the HMC moves at its beta; the chains'
     log-density at the previous beta comes from the state the moves there
-    ended on, so no point is evaluated twice.
+    ended on, so no point is evaluated twice.  The chains form one block per
+    generator of ``rng``; weights, ESS and acceptance are kept per block,
+    from row-wise reductions over a (blocks, chains) view.
     """
-    log_w = np.zeros(z.shape[0])
-    acceptance = np.full(run_betas.size - 1, math.nan)
-    ess = np.full(run_betas.size - 1, math.nan)
+    blocks = len(_generators(rng))
+    if z.shape[0] % blocks:
+        raise ValueError("the chains must split into equal blocks, one per generator")
+    log_w = np.zeros((blocks, z.shape[0] // blocks))
+    acceptance = np.full((blocks, run_betas.size - 1), math.nan)
+    ess = np.full((blocks, run_betas.size - 1), math.nan)
     lp_old = np.atleast_1d(np.asarray(path.log_density(z, run_betas[0]), dtype=float))
     for t in range(1, run_betas.size):
         state = path.value_and_grad(z, run_betas[t])
-        log_w = _accumulate(log_w, _masked_increment(state[0], lp_old))
-        if np.any(np.isfinite(log_w)):
-            ess[t - 1] = ess_of_log_weights(log_w)
-        z, state, cfg, acceptance[t - 1] = _transition(
+        log_w = _accumulate(log_w, _masked_increment(state[0], lp_old).reshape(log_w.shape))
+        alive = np.any(np.isfinite(log_w), axis=1)
+        ess[alive, t - 1] = _ess_rows(log_w[alive])
+        z, state, cfg, acceptance[:, t - 1] = _transition(
             path, run_betas[t], z, state, cfg, rng, adapt_steps, moves_per_step
         )
         lp_old = state[0]
-    return _finish_ais(log_w, betas, acceptance, ess)
+    result = _finish_ais(log_w, betas, acceptance, ess)
+    return result.blocks()[0] if isinstance(rng, np.random.Generator) else result
 
 
 def _finish_ais(
     log_w: np.ndarray, betas: np.ndarray, acceptance: np.ndarray, ess: np.ndarray
 ) -> AisResult:
+    """Per-block estimates from (blocks, chains) weights; every block must
+    keep a finite weight."""
     finite = np.isfinite(log_w)
-    n_dropped = int(log_w.size - np.sum(finite))
-    if n_dropped == log_w.size:
+    n_dropped = log_w.shape[1] - np.sum(finite, axis=1)
+    if np.any(n_dropped == log_w.shape[1]):
         raise WeightCollapseError("every chain carries a -inf weight")
-    if n_dropped:
+    for dropped in n_dropped[n_dropped > 0]:
         warnings.warn(
-            f"{n_dropped} of {log_w.size} chains hit -inf weights and were "
+            f"{dropped} of {log_w.shape[1]} chains hit -inf weights and were "
             "excluded from the estimate",
             RuntimeWarning,
         )
-    estimate = _log_sum_exp(log_w[finite]) - math.log(int(np.sum(finite)))
+    # a block's dropped chains leave its sum, as if they had never run
+    estimate = np.array(
+        [_log_sum_exp(row[keep]) - math.log(int(np.sum(keep))) for row, keep in zip(log_w, finite)]
+    )
     return AisResult(
         log_Z_estimate=estimate,
         per_chain_log_w=log_w,
@@ -352,8 +391,10 @@ def smc_run(
                 {"beta_trace": np.asarray(beta_trace)},
             )
         if adaptive:
+            log_density_at = path.log_density_of(z)
+
             def incr_fn(b):
-                return _masked_increment(np.atleast_1d(path.log_density(z, b)), lp_old)
+                return _masked_increment(log_density_at(b), lp_old)
 
             beta_next, converged = _next_beta_by_ess(incr_fn, beta, ess_target, tol)
             if not converged:
@@ -386,7 +427,7 @@ def smc_run(
             log_w = np.full(particles, -math.log(particles))
             resamples += 1
 
-        z, state, step_cfg, acc = _transition(
+        z, state, step_cfg, (acc,) = _transition(
             path, beta_next, z, state, step_cfg, gen, adapt_steps, moves_per_step
         )
         lp_old = state[0]

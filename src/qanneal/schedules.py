@@ -86,6 +86,9 @@ _GOLDEN_ITERS = 40
 _MAX_SWEEPS = 50
 _BETA_BOUNDS = (1e-6, 1.0)
 _LOG10_DELTA_BOUNDS = (-12.0, 0.0)
+# the search evaluates its restart rows in blocks of at most this many
+# (row, particle) elements, which bounds its memory at any particle count
+_LOSS_BLOCK_ELEMENTS = 1 << 16
 
 
 def _golden_rows(f, bounds: tuple[float, float], rows: int):
@@ -124,7 +127,9 @@ def ess_heuristic_q(
     restart runs golden-section coordinate descent on (beta, log10(1-q))
     from beta = 1, one beta search then one q search per sweep, until it
     moves less than 1e-6 or has made 50 sweeps.  All restarts run together
-    as rows of one array, (restarts, n) floats at a time.  Feasible means
+    as rows of one array, evaluated in blocks of rows of at most
+    ``_LOSS_BLOCK_ELEMENTS`` floats (one row each when n exceeds it; every
+    row's loss is the same in any block).  Feasible means
     the squared ESS error got within (5% of target)^2; ties across restarts
     keep the earliest.
     """
@@ -143,14 +148,18 @@ def ess_heuristic_q(
         return HeuristicResult(q=choice.q, beta1=1.0, loss=(n - target) ** 2, feasible=False)
 
     evals = 0
+    block = max(1, _LOSS_BLOCK_ELEMENTS // n)
 
     def losses(beta, u):
         nonlocal evals
         evals += beta.size
         beta, q = beta[:, None], (1.0 - 10.0**u)[:, None]
-        # the blend is the log ratio itself at beta = 1, for every q
-        lw = np.where(beta == 1.0, ratios, _blend(0.0, ratios, beta, q))
-        err = _ess_rows(lw) - target
+        err = np.empty(beta.size)
+        for lo in range(0, beta.size, block):
+            rows = slice(lo, lo + block)
+            # the blend is the log ratio itself at beta = 1, for every q
+            lw = np.where(beta[rows] == 1.0, ratios, _blend(0.0, ratios, beta[rows], q[rows]))
+            err[rows] = _ess_rows(lw) - target
         return err * err
 
     log10_rho = rng.normal(math.log10(choice.rho), cfg.log10_sd, size=cfg.restarts)

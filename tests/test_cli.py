@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import logistic_evidence_quadrature, make_logistic_csv
+from qanneal import cli
 from qanneal.cli import main, run
 from qanneal.io import ConfigError, RunConfig, load_binary_regression_csv, report_from_json
 
@@ -225,6 +226,34 @@ class TestGridQ:
         sub = report_from_json(per_q[0].read_text())
         assert sub.config_echo.command == "bdmc"
         assert sub.config_echo.q == qs[0]
+
+    @pytest.mark.parametrize("grid_count", [1, 5])
+    @pytest.mark.parametrize("adapt", [None, 0])
+    @pytest.mark.parametrize("sweep_chains", [None, 24])
+    def test_every_order_is_its_standalone_bdmc(
+        self, capsys, tmp_path, monkeypatch, grid_count, adapt, sweep_chains
+    ):
+        """The batched sweep gives each order exactly the report a bdmc run
+        of that order gives on its own at the same seed, wallclock aside,
+        also when the orders split across sweeps (24 chains: two per sweep)."""
+        if sweep_chains is not None:
+            monkeypatch.setattr(cli, "_GRID_SWEEP_CHAINS", sweep_chains)
+        extras = {"grid_count": grid_count, "target_log_scale": 3.0}
+        if adapt is not None:
+            extras["adapt_steps"] = adapt
+        out = tmp_path / "grid.json"
+        config = RunConfig(command="grid-q", path_kind="qpath", particles=12, K=4,
+                           moves=2, seed=9, output=str(out), extras=extras)
+        report = run(config)
+        per_q = sorted(p for p in tmp_path.iterdir() if p.name != "grid.json")
+        assert len(per_q) == grid_count
+        for q, sub_path in zip(report.extras["qs"], per_q):
+            sub = report_from_json(sub_path.read_text()).to_dict()
+            alone = run(replace(config, command="bdmc", q=q, output=None)).to_dict()
+            # every per-q report carries the whole sweep's wallclock
+            assert sub.pop("wallclock_s") <= report.wallclock_s
+            alone.pop("wallclock_s")
+            assert json.dumps(sub) == json.dumps(alone)
 
     def test_summary_line_names_best_q(self, capsys):
         config = RunConfig(

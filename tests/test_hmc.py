@@ -165,6 +165,56 @@ class TestTuneStepSize:
         assert z_out is z
 
 
+class TestBlocks:
+    """Generators given one per block: each block runs as it would alone."""
+
+    CHAINS = 16
+    SEEDS = (3, 3, 8)
+    STEPS = (0.05, 2.0, 0.5)
+    # a different scale per block, so the blocks tune differently
+    SCALES = (1.0, 4.0, 0.25)
+
+    @staticmethod
+    def gaussian_energy(scale):
+        return lambda z: (-0.5 * np.sum(z * z / scale, axis=1), -z / scale)
+
+    def energy(self):
+        return self.gaussian_energy(np.repeat(self.SCALES, self.CHAINS)[:, None])
+
+    def block_energy(self, b):
+        return self.gaussian_energy(self.SCALES[b])
+
+    def start(self):
+        return np.random.default_rng(0).normal(size=(len(self.SEEDS) * self.CHAINS, 1))
+
+    def test_tune_step_size_gives_each_block_its_serial_step(self):
+        z = self.start()
+        cfg = HmcConfig(step_size=np.repeat(self.STEPS, self.CHAINS), n_leapfrog=4, mass=np.ones(1))
+        gens = [np.random.default_rng(seed) for seed in self.SEEDS]
+        tuned, z_out, (lp, g) = tune_step_size(z, self.energy(), cfg, gens, n_adapt=25)
+        for b, (seed, step) in enumerate(zip(self.SEEDS, self.STEPS)):
+            rows = slice(b * self.CHAINS, (b + 1) * self.CHAINS)
+            alone, z_b, (lp_b, g_b) = tune_step_size(
+                z[rows], self.block_energy(b), replace(cfg, step_size=step),
+                np.random.default_rng(seed), n_adapt=25,
+            )
+            assert np.all(tuned.step_size[rows] == alone.step_size)
+            assert np.array_equal(z_out[rows], z_b)
+            assert np.array_equal(lp[rows], lp_b) and np.array_equal(g[rows], g_b)
+        assert len(set(tuned.step_size)) == len(self.SEEDS)
+
+    def test_hmc_step_draws_each_block_from_its_own_generator(self):
+        z = self.start()
+        cfg = HmcConfig(step_size=np.repeat(self.STEPS, self.CHAINS), n_leapfrog=3, mass=np.ones(1))
+        z_out, accepted, _ = hmc_step(z, self.energy(), cfg, [np.random.default_rng(s) for s in self.SEEDS])
+        for b, (seed, step) in enumerate(zip(self.SEEDS, self.STEPS)):
+            rows = slice(b * self.CHAINS, (b + 1) * self.CHAINS)
+            z_b, acc_b, _ = hmc_step(z[rows], self.block_energy(b), replace(cfg, step_size=step),
+                                     np.random.default_rng(seed))
+            assert np.array_equal(z_out[rows], z_b)
+            assert np.array_equal(accepted[rows], acc_b)
+
+
 class CountingDensity:
     """Endpoint wrapper that records every batch its callables receive."""
 

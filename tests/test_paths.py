@@ -269,6 +269,57 @@ class TestValueAndGrad:
             assert np.array_equal(g, path.gradient(zs, beta))
 
 
+class TestArrayQ:
+    """A path with one order per row equals per-row paths of scalar order."""
+
+    QS = np.array([0.0, 0.5, 0.9, 1.0 - 1e-5, 1.5, 2.0])
+    # x < -1: both endpoints -inf; -1 <= x < 0: only the target is -inf
+    ZS = np.array([[-2.0], [-0.5], [-1e-3], [0.0], [0.25], [1.7], [4.0]])
+
+    def paths(self):
+        base, target = pareto(-1.0, 1.0, 0.0), pareto(0.0, 2.0, 0.3)
+        rows = len(self.ZS)
+        batched = QPath(base, target, q=np.repeat(self.QS, rows))
+        return batched, [QPath(base, target, q=float(q)) for q in self.QS], np.tile(self.ZS, (len(self.QS), 1))
+
+    @pytest.mark.parametrize("beta", [0.0, 1e-6, 0.3, 0.999999, 1.0])
+    def test_bit_identical_to_scalar_orders(self, beta):
+        batched, singles, zs = self.paths()
+        lp, g = batched.value_and_grad(zs, beta)
+        want = [path.value_and_grad(self.ZS, beta) for path in singles]
+        assert np.array_equal(lp, np.concatenate([w[0] for w in want]))
+        assert np.array_equal(g, np.concatenate([w[1] for w in want]))
+        assert np.array_equal(
+            batched.log_density(zs, beta),
+            np.concatenate([path.log_density(self.ZS, beta) for path in singles]),
+        )
+        assert np.array_equal(
+            batched.log_density_of(zs)(beta),
+            np.concatenate([np.atleast_1d(path.log_density(self.ZS, beta)) for path in singles]),
+        )
+        if 0.0 < beta < 1.0:
+            # rows with one endpoint dead live on for q < 1 and die for q > 1
+            x = zs[:, 0]
+            light = np.repeat(self.QS < 1.0, len(self.ZS))
+            assert np.array_equal(np.isfinite(lp), (x >= 0.0) | ((x >= -1.0) & light))
+
+    def test_gradient_matches_on_live_rows(self):
+        batched, singles, zs = self.paths()
+        live = np.repeat(self.QS < 1.0, len(self.ZS)) & (zs[:, 0] >= -1.0)
+        got = QPath(batched.base, batched.target, q=batched.q[live]).gradient(zs[live], 0.4)
+        want = np.concatenate(
+            [path.gradient(self.ZS[self.ZS[:, 0] >= -1.0], 0.4) for path in singles if path.q < 1.0]
+        )
+        assert np.array_equal(got, want)
+        with pytest.raises(ValueError, match="vanishes"):
+            batched.gradient(zs, 0.4)
+
+    def test_rejects_the_geometric_order(self):
+        base, target = toy_gaussian_pair()
+        with pytest.raises(ValueError, match="geometric"):
+            QPath(base, target, q=np.array([0.5, 1.0]))
+
+
 class TestSameFamilyClosure:
     def test_natural_param_evaluators(self):
         zs = np.linspace(-6.0, 6.0, 50)

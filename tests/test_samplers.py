@@ -7,7 +7,7 @@ import pytest
 from scipy.special import logsumexp
 
 from conftest import piecewise_density
-from qanneal.densities import UnnormalizedDensity, gaussian, with_log_scale
+from qanneal.densities import UnnormalizedDensity, gaussian, pareto, with_log_scale
 from qanneal.hmc import HmcConfig
 from qanneal.paths import QPath
 from qanneal.samplers import (
@@ -308,6 +308,51 @@ class TestAisReverseAndGap:
         assert np.mean(uppers) >= 2.0 - 2.0 * se_up
 
 
+class TestAisBlocks:
+    """Chains in blocks, one generator each: every block is its serial run."""
+
+    QS = (1.5, 0.5, 2.0)
+    SEEDS = (4, 4, 9)
+    CHAINS = 24
+
+    def assert_same(self, got: AisResult, want: AisResult):
+        assert got.log_Z_estimate == want.log_Z_estimate
+        assert got.n_dropped == want.n_dropped
+        assert np.array_equal(got.per_chain_log_w, want.per_chain_log_w)
+        assert np.array_equal(got.schedule_used, want.schedule_used)
+        assert np.array_equal(got.acceptance_trace, want.acceptance_trace, equal_nan=True)
+        assert np.array_equal(got.ess_trace, want.ess_trace, equal_nan=True)
+
+    @pytest.mark.parametrize("adapt_steps", [0, 3])
+    def test_forward_and_reverse_blocks_are_their_serial_runs(self, adapt_steps):
+        # the target lives on x >= 0, so chains of the q > 1 blocks drop out
+        base, target = gaussian([0.0], 1.0), pareto(0.0, 1.0, 0.0)
+        path = QPath(base, target, q=np.repeat(self.QS, self.CHAINS))
+        schedule, cfg = np.linspace(0.0, 1.0, 5), small_cfg()
+        gens = [np.random.default_rng(seed) for seed in self.SEEDS]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            fwd = ais_forward(path, schedule, self.CHAINS, cfg, 2, gens, adapt_steps=adapt_steps)
+            draws = np.concatenate([target.exact_sampler(g, self.CHAINS) for g in gens])
+            rev = ais_reverse(path, schedule, draws, cfg, 2, gens, adapt_steps=adapt_steps)
+            for b, (q, seed) in enumerate(zip(self.QS, self.SEEDS)):
+                alone = QPath(base, target, q=q)
+                rng = np.random.default_rng(seed)
+                want_fwd = ais_forward(alone, schedule, self.CHAINS, cfg, 2, rng, adapt_steps=adapt_steps)
+                want_rev = ais_reverse(alone, schedule, target.exact_sampler(rng, self.CHAINS),
+                                       cfg, 2, rng, adapt_steps=adapt_steps)
+                self.assert_same(fwd.blocks()[b], want_fwd)
+                self.assert_same(rev.blocks()[b], want_rev)
+        assert fwd.log_Z_estimate.shape == (3,)
+        assert fwd.n_dropped[0] > 0
+
+    def test_chains_must_split_into_the_blocks(self):
+        g = gaussian([0.0], 1.0)
+        with pytest.raises(ValueError, match="equal blocks"):
+            ais_reverse(QPath(g, g, q=0.5), [0.0, 1.0], np.zeros((5, 1)), small_cfg(), 1,
+                        [np.random.default_rng(0), np.random.default_rng(1)])
+
+
 class TestSmc:
     def test_identical_endpoints_fixed_schedule_exactly_zero(self):
         g = gaussian(np.array([1.0]), np.array([[1.5]]))
@@ -317,6 +362,29 @@ class TestSmc:
                               rng=np.random.default_rng(31), adapt_steps=0)
         assert log_z == 0.0
         assert diag.beta_trace[0] == 0.0 and diag.beta_trace[-1] == 1.0
+
+    @pytest.mark.parametrize("q", [1.0, 0.8])
+    def test_adaptive_step_evaluates_each_endpoint_once_for_its_bisection(self, q):
+        calls = {"base": 0, "target": 0}
+
+        def counted(density, name):
+            def log_density(z):
+                calls[name] += 1
+                return density.log_density(z)
+
+            return replace(density, log_density=log_density)
+
+        two = log_z_two_problem()
+        path = QPath(counted(two.base, "base"), counted(two.target, "target"), q=q)
+        _, diag = smc_run(path, "adaptive", particles=64, moves_per_step=0,
+                          cfg=small_cfg(), rng=5, adapt_steps=0)
+        steps = len(diag.beta_trace) - 1
+        assert steps >= 3
+        # the start at beta = 0, then per step one evaluation that every
+        # bisection iteration blends, and one for the state at the new beta,
+        # which at beta = 1 is the target's alone
+        assert calls["base"] == 1 + steps + (steps - 1)
+        assert calls["target"] == steps + steps
 
     def test_identical_endpoints_adaptive_exactly_zero(self):
         g = gaussian(np.array([1.0]), np.array([[1.5]]))

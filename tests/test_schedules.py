@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qanneal import schedules
 from qanneal.densities import gaussian
 from qanneal.hmc import HmcConfig
 from qanneal.paths import QPath, blend_log_ratio
@@ -273,6 +274,19 @@ class TestEssHeuristicQ:
             want = serial_heuristic_q(ratios, cfg, np.random.default_rng(100 + seed))
             assert got == want
             assert (got.loss_evals - restarts) % 84 == 0
+
+    @pytest.mark.parametrize("rows_per_block", [1, 4, 13])
+    def test_blocks_of_rows_are_the_serial_search(self, monkeypatch, rows_per_block):
+        # 30 restarts of 96 draws span several blocks at these budgets
+        monkeypatch.setattr(schedules, "_LOSS_BLOCK_ELEMENTS", rows_per_block * 96 + 95)
+        cfg = HeuristicConfig(restarts=30)
+        for seed in range(3):
+            ratios = target_minus_base_ratios(96, seed=seed)
+            got = ess_heuristic_q(ratios, cfg, np.random.default_rng(100 + seed))
+            assert got == serial_heuristic_q(ratios, cfg, np.random.default_rng(100 + seed))
+
+    def test_benchmark_search_fits_one_block(self):
+        assert 30 * 256 <= schedules._LOSS_BLOCK_ELEMENTS
 
 
 def serial_heuristic_q(log_ws, cfg, rng):
