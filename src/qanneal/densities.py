@@ -12,8 +12,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
-from scipy.special import expit, gammaln
 
 
 @dataclass(frozen=True)
@@ -67,8 +65,24 @@ def _as_batch(z, dim: int):
     return z, False
 
 
+def _finite_batch(z, dim: int):
+    """``_as_batch`` for densities defined on all of R^d, which reject a
+    nan or inf coordinate instead of giving it a density."""
+    zb, squeeze = _as_batch(z, dim)
+    if not np.all(np.isfinite(zb)):
+        raise ValueError("points must be finite")
+    return zb, squeeze
+
+
 def _maybe_scalar(values: np.ndarray, squeeze: bool):
     return float(values[0]) if squeeze else values
+
+
+def sigmoid(x):
+    """Logistic function 1 / (1 + exp(-x)): exactly 0 below about -709,
+    where exp(-x) overflows to inf, and exactly 1 above about 37."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def gaussian(mean, cov) -> UnnormalizedDensity:
@@ -86,19 +100,19 @@ def gaussian(mean, cov) -> UnnormalizedDensity:
     if cov.shape != (d, d):
         raise ValueError("covariance shape must match the mean")
     chol = np.linalg.cholesky(cov)
-    cho = cho_factor(cov, lower=True)
+    # whitening is (z - mean) @ inv_chol.T; the precision is inv_chol.T @ inv_chol
+    inv_chol = np.linalg.inv(chol)
     log_norm = -0.5 * d * math.log(2.0 * math.pi) - np.sum(np.log(np.diag(chol)))
 
     def log_density(z):
-        zb, squeeze = _as_batch(z, d)
-        dev = zb - mean
-        white = solve_triangular(chol, dev.T, lower=True)
-        out = log_norm - 0.5 * np.sum(white**2, axis=0)
+        zb, squeeze = _finite_batch(z, d)
+        white = (zb - mean) @ inv_chol.T
+        out = log_norm - 0.5 * np.sum(white**2, axis=1)
         return _maybe_scalar(out, squeeze)
 
     def gradient(z):
-        zb, squeeze = _as_batch(z, d)
-        g = -cho_solve(cho, (zb - mean).T).T
+        zb, squeeze = _finite_batch(z, d)
+        g = -((zb - mean) @ inv_chol.T) @ inv_chol
         return g[0] if squeeze else g
 
     def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -130,27 +144,26 @@ def student_t(mean, scale, nu: float) -> UnnormalizedDensity:
     if scale.shape != (d, d):
         raise ValueError("scale shape must match the mean")
     chol = np.linalg.cholesky(scale)
-    cho = cho_factor(scale, lower=True)
+    inv_chol = np.linalg.inv(chol)
     log_norm = (
-        gammaln(0.5 * (nu + d))
-        - gammaln(0.5 * nu)
+        math.lgamma(0.5 * (nu + d))
+        - math.lgamma(0.5 * nu)
         - 0.5 * d * math.log(nu * math.pi)
         - np.sum(np.log(np.diag(chol)))
     )
 
     def log_density(z):
-        zb, squeeze = _as_batch(z, d)
-        white = solve_triangular(chol, (zb - mean).T, lower=True)
-        m = np.sum(white**2, axis=0)
+        zb, squeeze = _finite_batch(z, d)
+        white = (zb - mean) @ inv_chol.T
+        m = np.sum(white**2, axis=1)
         out = log_norm - 0.5 * (nu + d) * np.log1p(m / nu)
         return _maybe_scalar(out, squeeze)
 
     def gradient(z):
-        zb, squeeze = _as_batch(z, d)
-        dev = zb - mean
-        white = solve_triangular(chol, dev.T, lower=True)
-        m = np.sum(white**2, axis=0)
-        g = -(nu + d) * cho_solve(cho, dev.T).T / (nu + m)[:, None]
+        zb, squeeze = _finite_batch(z, d)
+        white = (zb - mean) @ inv_chol.T
+        m = np.sum(white**2, axis=1)
+        g = -(nu + d) * (white @ inv_chol) / (nu + m)[:, None]
         return g[0] if squeeze else g
 
     def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -292,7 +305,7 @@ def logistic_posterior(model: LogisticModel) -> UnnormalizedDensity:
 
     def gradient(w):
         wb, squeeze = _as_batch(w, d)
-        resid = y - expit(wb @ X.T)
+        resid = y - sigmoid(wb @ X.T)
         g = -wb / var + resid @ X
         return g[0] if squeeze else g
 

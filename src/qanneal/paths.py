@@ -10,15 +10,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
-from scipy.special import expit
 
 from qanneal.deformed import is_geometric_order
 from qanneal.densities import (
     UnnormalizedDensity,
     gaussian,
     q_from_nu,
+    sigmoid,
     student_t,
     with_log_scale,
 )
@@ -127,7 +128,7 @@ class QPath:
         else:
             q = self.q[rows] if np.ndim(self.q) else self.q
             # responsibility of the target endpoint in the power mean
-            w1 = expit(math.log(beta) - math.log1p(-beta) + (1.0 - q) * (lp1 - lp0))
+            w1 = sigmoid(math.log(beta) - math.log1p(-beta) + (1.0 - q) * (lp1 - lp0))
         g0 = np.atleast_2d(np.asarray(self.base.gradient(z), dtype=float))
         g1 = np.atleast_2d(np.asarray(self.target.gradient(z), dtype=float))
         col = w1[:, None]
@@ -145,7 +146,9 @@ class QPath:
     def log_density_of(self, z):
         """``f(beta)``: the path log-density (n,) of the fixed batch ``z`` at
         any beta, equal to ``log_density(z, beta)``; both endpoints are
-        evaluated once, here, and each call only blends."""
+        evaluated once, here, and each call only blends.
+        ``f.value_and_grad(beta)`` equals ``value_and_grad(z, beta)`` from the
+        same endpoint values, so only the gradients are evaluated anew."""
         lp0, lp1 = self._endpoint_log_densities(z)
 
         def at(beta: float):
@@ -154,6 +157,8 @@ class QPath:
                 return lp1 if beta == 1.0 else lp0
             return self._blend(lp0, lp1, beta)
 
+        batch = np.atleast_2d(np.asarray(z, dtype=float))
+        at.value_and_grad = lambda beta: self._state(batch, _check_beta(beta), lp0, lp1)
         return at
 
     def gradient(self, z, beta: float):
@@ -180,13 +185,23 @@ class QPath:
         z = np.atleast_2d(np.asarray(z, dtype=float))
         if beta == 0.0 or beta == 1.0:
             end = self.base if beta == 0.0 else self.target
-            lp = np.atleast_1d(np.asarray(end.log_density(z), dtype=float))
-            return lp, _live_gradient(lp, z, lambda rows, live: end.gradient(rows))
-        lp0, lp1 = self._endpoint_log_densities(z)
+            return _end_state(end, z, np.atleast_1d(np.asarray(end.log_density(z), dtype=float)))
+        return self._state(z, beta, *self._endpoint_log_densities(z))
+
+    def _state(self, z, beta: float, lp0, lp1):
+        """``value_and_grad`` of the (n, d) batch ``z`` from its endpoint
+        log-densities (n,)."""
+        if beta == 0.0 or beta == 1.0:
+            return _end_state(self.base, z, lp0) if beta == 0.0 else _end_state(self.target, z, lp1)
         lp = self._blend(lp0, lp1, beta)
         return lp, _live_gradient(
             lp, z, lambda rows, live: self._mixed_gradient(rows, lp0[live], lp1[live], beta, live)
         )
+
+
+def _end_state(end: UnnormalizedDensity, z, lp):
+    """(logp, grad) of the batch ``z`` on one endpoint, from its log-density ``lp``."""
+    return lp, _live_gradient(lp, z, lambda rows, live: end.gradient(rows))
 
 
 def _live_gradient(lp, z, gradient):
@@ -355,8 +370,14 @@ class MomentPath:
         return self._waypoint(beta).gradient(z)
 
     def log_density_of(self, z):
-        """``f(beta)``: the path log-density (n,) of the fixed batch ``z``."""
-        return lambda beta: np.atleast_1d(self.log_density(z, beta))
+        """``f(beta)``: the path log-density (n,) of the fixed batch ``z``;
+        ``f.value_and_grad(beta)`` is ``value_and_grad(z, beta)``."""
+
+        def at(beta: float):
+            return np.atleast_1d(self.log_density(z, beta))
+
+        at.value_and_grad = partial(self.value_and_grad, z)
+        return at
 
     def value_and_grad(self, z, beta: float):
         """Path log-density (n,) and gradient (n, d) of a batch from one

@@ -402,10 +402,11 @@ def smc_run(
                     f"incremental ESS bisection did not converge at beta {beta:.6f}",
                     RuntimeWarning,
                 )
+            state = log_density_at.value_and_grad(beta_next)
         else:
             beta_next = float(betas[step])
+            state = path.value_and_grad(z, beta_next)
 
-        state = path.value_and_grad(z, beta_next)
         log_w_next = _accumulate(log_w, _masked_increment(state[0], lp_old))
         total_next = _log_sum_exp(log_w_next)
         if total_next == -np.inf:

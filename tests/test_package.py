@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import qanneal
 
 
@@ -6,3 +11,16 @@ def test_every_export_resolves_once():
     assert len(names) == len(set(names)), sorted(n for n in set(names) if names.count(n) > 1)
     missing = [n for n in names if not hasattr(qanneal, n)]
     assert not missing, missing
+
+
+def test_import_loads_numpy_only():
+    # scipy's import dominates the start-up of every CLI process; the package
+    # needs numpy alone, and only the tests load scipy for references
+    src = str(Path(qanneal.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, qanneal, qanneal.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

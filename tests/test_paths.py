@@ -248,6 +248,8 @@ class TestValueAndGrad:
             lp, g = path.value_and_grad(zs, beta)
             assert np.array_equal(lp, path.log_density(zs, beta))
             assert np.array_equal(g, path.gradient(zs, beta))
+            fixed_lp, fixed_g = path.log_density_of(zs).value_and_grad(beta)
+            assert np.array_equal(fixed_lp, lp) and np.array_equal(fixed_g, g)
 
     @pytest.mark.parametrize("q", [0.5, 1.0, 1.5])
     def test_gradient_zero_where_the_path_vanishes(self, q):
@@ -267,6 +269,8 @@ class TestValueAndGrad:
             lp, g = path.value_and_grad(zs, beta)
             assert np.array_equal(lp, path.log_density(zs, beta))
             assert np.array_equal(g, path.gradient(zs, beta))
+            fixed_lp, fixed_g = path.log_density_of(zs).value_and_grad(beta)
+            assert np.array_equal(fixed_lp, lp) and np.array_equal(fixed_g, g)
 
 
 class TestArrayQ:
@@ -293,10 +297,13 @@ class TestArrayQ:
             batched.log_density(zs, beta),
             np.concatenate([path.log_density(self.ZS, beta) for path in singles]),
         )
+        fixed = batched.log_density_of(zs)
         assert np.array_equal(
-            batched.log_density_of(zs)(beta),
+            fixed(beta),
             np.concatenate([np.atleast_1d(path.log_density(self.ZS, beta)) for path in singles]),
         )
+        fixed_lp, fixed_g = fixed.value_and_grad(beta)
+        assert np.array_equal(fixed_lp, lp) and np.array_equal(fixed_g, g)
         if 0.0 < beta < 1.0:
             # rows with one endpoint dead live on for q < 1 and die for q > 1
             x = zs[:, 0]

@@ -381,10 +381,9 @@ class TestSmc:
         steps = len(diag.beta_trace) - 1
         assert steps >= 3
         # the start at beta = 0, then per step one evaluation that every
-        # bisection iteration blends, and one for the state at the new beta,
-        # which at beta = 1 is the target's alone
-        assert calls["base"] == 1 + steps + (steps - 1)
-        assert calls["target"] == steps + steps
+        # bisection iteration blends and the state at the new beta reuses
+        assert calls["base"] == 1 + steps
+        assert calls["target"] == steps
 
     def test_identical_endpoints_adaptive_exactly_zero(self):
         g = gaussian(np.array([1.0]), np.array([[1.5]]))
