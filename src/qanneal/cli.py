@@ -106,16 +106,22 @@ def _validate(config: RunConfig) -> list[str]:
     elif config.dataset is not None:
         errors.append("dataset: only the smc command reads a dataset")
 
+    # a non-finite value gets only this message: the checks below let nan and inf by
+    for key in ("mu0", "var0", "mu1", "var1", "target_log_scale", "nu", "log10_sd"):
+        value = config.extras.get(key)
+        if value is not None and not math.isfinite(value):
+            errors.append(f"{key}: must be finite")
+
+    nu = config.extras.get("nu")
     if config.path_kind == "escort":
-        nu = config.extras.get("nu")
-        if nu is None or not nu > 0.0:
+        if nu is None or nu <= 0.0:
             errors.append("nu: escort path needs a positive nu")
-    elif config.extras.get("nu") is not None:
+    elif nu is not None and math.isfinite(nu):
         errors.append("nu: only the escort path takes nu")
 
     for key in ("var0", "var1"):
         value = config.extras.get(key)
-        if value is not None and not value > 0.0:
+        if value is not None and value <= 0.0:
             errors.append(f"{key}: must be positive")
 
     restarts = config.extras.get("restarts")
@@ -125,7 +131,7 @@ def _validate(config: RunConfig) -> list[str]:
     if fraction is not None and not 0.0 < fraction <= 1.0:
         errors.append("ess_target_fraction: must lie in (0, 1]")
     sd = config.extras.get("log10_sd")
-    if sd is not None and not sd > 0.0:
+    if sd is not None and sd <= 0.0:
         errors.append("log10_sd: must be positive")
     count = config.extras.get("grid_count")
     if count is not None and count < 1:

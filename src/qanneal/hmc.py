@@ -30,6 +30,9 @@ EnergyFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 State = tuple[np.ndarray, np.ndarray]
 Rng = np.random.Generator | Sequence[np.random.Generator]
 
+# the mean acceptance probability that ``tune_step_size`` steers toward
+_TARGET_ACCEPT = 0.65
+
 
 @dataclass(frozen=True)
 class HmcConfig:
@@ -152,21 +155,6 @@ def _hmc_core(
     return out, accepted, accept_prob, state
 
 
-def _as_batch(z, energy: EnergyFn, state: State | None) -> tuple[np.ndarray, State, bool]:
-    """Batch view of a point or batch and of its state, evaluated if absent."""
-    arr = np.asarray(z, dtype=float)
-    single = arr.ndim == 1
-    batch = arr[None, :] if single else arr
-    logp, grad = energy(batch) if state is None else state
-    logp = np.atleast_1d(np.asarray(logp, dtype=float))
-    grad = np.asarray(grad, dtype=float).reshape(batch.shape)
-    return batch, (logp, grad), single
-
-
-def _unbatch(state: State, single: bool) -> State:
-    return (float(state[0][0]), state[1][0]) if single else state
-
-
 def hmc_step(
     z: np.ndarray,
     energy: EnergyFn,
@@ -176,18 +164,16 @@ def hmc_step(
 ) -> tuple[np.ndarray, np.ndarray, State]:
     """Metropolis-corrected HMC transition leaving exp(log-density) invariant.
 
-    Accepts a single point (d,) or a batch (n, d); returns the new state, the
-    accepted flag(s) and the (logp, grad) of the returned positions.
-    ``state`` is the (logp, grad) of ``z``, as returned by the previous
-    transition; when omitted it is evaluated once here.  The transition then
-    calls ``energy`` exactly ``cfg.n_leapfrog`` times, never on ``z``.
-    Proposals with -inf energy or nonfinite state are rejected in place.
+    Takes a (n, d) batch; returns the new positions, the (n,) accepted flags
+    and the (logp, grad) of the returned positions.  ``state`` is the
+    (logp, grad) of ``z``, as returned by the previous transition; when
+    omitted it is evaluated once here.  The transition then calls ``energy``
+    exactly ``cfg.n_leapfrog`` times, never on ``z``.  Proposals with -inf
+    energy or nonfinite state are rejected in place.
     """
-    batch, state, single = _as_batch(z, energy, state)
-    out, accepted, _, state = _hmc_core(batch, energy, cfg, rng, state)
-    state = _unbatch(state, single)
-    if single:
-        return out[0], bool(accepted[0]), state
+    if state is None:
+        state = energy(z)
+    out, accepted, _, state = _hmc_core(z, energy, cfg, rng, state)
     return out, accepted, state
 
 
@@ -208,11 +194,11 @@ def tune_step_size(
     energy: EnergyFn,
     cfg: HmcConfig,
     rng: Rng,
-    target_accept: float = 0.65,
-    n_adapt: int = 50,
+    n_adapt: int,
     state: State | None = None,
 ) -> tuple[HmcConfig, np.ndarray, State]:
-    """Dual-averaging warm-up of the step size toward a target acceptance.
+    """Dual-averaging warm-up of the step size toward a mean acceptance
+    probability of ``_TARGET_ACCEPT``.
 
     Returns the tuned config, the warmed-up positions and their (logp, grad).
     ``state`` is the (logp, grad) of ``positions``, carried in from the
@@ -225,28 +211,29 @@ def tune_step_size(
     dual-averaging state in plain floats, fed by the mean acceptance of its
     own rows, and the tuned config carries one step per chain.
     """
-    batch, state, single = _as_batch(positions, energy, state)
+    if state is None:
+        state = energy(positions)
     if n_adapt == 0:
-        return cfg, positions, _unbatch(state, single)
+        return cfg, positions, state
 
-    blocks, rows = len(_generators(rng)), batch.shape[0]
+    blocks, rows = len(_generators(rng)), positions.shape[0]
     eps = _block_steps(cfg.step_size, blocks, rows)
     mu = [math.log(10.0 * e) for e in eps]
     log_eps_bar = [math.log(e) for e in eps]
     h_bar = [0.0] * blocks
     gamma, t0, kappa = 0.05, 10.0, 0.75
     for m in range(1, n_adapt + 1):
-        batch, _, accept_prob, state = _hmc_core(
-            batch, energy, replace(cfg, step_size=_row_steps(eps, rows)), rng, state
+        positions, _, accept_prob, state = _hmc_core(
+            positions, energy, replace(cfg, step_size=_row_steps(eps, rows)), rng, state
         )
         rates = _block_means(accept_prob, blocks)
         eta = m**-kappa
         for b in range(blocks):
-            h_bar[b] += ((target_accept - float(rates[b])) - h_bar[b]) / (m + t0)
+            h_bar[b] += ((_TARGET_ACCEPT - float(rates[b])) - h_bar[b]) / (m + t0)
             log_eps = mu[b] - math.sqrt(m) / gamma * h_bar[b]
             log_eps = min(max(log_eps, math.log(1e-6)), math.log(1e2))
             log_eps_bar[b] = eta * log_eps + (1.0 - eta) * log_eps_bar[b]
             eps[b] = math.exp(log_eps)
 
     tuned = replace(cfg, step_size=_row_steps([math.exp(x) for x in log_eps_bar], rows))
-    return tuned, (batch[0] if single else batch), _unbatch(state, single)
+    return tuned, positions, state

@@ -112,36 +112,20 @@ class AisResult:
 
 
 @dataclass
-class ParticleSystem:
-    """Weighted particle ensemble carried through an SMC sweep."""
-
-    positions: np.ndarray
-    log_weights: np.ndarray
-    log_Z_accum: float = 0.0
-    rng_seed: int | None = None
-
-    def __post_init__(self):
-        if self.positions.shape[0] != self.log_weights.shape[0]:
-            raise ValueError("positions and log_weights must have equal length")
-
-    def ess(self) -> float:
-        return ess_of_log_weights(self.log_weights)
-
-
-@dataclass
 class SmcDiagnostics:
-    """Per-step traces and the final particle system of an SMC run."""
+    """Per-step traces and the final weighted particles of an SMC run."""
 
     beta_trace: np.ndarray
     ess_trace: np.ndarray
     acceptance_trace: np.ndarray
     resample_count: int
-    system: ParticleSystem
+    positions: np.ndarray
+    log_weights: np.ndarray
     step_sizes: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
 def _betas_of(schedule) -> np.ndarray:
-    betas = np.asarray(getattr(schedule, "betas", schedule), dtype=float)
+    betas = np.asarray(schedule, dtype=float)
     if betas.ndim != 1 or betas.size < 2:
         raise ValueError("schedule must hold at least the two endpoints")
     if betas[0] != 0.0 or betas[-1] != 1.0:
@@ -300,7 +284,15 @@ def bdmc_gap(fwd: AisResult, rev: AisResult) -> float:
     return float(-rev.log_Z_estimate - fwd.log_Z_estimate)
 
 
-def _next_beta_by_ess(incr_fn, beta_now, ess_target, tol, max_iter=100):
+# adaptive steps bisect to within this fraction of the particle count of the
+# ESS target, in at most _BISECTIONS halvings; a run that takes more than
+# _MAX_STEPS steps is abandoned
+_ESS_TOL_FRACTION = 0.01
+_BISECTIONS = 100
+_MAX_STEPS = 10_000
+
+
+def _next_beta_by_ess(incr_fn, beta_now, ess_target, tol):
     """Bisect for the smallest next beta whose incremental ESS hits the target.
 
     ``incr_fn(b)`` returns per-particle log incremental weights from beta_now
@@ -312,7 +304,7 @@ def _next_beta_by_ess(incr_fn, beta_now, ess_target, tol, max_iter=100):
     if ess_of_log_weights(incr_fn(1.0)) >= ess_target:
         return 1.0, True
     lo, hi = beta_now, 1.0
-    for _ in range(max_iter):
+    for _ in range(_BISECTIONS):
         mid = 0.5 * (lo + hi)
         ess = ess_of_log_weights(incr_fn(mid))
         if abs(ess - ess_target) <= tol:
@@ -324,12 +316,6 @@ def _next_beta_by_ess(incr_fn, beta_now, ess_target, tol, max_iter=100):
         if hi - lo < 1e-14:
             break
     return 0.5 * (lo + hi), False
-
-
-# adaptive steps bisect to within this fraction of the particle count of the
-# ESS target; a run that takes more than _MAX_STEPS steps is abandoned
-_ESS_TOL_FRACTION = 0.01
-_MAX_STEPS = 10_000
 
 
 def smc_run(
@@ -355,8 +341,7 @@ def smc_run(
     """
     if particles < 2:
         raise ValueError("particles must be at least 2")
-    seed = rng if isinstance(rng, (int, np.integer)) else None
-    gen = np.random.default_rng(seed) if seed is not None else rng
+    gen = np.random.default_rng(rng) if isinstance(rng, (int, np.integer)) else rng
     if path.base.exact_sampler is None:
         raise ValueError("SMC requires an exact sampler for the base")
 
@@ -439,18 +424,13 @@ def smc_run(
         acc_trace.append(acc)
         eps_trace.append(step_cfg.step_size)
 
-    system = ParticleSystem(
-        positions=z,
-        log_weights=log_w,
-        log_Z_accum=log_Z,
-        rng_seed=seed,
-    )
     diagnostics = SmcDiagnostics(
         beta_trace=np.asarray(beta_trace),
         ess_trace=np.asarray(ess_trace),
         acceptance_trace=np.asarray(acc_trace),
         resample_count=resamples,
-        system=system,
+        positions=z,
+        log_weights=log_w,
         step_sizes=np.asarray(eps_trace),
     )
     return log_Z, diagnostics

@@ -15,28 +15,14 @@ import numpy as np
 
 from qanneal.deformed import rho_from_log_weights
 from qanneal.paths import _blend
-from qanneal.samplers import _betas_of, _ess_rows
+from qanneal.samplers import _ess_rows
 
 
-@dataclass(frozen=True)
-class Schedule:
-    """Strictly increasing beta grid from 0 to 1 inclusive."""
-
-    betas: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "betas", _betas_of(self.betas))
-
-    @property
-    def n_steps(self) -> int:
-        return self.betas.size - 1
-
-
-def linear_schedule(K: int) -> Schedule:
-    """Equally spaced schedule with K steps, so K+1 grid points."""
+def linear_schedule(K: int) -> np.ndarray:
+    """Equally spaced beta grid with K steps, so K+1 points from 0 to 1."""
     if K < 1:
         raise ValueError("K must be at least 1")
-    return Schedule(betas=np.linspace(0.0, 1.0, K + 1))
+    return np.linspace(0.0, 1.0, K + 1)
 
 
 def q_grid(count: int = 20, delta_min: float = 1e-5, delta_max: float = 1e-1) -> np.ndarray:
@@ -63,8 +49,8 @@ class HeuristicConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
-        if not self.log10_sd > 0.0:
-            raise ValueError("log10_sd must be positive")
+        if not 0.0 < self.log10_sd < math.inf:
+            raise ValueError("log10_sd must be positive and finite")
         if not 0.0 < self.ess_target_fraction <= 1.0:
             raise ValueError("ess_target_fraction must lie in (0, 1]")
 

@@ -1,8 +1,10 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,6 +82,24 @@ class TestValidation:
     def test_grid_q_rejects_explicit_q(self):
         with pytest.raises(ConfigError, match="grid-q"):
             run(toy_config(command="grid-q", path_kind="qpath", q=0.9))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bdmc", "--mu0", "nan"],
+            ["bdmc", "--var0", "inf"],
+            ["bdmc", "--target-log-scale", "inf"],
+            ["ais", "--mu1", "inf"],
+            ["ais", "--var1", "nan"],
+            ["anneal-toy", "--path-kind", "escort", "--nu", "inf"],
+            ["anneal-toy", "--nu", "nan"],
+            ["heuristic-q", "--log10-sd", "inf"],
+        ],
+    )
+    def test_non_finite_toy_value_is_one_config_error(self, argv, capsys):
+        key = argv[-2].lstrip("-").replace("-", "_")
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"config error: {key}: must be finite\n"
 
     def test_unknown_names_rejected(self):
         config = RunConfig(command="warp", path_kind="spline", schedule="cubic")
@@ -324,10 +344,14 @@ class TestMainExitCodes:
         assert "runtime failure" in capsys.readouterr().err
 
     def test_module_entry_point(self):
+        # the child imports the package under test, installed or not
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-m", "qanneal.cli", "anneal-toy", "--mu0", "0",
              "--var0", "1", "--mu1", "0", "--var1", "1", "--particles", "16",
              "--k", "3"],
+            env=env,
             capture_output=True,
             text=True,
         )

@@ -100,14 +100,6 @@ class TestHmcStep:
         assert not accepted.any()
         assert np.array_equal(z1, z)
 
-    def test_single_point_interface(self):
-        logp, grad = standard_normal_energy()
-        cfg = HmcConfig(step_size=0.5, n_leapfrog=8, mass=np.ones(2))
-        rng = np.random.default_rng(4)
-        z1, accepted, _ = hmc_step(np.zeros(2), fused(logp, grad), cfg, rng)
-        assert z1.shape == (2,)
-        assert isinstance(accepted, bool)
-
     def test_long_chain_moments_match_standard_normal(self):
         logp, grad = standard_normal_energy()
         cfg = HmcConfig(step_size=0.8, n_leapfrog=8, mass=np.ones(1))

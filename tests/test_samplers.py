@@ -12,7 +12,6 @@ from qanneal.hmc import HmcConfig
 from qanneal.paths import QPath
 from qanneal.samplers import (
     AisResult,
-    ParticleSystem,
     WeightCollapseError,
     _log_sum_exp,
     ais_forward,
@@ -405,8 +404,7 @@ class TestSmc:
             out.append((log_z, diag))
         assert out[0][0] == out[1][0]
         assert np.array_equal(out[0][1].ess_trace, out[1][1].ess_trace)
-        assert np.array_equal(out[0][1].system.positions, out[1][1].system.positions)
-        assert out[0][1].system.rng_seed == 123
+        assert np.array_equal(out[0][1].positions, out[1][1].positions)
 
     def test_recovers_constructed_log_z(self):
         # Three coarse steps force the carried ESS below N/2 at least once.
@@ -479,12 +477,6 @@ class TestSmc:
             with pytest.raises(ValueError, match="ess_fraction"):
                 smc_run(path, "adaptive", particles=16, moves_per_step=0,
                         cfg=small_cfg(), rng=0, ess_fraction=ess_fraction)
-
-    def test_particle_system_validation_and_ess(self):
-        with pytest.raises(ValueError):
-            ParticleSystem(positions=np.zeros((3, 1)), log_weights=np.zeros(2))
-        system = ParticleSystem(positions=np.zeros((4, 1)), log_weights=np.zeros(4))
-        assert system.ess() == pytest.approx(4.0, rel=1e-12)
 
 
 class TestAisResultType:

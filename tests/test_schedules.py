@@ -11,7 +11,6 @@ from qanneal.samplers import _next_beta_by_ess, ess_of_log_weights, smc_run
 from qanneal.schedules import (
     HeuristicConfig,
     HeuristicResult,
-    Schedule,
     ess_heuristic_q,
     linear_schedule,
     q_grid,
@@ -35,38 +34,27 @@ def increments(path, beta_now):
 
 
 class TestSchedule:
-    def test_holds_validated_grid(self):
-        s = Schedule(betas=[0.0, 0.25, 1.0])
-        assert s.n_steps == 2
-        assert s.betas.dtype == float
-
-    def test_rejects_bad_endpoints(self):
-        with pytest.raises(ValueError):
-            Schedule(betas=[0.1, 0.5, 1.0])
-        with pytest.raises(ValueError):
-            Schedule(betas=[0.0, 0.5, 0.9])
-
-    def test_rejects_non_increasing(self):
-        with pytest.raises(ValueError):
-            Schedule(betas=[0.0, 0.6, 0.6, 1.0])
-        with pytest.raises(ValueError):
-            Schedule(betas=[0.0, 0.7, 0.3, 1.0])
-
-    def test_rejects_single_point(self):
-        with pytest.raises(ValueError):
-            Schedule(betas=[0.0])
+    @pytest.mark.parametrize(
+        "betas",
+        [[0.1, 0.5, 1.0], [0.0, 0.5, 0.9], [0.0, 0.6, 0.6, 1.0], [0.0, 0.7, 0.3, 1.0], [0.0]],
+        ids=["late-start", "early-end", "repeated", "decreasing", "single-point"],
+    )
+    def test_samplers_reject_bad_grid(self, betas):
+        base = gaussian(mean=[0.5], cov=[[1.0]])
+        with pytest.raises(ValueError, match="schedule"):
+            smc_run(QPath(base, base, q=0.5), betas, particles=4, moves_per_step=0,
+                    cfg=HmcConfig(step_size=0.3, n_leapfrog=1, mass=[1.0]), rng=0)
 
 
 class TestLinearSchedule:
     def test_single_step_is_the_endpoints(self):
-        assert np.array_equal(linear_schedule(1).betas, [0.0, 1.0])
+        assert np.array_equal(linear_schedule(1), [0.0, 1.0])
 
     def test_equal_spacing(self):
-        s = linear_schedule(4)
-        assert np.array_equal(s.betas, [0.0, 0.25, 0.5, 0.75, 1.0])
+        assert np.array_equal(linear_schedule(4), [0.0, 0.25, 0.5, 0.75, 1.0])
 
     def test_point_count(self):
-        assert linear_schedule(100).betas.size == 101
+        assert linear_schedule(100).size == 101
 
     def test_rejects_zero_steps(self):
         with pytest.raises(ValueError):
@@ -85,7 +73,7 @@ class TestLinearSchedule:
             adapt_steps=0,
         )
         assert log_z == 0.0
-        assert np.array_equal(diag.beta_trace, linear_schedule(3).betas)
+        assert np.array_equal(diag.beta_trace, linear_schedule(3))
 
 
 class TestQGrid:
@@ -179,6 +167,8 @@ class TestHeuristicConfig:
             HeuristicConfig(restarts=0)
         with pytest.raises(ValueError):
             HeuristicConfig(log10_sd=0.0)
+        with pytest.raises(ValueError):
+            HeuristicConfig(log10_sd=math.inf)
         with pytest.raises(ValueError):
             HeuristicConfig(ess_target_fraction=0.0)
         with pytest.raises(ValueError):
