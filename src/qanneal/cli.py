@@ -13,7 +13,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,9 +26,6 @@ from qanneal.densities import (
 )
 from qanneal.hmc import HmcConfig
 from qanneal.io import (
-    COMMANDS,
-    PATH_KINDS,
-    SCHEDULE_RULES,
     ConfigError,
     RunConfig,
     RunReport,
@@ -49,14 +46,45 @@ _TOY_DEFAULTS = {
 }
 _STEP_SIZE = 0.5
 _LEAPFROG = 5
-_DEFAULT_ADAPT_STEPS = 10
-_GROUND_TRUTH_PARTICLES = 50_000
-_GROUND_TRUTH_MOVES = 20
 # grid-q batches its orders into sweeps of at most this many chains, so
-# memory stays bounded at large chain counts (one order per sweep at
-# --ground-truth); the default grids run as a single sweep
+# memory stays bounded at large chain counts (one order per sweep above
+# 8,192 chains); the default grids run as a single sweep
 _GRID_SWEEP_CHAINS = 1 << 14
 
+PATH_KINDS = ("geometric", "qpath", "moment", "escort")
+SCHEDULE_RULES = ("linear", "adaptive")
+
+# every setting a command line can give, with its type or its choices, in
+# the order a config's extras echo them
+_FLAG_TYPES = {
+    "particles": int, "seed": int, "output": str, "dataset": str,
+    "path_kind": PATH_KINDS, "q": float, "K": int, "schedule": SCHEDULE_RULES, "moves": int,
+    "mu0": float, "var0": float, "mu1": float, "var1": float, "target_log_scale": float,
+    "nu": float,
+    "restarts": int, "log10_sd": float, "ess_target_fraction": float,
+    "grid_count": int, "adapt_steps": int, "trace_csv": str,
+}
+_TOY = ("mu0", "var0", "mu1", "var1", "target_log_scale")
+_AIS = ("path_kind", "q", "K", "moves", *_TOY, "nu", "adapt_steps", "trace_csv")
+
+# each command's help, the settings it reads besides the particle count, the
+# seed and the output that every command takes, and its defaults that differ
+# from RunConfig's
+COMMANDS = {
+    "anneal-toy": ("SMC on a two-Gaussian toy problem",
+                   ("path_kind", "q", "K", "schedule", "moves", *_TOY, "nu", "adapt_steps",
+                    "trace_csv"), {}),
+    "smc": ("SMC marginal likelihood for a logistic dataset",
+            ("path_kind", "q", "K", "schedule", "moves", "dataset", "adapt_steps", "trace_csv"),
+            {"particles": 256}),
+    "ais": ("forward AIS on the toy problem", _AIS, {}),
+    "bdmc": ("forward plus reverse AIS sandwich on the toy", _AIS, {}),
+    "heuristic-q": ("ESS-matching choice of q",
+                    (*_TOY, "restarts", "log10_sd", "ess_target_fraction"), {"particles": 256}),
+    "grid-q": ("BDMC gap sweep over a grid of orders",
+               ("K", "moves", *_TOY, "grid_count", "adapt_steps", "trace_csv"),
+               {"path_kind": "qpath"}),
+}
 _SMC_COMMANDS = ("anneal-toy", "smc")
 _AIS_COMMANDS = ("ais", "bdmc", "grid-q")
 
@@ -184,17 +212,10 @@ def _hmc_config(dim: int) -> HmcConfig:
     return HmcConfig(step_size=_STEP_SIZE, n_leapfrog=_LEAPFROG, mass=np.ones(dim))
 
 
-def _adapt_steps(config: RunConfig) -> int:
-    return int(config.extras.get("adapt_steps", _DEFAULT_ADAPT_STEPS))
-
-
-def _effective_budget(config: RunConfig) -> tuple[int, int]:
-    if config.extras.get("ground_truth"):
-        return (
-            max(config.particles, _GROUND_TRUTH_PARTICLES),
-            max(config.moves, _GROUND_TRUTH_MOVES),
-        )
-    return config.particles, config.moves
+def _given(config: RunConfig, *keys: str) -> dict:
+    """The extras among ``keys`` that the run sets; a key it leaves out
+    keeps the default of the function these go to."""
+    return {key: config.extras[key] for key in keys if key in config.extras}
 
 
 def _is_stderr(final_ess: float, n: int) -> float:
@@ -207,22 +228,20 @@ def _smc_stderr(ess_trace, n: int) -> float:
 
 
 def _drive_smc(config: RunConfig, path) -> dict:
-    particles, moves = _effective_budget(config)
     schedule = "adaptive" if config.schedule == "adaptive" else linear_schedule(config.K)
-    adapt = _adapt_steps(config)
     log_z, diag = smc_run(
         path,
         schedule,
-        particles=particles,
-        moves_per_step=moves,
+        particles=config.particles,
+        moves_per_step=config.moves,
         cfg=_hmc_config(path.base.dim),
         rng=int(config.seed),
-        adapt_steps=adapt,
+        **_given(config, "adapt_steps"),
     )
     ess = tuple(float(x) for x in diag.ess_trace)
     return {
         "log_Z": float(log_z),
-        "stderr_estimate": _smc_stderr(ess, particles),
+        "stderr_estimate": _smc_stderr(ess, config.particles),
         "ess_trace": ess,
         "beta_trace": tuple(float(x) for x in diag.beta_trace[1:]),
         "acceptance_trace": tuple(float(x) for x in diag.acceptance_trace),
@@ -239,15 +258,14 @@ def _ais_traces(result) -> dict:
 
 
 def _drive_ais(config: RunConfig, path) -> dict:
-    chains, moves = _effective_budget(config)
     rng = np.random.default_rng(config.seed)
     result = ais_forward(
-        path, linear_schedule(config.K), chains, _hmc_config(path.base.dim), moves, rng,
-        adapt_steps=_adapt_steps(config),
+        path, linear_schedule(config.K), config.particles, _hmc_config(path.base.dim),
+        config.moves, rng, **_given(config, "adapt_steps"),
     )
     return {
         "log_Z": result.log_Z_estimate,
-        "stderr_estimate": _is_stderr(result.ess_trace[-1], chains),
+        "stderr_estimate": _is_stderr(result.ess_trace[-1], config.particles),
         "extras": {"n_dropped": result.n_dropped},
         **_ais_traces(result),
     }
@@ -257,14 +275,14 @@ def _bdmc_bodies(config: RunConfig, path, blocks: int) -> list[dict]:
     """Forward then reverse AIS of ``blocks`` blocks of chains as one sweep
     each, every block on its own ``default_rng(seed)``: one bdmc body per
     block, each the body a single run of that block's path gives."""
-    chains, moves = _effective_budget(config)
+    chains, moves = config.particles, config.moves
     gens = [np.random.default_rng(config.seed) for _ in range(blocks)]
     cfg = _hmc_config(path.base.dim)
     schedule = linear_schedule(config.K)
-    adapt = _adapt_steps(config)
-    fwd = ais_forward(path, schedule, chains, cfg, moves, gens, adapt_steps=adapt)
+    adapt = _given(config, "adapt_steps")
+    fwd = ais_forward(path, schedule, chains, cfg, moves, gens, **adapt)
     target_draws = np.concatenate([path.target.exact_sampler(g, chains) for g in gens])
-    rev = ais_reverse(path, schedule, target_draws, cfg, moves, gens, adapt_steps=adapt)
+    rev = ais_reverse(path, schedule, target_draws, cfg, moves, gens, **adapt)
     return [
         {
             "log_Z": f.log_Z_estimate,
@@ -290,11 +308,7 @@ def _drive_heuristic(config: RunConfig) -> dict:
     rng = np.random.default_rng(config.seed)
     draws = base.exact_sampler(rng, config.particles)
     ratios = np.atleast_1d(target.log_density(draws)) - np.atleast_1d(base.log_density(draws))
-    heuristic_cfg = HeuristicConfig(
-        restarts=int(config.extras.get("restarts", 100)),
-        log10_sd=float(config.extras.get("log10_sd", 0.1)),
-        ess_target_fraction=float(config.extras.get("ess_target_fraction", 0.5)),
-    )
+    heuristic_cfg = HeuristicConfig(**_given(config, "restarts", "log10_sd", "ess_target_fraction"))
     out = ess_heuristic_q(ratios, heuristic_cfg, rng)
     return {
         "log_Z": math.nan,
@@ -323,7 +337,7 @@ def _drive_grid(config: RunConfig) -> tuple[dict, list[tuple[str, RunReport]]]:
     """
     start = time.perf_counter()
     qs = q_grid(int(config.extras.get("grid_count", 20)))
-    chains, _ = _effective_budget(config)
+    chains = config.particles
     base, target, _ = _toy_endpoints(config.extras)
     per_sweep = max(1, _GRID_SWEEP_CHAINS // chains)
     bodies = []
@@ -436,108 +450,31 @@ def run(config: RunConfig) -> RunReport:
     return report
 
 
-def _add_common_flags(sub, particles_default=64):
-    sub.add_argument("--path-kind", choices=PATH_KINDS, default="geometric")
-    sub.add_argument("--q", type=float, default=None)
-    sub.add_argument(
-        "--particles", "--chains", dest="particles", type=int, default=particles_default
-    )
-    sub.add_argument("--k", dest="k", type=int, default=16)
-    sub.add_argument("--schedule", choices=SCHEDULE_RULES, default="linear")
-    sub.add_argument("--moves", type=int, default=1)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--output", default=None)
-    sub.add_argument("--trace-csv", dest="trace_csv", default=None)
-    sub.add_argument("--adapt-steps", dest="adapt_steps", type=int, default=None)
-    sub.add_argument("--ground-truth", dest="ground_truth", action="store_true")
-
-
-def _add_toy_flags(sub):
-    sub.add_argument("--mu0", type=float, default=None)
-    sub.add_argument("--var0", type=float, default=None)
-    sub.add_argument("--mu1", type=float, default=None)
-    sub.add_argument("--var1", type=float, default=None)
-    sub.add_argument("--target-log-scale", dest="target_log_scale", type=float, default=None)
-    sub.add_argument("--nu", type=float, default=None)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qanneal",
         description="Annealed estimators of log normalizing constants over power-mean paths.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    toy = commands.add_parser("anneal-toy", help="SMC on a two-Gaussian toy problem")
-    _add_common_flags(toy)
-    _add_toy_flags(toy)
-
-    smc = commands.add_parser("smc", help="SMC marginal likelihood for a logistic dataset")
-    _add_common_flags(smc, particles_default=256)
-    smc.add_argument("--dataset", default=None)
-
-    ais = commands.add_parser("ais", help="forward AIS on the toy problem")
-    _add_common_flags(ais)
-    _add_toy_flags(ais)
-
-    bdmc = commands.add_parser("bdmc", help="forward plus reverse AIS sandwich on the toy")
-    _add_common_flags(bdmc)
-    _add_toy_flags(bdmc)
-
-    heuristic = commands.add_parser("heuristic-q", help="ESS-matching choice of q")
-    _add_common_flags(heuristic, particles_default=256)
-    _add_toy_flags(heuristic)
-    heuristic.add_argument("--restarts", type=int, default=None)
-    heuristic.add_argument("--log10-sd", dest="log10_sd", type=float, default=None)
-    heuristic.add_argument(
-        "--ess-target-fraction", dest="ess_target_fraction", type=float, default=None
-    )
-
-    grid = commands.add_parser("grid-q", help="BDMC gap sweep over a grid of orders")
-    _add_common_flags(grid)
-    _add_toy_flags(grid)
-    grid.add_argument("--grid-count", dest="grid_count", type=int, default=None)
-    grid.set_defaults(path_kind="qpath")
+    for command, (help_text, settings, defaults) in COMMANDS.items():
+        # an unset flag is left out of the namespace, so RunConfig's default holds
+        sub = commands.add_parser(command, help=help_text, argument_default=argparse.SUPPRESS)
+        for key in ("particles", "seed", "output", *settings):
+            kind = _FLAG_TYPES[key]
+            names = ["--" + key.lower().replace("_", "-")]
+            if key == "particles":
+                names.append("--chains")
+            spec = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+            sub.add_argument(*names, dest=key, **spec)
+        sub.set_defaults(**defaults)
     return parser
 
 
-_EXTRA_KEYS = (
-    "mu0",
-    "var0",
-    "mu1",
-    "var1",
-    "target_log_scale",
-    "nu",
-    "restarts",
-    "log10_sd",
-    "ess_target_fraction",
-    "grid_count",
-    "adapt_steps",
-    "trace_csv",
-)
-
-
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    extras = {}
-    for key in _EXTRA_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            extras[key] = value
-    if getattr(args, "ground_truth", False):
-        extras["ground_truth"] = True
-    return RunConfig(
-        command=args.command,
-        path_kind=args.path_kind,
-        q=args.q,
-        particles=args.particles,
-        K=args.k,
-        schedule=args.schedule,
-        moves=args.moves,
-        seed=args.seed,
-        dataset=getattr(args, "dataset", None),
-        output=args.output,
-        extras=extras,
-    )
+    given = vars(args)
+    settings = {key: given[key] for key in _FLAG_TYPES if key in given}
+    config_fields = {f.name: settings.pop(f.name) for f in fields(RunConfig) if f.name in settings}
+    return RunConfig(command=args.command, **config_fields, extras=settings)
 
 
 def main(argv=None) -> int:

@@ -12,17 +12,13 @@ import math
 import os
 import tempfile
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from qanneal._version import __version__
 from qanneal.densities import LogisticModel
-
-COMMANDS = ("anneal-toy", "smc", "ais", "bdmc", "heuristic-q", "grid-q")
-PATH_KINDS = ("geometric", "qpath", "moment", "escort")
-SCHEDULE_RULES = ("linear", "adaptive")
 
 
 class ConfigError(ValueError):
@@ -39,8 +35,8 @@ class RunConfig:
 
     ``particles`` doubles as the chain count for the AIS-style commands and
     as the prior sample count for the heuristic.  Driver-specific knobs (toy
-    endpoint parameters, escort nu, grid size, heuristic settings, the
-    ground-truth flag) ride in ``extras``.
+    endpoint parameters, escort nu, grid size, heuristic settings, HMC
+    step-size tuning, the trace CSV) ride in ``extras``.
     """
 
     command: str
@@ -56,35 +52,11 @@ class RunConfig:
     extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "path_kind": self.path_kind,
-            "q": self.q,
-            "particles": self.particles,
-            "K": self.K,
-            "schedule": self.schedule,
-            "moves": self.moves,
-            "seed": self.seed,
-            "dataset": self.dataset,
-            "output": self.output,
-            "extras": dict(self.extras),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        return cls(
-            command=d["command"],
-            path_kind=d["path_kind"],
-            q=None if d["q"] is None else float(d["q"]),
-            particles=int(d["particles"]),
-            K=int(d["K"]),
-            schedule=d["schedule"],
-            moves=int(d["moves"]),
-            seed=int(d["seed"]),
-            dataset=d["dataset"],
-            output=d["output"],
-            extras=dict(d["extras"]),
-        )
+        return cls(**_checked_fields(cls, d))
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,36 +81,29 @@ class RunReport:
     extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "log_Z": self.log_Z,
-            "stderr_estimate": self.stderr_estimate,
-            "ess_trace": list(self.ess_trace),
-            "beta_trace": list(self.beta_trace),
-            "acceptance_trace": list(self.acceptance_trace),
-            "wallclock_s": self.wallclock_s,
-            "config_echo": self.config_echo.to_dict(),
-            "library_version": self.library_version,
-            "extras": dict(self.extras),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunReport":
-        return cls(
-            log_Z=float(d["log_Z"]),
-            stderr_estimate=float(d["stderr_estimate"]),
-            ess_trace=tuple(float(x) for x in d["ess_trace"]),
-            beta_trace=tuple(float(x) for x in d["beta_trace"]),
-            acceptance_trace=tuple(float(x) for x in d["acceptance_trace"]),
-            wallclock_s=float(d["wallclock_s"]),
-            config_echo=RunConfig.from_dict(d["config_echo"]),
-            library_version=d["library_version"],
-            extras=dict(d["extras"]),
-        )
+        d = _checked_fields(cls, d)
+        traces = {key: tuple(d[key]) for key in ("ess_trace", "beta_trace", "acceptance_trace")}
+        return cls(**{**d, **traces, "config_echo": RunConfig.from_dict(d["config_echo"])})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RunReport):
             return NotImplemented
         return _values_equal(self.to_dict(), other.to_dict())
+
+
+def _checked_fields(cls, d: dict) -> dict:
+    """``d`` if its keys are exactly the fields of ``cls``; else a ValueError
+    that names each missing and each unknown one."""
+    names = [f.name for f in fields(cls)]
+    problems = [f"missing field {k!r}" for k in names if k not in d]
+    problems += [f"unknown field {k!r}" for k in d if k not in names]
+    if problems:
+        raise ValueError(f"{cls.__name__}: " + "; ".join(problems))
+    return d
 
 
 def _values_equal(a, b) -> bool:

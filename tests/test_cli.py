@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from dataclasses import replace
@@ -322,7 +323,7 @@ class TestMainExitCodes:
         "command, flag, key",
         [
             ("heuristic-q", "--output", "output"),
-            ("heuristic-q", "--trace-csv", "trace_csv"),
+            ("anneal-toy", "--trace-csv", "trace_csv"),
             ("grid-q", "--output", "output"),
         ],
     )
@@ -330,7 +331,7 @@ class TestMainExitCodes:
         self, capsys, tmp_path, command, flag, key
     ):
         requested = tmp_path / "missing" / "dir" / "h.json"
-        code = main([command, "--particles", "8", "--k", "2", flag, str(requested)])
+        code = main([command, "--particles", "8", flag, str(requested)])
         assert code == 2
         err = capsys.readouterr().err
         assert f"config error: {key}: directory does not exist: {requested}" in err
@@ -357,3 +358,39 @@ class TestMainExitCodes:
         )
         assert proc.returncode == 0
         assert "log_Z=0" in proc.stdout
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("heuristic-q", flag) for flag in (
+            "--k", "--moves", "--schedule", "--adapt-steps", "--path-kind", "--q", "--nu",
+            "--trace-csv",
+        )]
+        + [("grid-q", flag) for flag in ("--schedule", "--path-kind", "--q", "--nu")]
+        + [("ais", "--schedule"), ("bdmc", "--schedule")]
+        + [(command, "--ground-truth") for command in cli.COMMANDS],
+    )
+    def test_flag_the_command_does_not_read_is_rejected(self, capsys, command, flag):
+        values = {"--k": ["2"], "--moves": ["1"], "--schedule": ["linear"], "--adapt-steps": ["0"],
+                  "--path-kind": ["qpath"], "--q": ["0.5"], "--nu": ["3"], "--trace-csv": ["t.csv"]}
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, flag, *values.get(flag, [])])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["anneal-toy", "smc", "ais", "bdmc", "heuristic-q", "grid-q"])
+    def test_unset_flags_keep_the_run_config_defaults(self, command):
+        own = {"smc": {"particles": 256}, "heuristic-q": {"particles": 256},
+               "grid-q": {"path_kind": "qpath"}}
+        config = cli._config_from_args(cli._build_parser().parse_args([command]))
+        assert config == RunConfig(command=command, **own.get(command, {}))
+
+    def test_readme_command_lines_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        lines = readme.replace("\\\n", " ").splitlines()
+        argvs = [shlex.split(line)[1:] for line in lines if line.startswith("qanneal ")]
+        assert {argv[0] for argv in argvs} == set(cli.COMMANDS)
+        parser = cli._build_parser()
+        for argv in argvs:
+            parser.parse_args(argv)

@@ -148,6 +148,16 @@ class TestReportJson:
         )
         assert RunConfig.from_dict(config.to_dict()) == config
 
+    def test_from_dict_names_missing_and_unknown_fields(self):
+        d = small_report().to_dict()
+        del d["wallclock_s"]
+        with pytest.raises(ValueError, match="RunReport: missing field 'wallclock_s'"):
+            RunReport.from_dict(d)
+        d = small_report().to_dict()
+        d["config_echo"]["ground_truth"] = True
+        with pytest.raises(ValueError, match="RunConfig: unknown field 'ground_truth'"):
+            RunReport.from_dict(d)
+
     def test_config_error_carries_field_list(self):
         err = ConfigError(["q: required", "K: need at least one step"])
         assert err.errors == ["q: required", "K: need at least one step"]
