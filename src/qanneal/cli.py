@@ -167,8 +167,12 @@ def _validate(config: RunConfig) -> list[str]:
     adapt = config.extras.get("adapt_steps")
     if adapt is not None and adapt < 0:
         errors.append("adapt_steps: must be nonnegative")
+    trace_csv = config.extras.get("trace_csv")
+    if trace_csv is not None and config.command == "heuristic-q":
+        errors.append("trace_csv: heuristic-q has no per-step trace")
+        trace_csv = None
     # grid-q's per-q reports go next to the output, so one check covers them
-    for key, target in (("output", config.output), ("trace_csv", config.extras.get("trace_csv"))):
+    for key, target in (("output", config.output), ("trace_csv", trace_csv)):
         if target is not None and not Path(target).parent.is_dir():
             errors.append(f"{key}: directory does not exist: {target}")
     return errors
@@ -336,7 +340,7 @@ def _drive_grid(config: RunConfig) -> tuple[dict, list[tuple[str, RunReport]]]:
     the whole grid's.
     """
     start = time.perf_counter()
-    qs = q_grid(int(config.extras.get("grid_count", 20)))
+    qs = q_grid(*map(int, _given(config, "grid_count").values()))  # q_grid's count
     chains = config.particles
     base, target, _ = _toy_endpoints(config.extras)
     per_sweep = max(1, _GRID_SWEEP_CHAINS // chains)

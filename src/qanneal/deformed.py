@@ -6,7 +6,6 @@ these primitives for path construction and numerically safe weight handling.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,29 +17,6 @@ Q_ONE_TOL = 1e-12
 def is_geometric_order(q: float) -> bool:
     """True when ``q`` falls inside the exact log/exp branch around 1."""
     return abs(q - 1.0) < Q_ONE_TOL
-
-
-@dataclass(frozen=True)
-class OrderQ:
-    """Deformation order together with its reciprocal parameterization.
-
-    ``rho`` is the reparameterization 1/(1-q) used for overflow-safe weight
-    handling; ``rho`` is undefined (infinite) on the geometric branch.
-    """
-
-    q: float
-
-    @property
-    def rho(self) -> float:
-        if is_geometric_order(self.q):
-            return math.inf
-        return 1.0 / (1.0 - self.q)
-
-    @classmethod
-    def from_rho(cls, rho: float) -> "OrderQ":
-        if rho == 0.0:
-            raise ValueError("rho must be nonzero")
-        return cls(q=1.0 - 1.0 / rho)
 
 
 @dataclass(frozen=True)

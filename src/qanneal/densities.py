@@ -336,9 +336,6 @@ class GridDensity:
     def n_atoms(self) -> int:
         return self.mass.shape[0]
 
-    def total(self) -> float:
-        return float(np.sum(self.mass))
-
 
 def grid_from_density(density: UnnormalizedDensity, atoms) -> GridDensity:
     """Restrict an unnormalized density to finitely many atoms.

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -71,8 +70,82 @@ def blend_log_ratio(log_ratios, beta: float, q: float):
     return _blend(0.0, lr, beta, q)
 
 
+class PathBatch:
+    """One (n, d) batch ``z`` on a path, evaluated at any beta.
+
+    ``batch(beta)`` is the path log-density (n,) and
+    ``batch.value_and_grad(beta)`` the (logp, grad) pair.  Each endpoint
+    log-density is evaluated at most once, when a beta first needs it, and
+    then serves every beta.
+    """
+
+    def __init__(self, path: "AnnealingPath", z):
+        self.path = path
+        self.z = np.atleast_2d(np.asarray(z, dtype=float))
+        self._ends = [None, None]
+
+    def end(self, i: int) -> np.ndarray:
+        """Log-density (n,) of the base (``i`` = 0) or the target (1)."""
+        if self._ends[i] is None:
+            density = self.path.target if i else self.path.base
+            self._ends[i] = np.atleast_1d(np.asarray(density.log_density(self.z), dtype=float))
+        return self._ends[i]
+
+    def __call__(self, beta: float) -> np.ndarray:
+        return self.path._log_density(self, _check_beta(beta))
+
+    def value_and_grad(self, beta: float):
+        """Path log-density (n,) and gradient (n, d).
+
+        The gradient is zero on rows whose log-density is not finite, so
+        leapfrog trajectories can enter dead regions and be Metropolis-
+        rejected instead of raising.
+        """
+        beta = _check_beta(beta)
+        lp = self.path._log_density(self, beta)
+        live = np.isfinite(lp)
+        if np.all(live):
+            return lp, np.atleast_2d(np.asarray(self.path._gradient(self, beta, slice(None)), dtype=float))
+        g = np.zeros_like(self.z)
+        if np.any(live):
+            g[live] = self.path._gradient(self, beta, live)
+        return lp, g
+
+
+class AnnealingPath:
+    """Densities indexed by beta in [0, 1], from ``base`` at 0 to ``target``
+    at 1, evaluated through ``PathBatch``.
+
+    A path supplies two hooks: ``_log_density(batch, beta)``, the log-density
+    (n,) of a ``PathBatch`` at a checked beta, and ``_gradient(batch, beta,
+    live)``, the gradient on the rows ``live`` of the batch, where that
+    log-density is finite.
+    """
+
+    def log_density_of(self, z) -> PathBatch:
+        """The evaluator of the fixed batch ``z`` at any beta."""
+        return PathBatch(self, z)
+
+    def value_and_grad(self, z, beta: float):
+        """``log_density_of(z).value_and_grad(beta)``."""
+        return PathBatch(self, z).value_and_grad(beta)
+
+    def log_density(self, z, beta: float):
+        """Path log-density: (n,) for an (n, d) batch, a float for a (d,) point."""
+        out = PathBatch(self, z)(beta)
+        return float(out[0]) if np.ndim(z) == 1 else out
+
+    def gradient(self, z, beta: float):
+        """Path gradient: (n, d) for a batch, (d,) for a point; a
+        ``ValueError`` where the path density vanishes."""
+        lp, g = PathBatch(self, z).value_and_grad(beta)
+        if np.any(lp == -np.inf):
+            raise ValueError("gradient undefined where the path density vanishes")
+        return g[0] if np.ndim(z) == 1 else g
+
+
 @dataclass(frozen=True)
-class QPath:
+class QPath(AnnealingPath):
     """Power-mean interpolation of order q between two densities.
 
     q = 1 is the geometric (log-linear) path; q = 0 mixes the raw densities
@@ -98,21 +171,15 @@ class QPath:
             object.__setattr__(self, "q", q)
 
     @property
-    def dim(self) -> int:
-        return self.base.dim
-
-    @property
     def _geometric(self) -> bool:
         return np.ndim(self.q) == 0 and is_geometric_order(self.q)
 
-    def _endpoint_log_densities(self, z):
-        lp0 = np.atleast_1d(np.asarray(self.base.log_density(z), dtype=float))
-        lp1 = np.atleast_1d(np.asarray(self.target.log_density(z), dtype=float))
-        return lp0, lp1
-
-    def _blend(self, lp0, lp1, beta: float):
-        """Path log-density from (n,) endpoint log-densities at an interior
-        beta; -inf where the power mean vanishes."""
+    def _log_density(self, batch: PathBatch, beta: float):
+        if beta == 0.0 or beta == 1.0:
+            return batch.end(int(beta))
+        lp0, lp1 = batch.end(0), batch.end(1)
+        # the power mean vanishes where both endpoints do, or on the
+        # geometric order where either does
         if self._geometric:
             dead = (lp0 == -np.inf) | (lp1 == -np.inf)
         else:
@@ -120,100 +187,21 @@ class QPath:
         out = _blend(np.where(dead, 0.0, lp0), np.where(dead, 0.0, lp1), beta, self.q)
         return np.where(dead, -np.inf, out)
 
-    def _mixed_gradient(self, z, lp0, lp1, beta: float, rows=slice(None)):
-        """Path gradient (n, d) at an interior beta where the path lives;
-        ``rows`` picks the orders of ``z``'s rows from an array ``q``."""
+    def _gradient(self, batch: PathBatch, beta: float, live):
+        z = batch.z[live]
+        if beta == 0.0 or beta == 1.0:
+            return (self.target if beta else self.base).gradient(z)
+        lp0, lp1 = batch.end(0)[live], batch.end(1)[live]
         if self._geometric:
             w1 = np.full_like(lp0, beta)
         else:
-            q = self.q[rows] if np.ndim(self.q) else self.q
+            q = self.q[live] if np.ndim(self.q) else self.q
             # responsibility of the target endpoint in the power mean
             w1 = sigmoid(math.log(beta) - math.log1p(-beta) + (1.0 - q) * (lp1 - lp0))
         g0 = np.atleast_2d(np.asarray(self.base.gradient(z), dtype=float))
         g1 = np.atleast_2d(np.asarray(self.target.gradient(z), dtype=float))
         col = w1[:, None]
         return np.where(col == 1.0, g1, np.where(col == 0.0, g0, (1.0 - col) * g0 + col * g1))
-
-    def log_density(self, z, beta: float):
-        beta = _check_beta(beta)
-        if beta == 0.0:
-            return self.base.log_density(z)
-        if beta == 1.0:
-            return self.target.log_density(z)
-        out = self._blend(*self._endpoint_log_densities(z), beta)
-        return float(out[0]) if np.ndim(z) == 1 else out
-
-    def log_density_of(self, z):
-        """``f(beta)``: the path log-density (n,) of the fixed batch ``z`` at
-        any beta, equal to ``log_density(z, beta)``; both endpoints are
-        evaluated once, here, and each call only blends.
-        ``f.value_and_grad(beta)`` equals ``value_and_grad(z, beta)`` from the
-        same endpoint values, so only the gradients are evaluated anew."""
-        lp0, lp1 = self._endpoint_log_densities(z)
-
-        def at(beta: float):
-            beta = _check_beta(beta)
-            if beta == 0.0 or beta == 1.0:
-                return lp1 if beta == 1.0 else lp0
-            return self._blend(lp0, lp1, beta)
-
-        batch = np.atleast_2d(np.asarray(z, dtype=float))
-        at.value_and_grad = lambda beta: self._state(batch, _check_beta(beta), lp0, lp1)
-        return at
-
-    def gradient(self, z, beta: float):
-        beta = _check_beta(beta)
-        if beta == 0.0:
-            return self.base.gradient(z)
-        if beta == 1.0:
-            return self.target.gradient(z)
-        lp0, lp1 = self._endpoint_log_densities(z)
-        if np.any(self._blend(lp0, lp1, beta) == -np.inf):
-            raise ValueError("gradient undefined where the path density vanishes")
-        mixed = self._mixed_gradient(z, lp0, lp1, beta)
-        return mixed[0] if np.ndim(z) == 1 else mixed
-
-    def value_and_grad(self, z, beta: float):
-        """Path log-density (n,) and gradient (n, d) of a batch, together.
-
-        Each endpoint's ``log_density`` and ``gradient`` is called once.  The
-        gradient is zero on rows whose path log-density is not finite, so
-        leapfrog trajectories can enter dead regions and be Metropolis-
-        rejected instead of raising.
-        """
-        beta = _check_beta(beta)
-        z = np.atleast_2d(np.asarray(z, dtype=float))
-        if beta == 0.0 or beta == 1.0:
-            end = self.base if beta == 0.0 else self.target
-            return _end_state(end, z, np.atleast_1d(np.asarray(end.log_density(z), dtype=float)))
-        return self._state(z, beta, *self._endpoint_log_densities(z))
-
-    def _state(self, z, beta: float, lp0, lp1):
-        """``value_and_grad`` of the (n, d) batch ``z`` from its endpoint
-        log-densities (n,)."""
-        if beta == 0.0 or beta == 1.0:
-            return _end_state(self.base, z, lp0) if beta == 0.0 else _end_state(self.target, z, lp1)
-        lp = self._blend(lp0, lp1, beta)
-        return lp, _live_gradient(
-            lp, z, lambda rows, live: self._mixed_gradient(rows, lp0[live], lp1[live], beta, live)
-        )
-
-
-def _end_state(end: UnnormalizedDensity, z, lp):
-    """(logp, grad) of the batch ``z`` on one endpoint, from its log-density ``lp``."""
-    return lp, _live_gradient(lp, z, lambda rows, live: end.gradient(rows))
-
-
-def _live_gradient(lp, z, gradient):
-    """``gradient(rows, index)`` on the rows of ``z`` where ``lp`` is finite,
-    zero elsewhere; ``index`` selects those rows from per-row arrays."""
-    live = np.isfinite(lp)
-    if np.all(live):
-        return np.atleast_2d(np.asarray(gradient(z, slice(None)), dtype=float))
-    g = np.zeros_like(z)
-    if np.any(live):
-        g[live] = gradient(z[live], live)
-    return g
 
 
 @dataclass(frozen=True)
@@ -313,7 +301,7 @@ def moment_path_params(mu0, cov0, mu1, cov1, beta: float, nu: float | None = Non
     return mu_b, cov_b
 
 
-class MomentPath:
+class MomentPath(AnnealingPath):
     """Moment-averaged annealing path with Gaussian or Student-t waypoints.
 
     ``nu=None`` gives the Gaussian moment path; a finite ``nu`` gives the
@@ -339,10 +327,6 @@ class MomentPath:
         self.base = with_log_scale(self._ends[0], self.log_scale0)
         self.target = with_log_scale(self._ends[1], self.log_scale1)
 
-    @property
-    def dim(self) -> int:
-        return self.mu0.size
-
     def _build_waypoint(self, beta: float) -> UnnormalizedDensity:
         mu_b, cov_b = moment_path_params(
             self.mu0, self.cov0, self.mu1, self.cov1, beta, nu=self.nu
@@ -361,29 +345,9 @@ class MomentPath:
     def _offset(self, beta: float) -> float:
         return (1.0 - beta) * self.log_scale0 + beta * self.log_scale1
 
-    def log_density(self, z, beta: float):
-        beta = _check_beta(beta)
-        return self._waypoint(beta).log_density(z) + self._offset(beta)
+    def _log_density(self, batch: PathBatch, beta: float):
+        lp = self._waypoint(beta).log_density(batch.z) + self._offset(beta)
+        return np.atleast_1d(np.asarray(lp, dtype=float))
 
-    def gradient(self, z, beta: float):
-        beta = _check_beta(beta)
-        return self._waypoint(beta).gradient(z)
-
-    def log_density_of(self, z):
-        """``f(beta)``: the path log-density (n,) of the fixed batch ``z``;
-        ``f.value_and_grad(beta)`` is ``value_and_grad(z, beta)``."""
-
-        def at(beta: float):
-            return np.atleast_1d(self.log_density(z, beta))
-
-        at.value_and_grad = partial(self.value_and_grad, z)
-        return at
-
-    def value_and_grad(self, z, beta: float):
-        """Path log-density (n,) and gradient (n, d) of a batch from one
-        waypoint; the gradient is zero where the log-density is not finite."""
-        beta = _check_beta(beta)
-        z = np.atleast_2d(np.asarray(z, dtype=float))
-        waypoint = self._waypoint(beta)
-        lp = np.atleast_1d(np.asarray(waypoint.log_density(z) + self._offset(beta), dtype=float))
-        return lp, _live_gradient(lp, z, lambda rows, live: waypoint.gradient(rows))
+    def _gradient(self, batch: PathBatch, beta: float, live):
+        return self._waypoint(beta).gradient(batch.z[live])

@@ -18,6 +18,10 @@ import numpy as np
 from qanneal.hmc import HmcConfig, Rng, _block_means, _draw, _generators, hmc_step, tune_step_size
 
 
+# default dual-averaging sweeps that tune the step size at each beta
+_ADAPT_STEPS = 10
+
+
 class WeightCollapseError(RuntimeError):
     """Raised when every chain or particle carries a -inf weight.
 
@@ -121,7 +125,6 @@ class SmcDiagnostics:
     resample_count: int
     positions: np.ndarray
     log_weights: np.ndarray
-    step_sizes: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
 def _betas_of(schedule) -> np.ndarray:
@@ -174,7 +177,7 @@ def ais_forward(
     cfg: HmcConfig,
     moves_per_step: int,
     rng: Rng,
-    adapt_steps: int = 10,
+    adapt_steps: int = _ADAPT_STEPS,
 ) -> AisResult:
     """Forward AIS estimate of log(Z_target / Z_base).
 
@@ -202,7 +205,7 @@ def ais_reverse(
     cfg: HmcConfig,
     moves_per_step: int,
     rng: Rng,
-    adapt_steps: int = 10,
+    adapt_steps: int = _ADAPT_STEPS,
 ) -> AisResult:
     """Reverse AIS from exact target samples down the schedule.
 
@@ -236,7 +239,7 @@ def _ais_sweep(path, betas, run_betas, z, cfg, moves_per_step, rng, adapt_steps)
     log_w = np.zeros((blocks, z.shape[0] // blocks))
     acceptance = np.full((blocks, run_betas.size - 1), math.nan)
     ess = np.full((blocks, run_betas.size - 1), math.nan)
-    lp_old = np.atleast_1d(np.asarray(path.log_density(z, run_betas[0]), dtype=float))
+    lp_old = path.log_density_of(z)(run_betas[0])
     for t in range(1, run_betas.size):
         state = path.value_and_grad(z, run_betas[t])
         log_w = _accumulate(log_w, _masked_increment(state[0], lp_old).reshape(log_w.shape))
@@ -326,7 +329,7 @@ def smc_run(
     cfg: HmcConfig,
     rng: np.random.Generator | int,
     ess_fraction: float = 0.5,
-    adapt_steps: int = 10,
+    adapt_steps: int = _ADAPT_STEPS,
 ) -> tuple[float, SmcDiagnostics]:
     """Sequential Monte Carlo estimate of log(Z_target / Z_base).
 
@@ -363,11 +366,11 @@ def smc_run(
     ess_target = ess_fraction * particles
     tol = _ESS_TOL_FRACTION * particles
     beta = 0.0
-    beta_trace, ess_trace, acc_trace, eps_trace = [0.0], [], [], []
+    beta_trace, ess_trace, acc_trace = [0.0], [], []
     resamples = 0
     step_cfg = cfg
     step = 0
-    lp_old = np.atleast_1d(np.asarray(path.log_density(z, beta), dtype=float))
+    lp_old = path.log_density_of(z)(beta)
     while beta < 1.0:
         step += 1
         if step > _MAX_STEPS:
@@ -375,22 +378,19 @@ def smc_run(
                 "adaptive schedule failed to reach beta = 1",
                 {"beta_trace": np.asarray(beta_trace)},
             )
+        batch = path.log_density_of(z)
         if adaptive:
-            log_density_at = path.log_density_of(z)
-
-            def incr_fn(b):
-                return _masked_increment(log_density_at(b), lp_old)
-
-            beta_next, converged = _next_beta_by_ess(incr_fn, beta, ess_target, tol)
+            beta_next, converged = _next_beta_by_ess(
+                lambda b: _masked_increment(batch(b), lp_old), beta, ess_target, tol
+            )
             if not converged:
                 warnings.warn(
                     f"incremental ESS bisection did not converge at beta {beta:.6f}",
                     RuntimeWarning,
                 )
-            state = log_density_at.value_and_grad(beta_next)
         else:
             beta_next = float(betas[step])
-            state = path.value_and_grad(z, beta_next)
+        state = batch.value_and_grad(beta_next)
 
         log_w_next = _accumulate(log_w, _masked_increment(state[0], lp_old))
         total_next = _log_sum_exp(log_w_next)
@@ -422,7 +422,6 @@ def smc_run(
         beta_trace.append(beta)
         ess_trace.append(ess)
         acc_trace.append(acc)
-        eps_trace.append(step_cfg.step_size)
 
     diagnostics = SmcDiagnostics(
         beta_trace=np.asarray(beta_trace),
@@ -431,6 +430,5 @@ def smc_run(
         resample_count=resamples,
         positions=z,
         log_weights=log_w,
-        step_sizes=np.asarray(eps_trace),
     )
     return log_Z, diagnostics

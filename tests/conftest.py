@@ -1,7 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 from scipy.special import expit, logsumexp
 
 from qanneal.densities import LogisticModel, UnnormalizedDensity, logistic_posterior
+
+
+def counted(density: UnnormalizedDensity, calls: dict, name: str) -> UnnormalizedDensity:
+    """``density`` with each of its ``log_density`` calls counted in ``calls[name]``."""
+    calls[name] = 0
+
+    def log_density(z):
+        calls[name] += 1
+        return density.log_density(z)
+
+    return replace(density, log_density=log_density)
 
 
 def piecewise_density(heights) -> UnnormalizedDensity:

@@ -102,6 +102,41 @@ class TestValidation:
         assert main(argv) == 2
         assert capsys.readouterr().err == f"config error: {key}: must be finite\n"
 
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            ({"command": "grid-q", "path_kind": "moment"},
+             "path_kind: grid-q sweeps qpath orders; set path_kind to qpath"),
+            ({"path_kind": "qpath", "q": math.inf}, "q: must be finite"),
+            ({"command": "smc", "path_kind": "moment", "extras": {}},
+             "path_kind: moment and escort need closed-form endpoint moments; "
+             "smc supports geometric and qpath"),
+            ({"extras": {**IDENTICAL, "var0": 0.0}}, "var0: must be positive"),
+            ({"extras": {**IDENTICAL, "var1": -1.0}}, "var1: must be positive"),
+            ({"command": "heuristic-q", "extras": {"restarts": 0}},
+             "restarts: need at least one restart"),
+            ({"command": "heuristic-q", "extras": {"ess_target_fraction": 1.5}},
+             "ess_target_fraction: must lie in (0, 1]"),
+            ({"command": "heuristic-q", "extras": {"log10_sd": 0.0}}, "log10_sd: must be positive"),
+            ({"command": "grid-q", "path_kind": "qpath", "extras": {"grid_count": 0}},
+             "grid_count: need at least one grid point"),
+            ({"extras": {**IDENTICAL, "adapt_steps": -1}}, "adapt_steps: must be nonnegative"),
+        ],
+    )
+    def test_each_violation_is_one_message(self, overrides, message, dataset):
+        if overrides.get("command") == "smc":
+            overrides = {**overrides, "dataset": dataset[0]}
+        with pytest.raises(ConfigError) as err:
+            run(toy_config(**overrides))
+        assert err.value.errors == [message]
+
+    def test_heuristic_q_rejects_a_trace_csv(self, tmp_path):
+        trace = tmp_path / "h.csv"
+        with pytest.raises(ConfigError) as err:
+            run(RunConfig(command="heuristic-q", extras={"trace_csv": str(trace)}))
+        assert err.value.errors == ["trace_csv: heuristic-q has no per-step trace"]
+        assert not trace.exists()
+
     def test_unknown_names_rejected(self):
         config = RunConfig(command="warp", path_kind="spline", schedule="cubic")
         with pytest.raises(ConfigError) as err:

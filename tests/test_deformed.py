@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qanneal.deformed import (
-    OrderQ,
     exp_q,
     exp_q_prod_collapsed,
     exp_q_sum_factored,
@@ -244,17 +243,3 @@ class TestFreeEnergyConversion:
         with pytest.raises(ValueError):
             free_energy_to_multiplicative(1.0, 2.5, 0.5)
 
-
-class TestOrderQ:
-    def test_rho_consistency(self):
-        rng = np.random.default_rng(5)
-        for q in rng.uniform(-3.0, 0.99, size=20):
-            o = OrderQ(q=float(q))
-            assert o.rho * (1.0 - o.q) == pytest.approx(1.0, rel=1e-12)
-
-    def test_round_trip_and_geometric(self):
-        o = OrderQ.from_rho(10.0)
-        assert o.q == pytest.approx(0.9, abs=1e-15)
-        assert OrderQ(q=1.0).rho == math.inf
-        with pytest.raises(ValueError):
-            OrderQ.from_rho(0.0)

@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import qanneal
+from qanneal.paths import MomentPath, QPath
 
 
 def test_every_export_resolves_once():
@@ -11,6 +12,13 @@ def test_every_export_resolves_once():
     assert len(names) == len(set(names)), sorted(n for n in set(names) if names.count(n) > 1)
     missing = [n for n in names if not hasattr(qanneal, n)]
     assert not missing, missing
+
+
+def test_paths_share_one_evaluation_interface():
+    # both families evaluate through the base class and their two hooks
+    shared = {"log_density", "gradient", "value_and_grad", "log_density_of"}
+    for cls in (QPath, MomentPath):
+        assert not shared & set(vars(cls)), cls.__name__
 
 
 def test_import_loads_numpy_only():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import fd_gradient, rel_err
+from conftest import counted, fd_gradient, rel_err
 from qanneal.deformed import exp_q, ln_q_exp, power_mean
 from qanneal.densities import (
     LogisticModel,
@@ -222,6 +222,13 @@ class TestQPathGradient:
         with pytest.raises(ValueError):
             path.gradient(np.array([-1.0]), 0.5)
 
+    def test_dead_endpoint_raises_at_its_own_beta(self):
+        # beta = 1 is the target itself, -inf at z = -1 like every interior
+        # beta of a q > 1 path
+        path = QPath(gaussian([0.0], 1.0), pareto(0.0, 1.0, 0.0), q=0.5)
+        with pytest.raises(ValueError, match="vanishes"):
+            path.gradient(np.array([-1.0]), 1.0)
+
     def test_single_dead_endpoint_uses_live_gradient(self):
         base = gaussian([0.0], 1.0)
         target = pareto(x_min=0.0, sigma=1.0, xi=0.0)
@@ -271,6 +278,23 @@ class TestValueAndGrad:
             assert np.array_equal(g, path.gradient(zs, beta))
             fixed_lp, fixed_g = path.log_density_of(zs).value_and_grad(beta)
             assert np.array_equal(fixed_lp, lp) and np.array_equal(fixed_g, g)
+
+
+class TestPathBatch:
+    def test_each_endpoint_evaluated_once_when_first_needed(self):
+        calls = {}
+        base, target = toy_gaussian_pair()
+        path = QPath(counted(base, calls, "base"), counted(target, calls, "target"), q=0.5)
+        zs = np.linspace(-5.0, 5.0, 7)[:, None]
+        batch = path.log_density_of(zs)
+        assert np.array_equal(batch(1.0), target.log_density(zs))
+        assert calls == {"base": 0, "target": 1}
+        batch(0.0)
+        batch(0.3)
+        lp, g = batch.value_and_grad(0.7)
+        assert calls == {"base": 1, "target": 1}
+        assert np.array_equal(lp, path.log_density(zs, 0.7))
+        assert np.array_equal(g, path.gradient(zs, 0.7))
 
 
 class TestArrayQ:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from conftest import piecewise_density
+from conftest import counted, piecewise_density
 from qanneal.densities import UnnormalizedDensity, gaussian, pareto, with_log_scale
 from qanneal.hmc import HmcConfig
 from qanneal.paths import QPath
@@ -364,24 +364,17 @@ class TestSmc:
 
     @pytest.mark.parametrize("q", [1.0, 0.8])
     def test_adaptive_step_evaluates_each_endpoint_once_for_its_bisection(self, q):
-        calls = {"base": 0, "target": 0}
-
-        def counted(density, name):
-            def log_density(z):
-                calls[name] += 1
-                return density.log_density(z)
-
-            return replace(density, log_density=log_density)
-
+        calls = {}
         two = log_z_two_problem()
-        path = QPath(counted(two.base, "base"), counted(two.target, "target"), q=q)
+        path = QPath(counted(two.base, calls, "base"), counted(two.target, calls, "target"), q=q)
         _, diag = smc_run(path, "adaptive", particles=64, moves_per_step=0,
                           cfg=small_cfg(), rng=5, adapt_steps=0)
         steps = len(diag.beta_trace) - 1
         assert steps >= 3
-        # the start at beta = 0, then per step one evaluation that every
-        # bisection iteration blends and the state at the new beta reuses
-        assert calls["base"] == 1 + steps
+        # per step one evaluation that every bisection iteration blends and
+        # the state at the new beta reuses; the base also at the start, but
+        # not on the last step, whose jump to beta = 1 needs the target alone
+        assert calls["base"] == steps
         assert calls["target"] == steps
 
     def test_identical_endpoints_adaptive_exactly_zero(self):
