@@ -30,6 +30,11 @@ class UnnormalizedDensity:
         ``sampler(rng, n) -> (n, d)`` drawing from the normalized density.
     known_log_normalizer : float or None
         log of the integral of the unnormalized density, when analytic.
+    fused : callable or None
+        ``z -> (log_density(z), gradient(z))`` in one pass, for a density
+        whose two outputs share work; bit for bit what the two give apart.
+        A ``replace`` that swaps ``log_density`` or ``gradient`` must swap
+        or clear it too.
     """
 
     dim: int
@@ -37,6 +42,14 @@ class UnnormalizedDensity:
     gradient: Callable[[np.ndarray], np.ndarray]
     exact_sampler: Callable[[np.random.Generator, int], np.ndarray] | None = None
     known_log_normalizer: float | None = None
+    fused: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
+
+    def value_and_grad(self, z):
+        """Log-density and gradient at ``z`` together, with the shapes of
+        ``log_density`` and ``gradient``: the one energy entry point."""
+        if self.fused is not None:
+            return self.fused(z)
+        return self.log_density(z), self.gradient(z)
 
 
 def with_log_scale(density: UnnormalizedDensity, log_c: float) -> UnnormalizedDensity:
@@ -47,10 +60,16 @@ def with_log_scale(density: UnnormalizedDensity, log_c: float) -> UnnormalizedDe
     """
     base_logp = density.log_density
     known = density.known_log_normalizer
+
+    def fused(z):
+        lp, g = density.value_and_grad(z)
+        return lp + log_c, g
+
     return replace(
         density,
         log_density=lambda z: base_logp(z) + log_c,
         known_log_normalizer=None if known is None else known + log_c,
+        fused=fused,
     )
 
 
@@ -85,6 +104,33 @@ def sigmoid(x):
         return 1.0 / (1.0 + np.exp(-x))
 
 
+def _whitened(d: int, mean, inv_chol, value_of, grad_of):
+    """``log_density``, ``gradient`` and ``fused`` of a density on R^d that
+    depends on z through ``white = (z - mean) @ inv_chol.T`` alone:
+    ``value_of(white)`` is the log-density (n,) and ``grad_of(white)`` the
+    gradient (n, d).  The fused call checks and whitens once for both."""
+
+    def white_of(z):
+        zb, squeeze = _finite_batch(z, d)
+        return (zb - mean) @ inv_chol.T, squeeze
+
+    def log_density(z):
+        white, squeeze = white_of(z)
+        return _maybe_scalar(value_of(white), squeeze)
+
+    def gradient(z):
+        white, squeeze = white_of(z)
+        g = grad_of(white)
+        return g[0] if squeeze else g
+
+    def fused(z):
+        white, squeeze = white_of(z)
+        g = grad_of(white)
+        return _maybe_scalar(value_of(white), squeeze), g[0] if squeeze else g
+
+    return log_density, gradient, fused
+
+
 def gaussian(mean, cov) -> UnnormalizedDensity:
     """Normalized multivariate Gaussian; scalars are accepted in one dimension.
 
@@ -104,16 +150,13 @@ def gaussian(mean, cov) -> UnnormalizedDensity:
     inv_chol = np.linalg.inv(chol)
     log_norm = -0.5 * d * math.log(2.0 * math.pi) - np.sum(np.log(np.diag(chol)))
 
-    def log_density(z):
-        zb, squeeze = _finite_batch(z, d)
-        white = (zb - mean) @ inv_chol.T
-        out = log_norm - 0.5 * np.sum(white**2, axis=1)
-        return _maybe_scalar(out, squeeze)
-
-    def gradient(z):
-        zb, squeeze = _finite_batch(z, d)
-        g = -((zb - mean) @ inv_chol.T) @ inv_chol
-        return g[0] if squeeze else g
+    log_density, gradient, fused = _whitened(
+        d,
+        mean,
+        inv_chol,
+        lambda white: log_norm - 0.5 * np.sum(white**2, axis=1),
+        lambda white: -white @ inv_chol,
+    )
 
     def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
         return mean + rng.standard_normal((n, d)) @ chol.T
@@ -124,6 +167,7 @@ def gaussian(mean, cov) -> UnnormalizedDensity:
         gradient=gradient,
         exact_sampler=sampler,
         known_log_normalizer=0.0,
+        fused=fused,
     )
 
 
@@ -152,19 +196,14 @@ def student_t(mean, scale, nu: float) -> UnnormalizedDensity:
         - np.sum(np.log(np.diag(chol)))
     )
 
-    def log_density(z):
-        zb, squeeze = _finite_batch(z, d)
-        white = (zb - mean) @ inv_chol.T
-        m = np.sum(white**2, axis=1)
-        out = log_norm - 0.5 * (nu + d) * np.log1p(m / nu)
-        return _maybe_scalar(out, squeeze)
+    def value_of(white):
+        return log_norm - 0.5 * (nu + d) * np.log1p(np.sum(white**2, axis=1) / nu)
 
-    def gradient(z):
-        zb, squeeze = _finite_batch(z, d)
-        white = (zb - mean) @ inv_chol.T
+    def grad_of(white):
         m = np.sum(white**2, axis=1)
-        g = -(nu + d) * (white @ inv_chol) / (nu + m)[:, None]
-        return g[0] if squeeze else g
+        return -(nu + d) * (white @ inv_chol) / (nu + m)[:, None]
+
+    log_density, gradient, fused = _whitened(d, mean, inv_chol, value_of, grad_of)
 
     def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
         g = rng.standard_normal((n, d)) @ chol.T
@@ -177,6 +216,7 @@ def student_t(mean, scale, nu: float) -> UnnormalizedDensity:
         gradient=gradient,
         exact_sampler=sampler,
         known_log_normalizer=0.0,
+        fused=fused,
     )
 
 
@@ -286,30 +326,76 @@ def logistic_prior(model: LogisticModel) -> UnnormalizedDensity:
 
 def logistic_posterior(model: LogisticModel) -> UnnormalizedDensity:
     """Unnormalized posterior prior(w) * likelihood(w) for Bernoulli-sigmoid
-    labels; its normalizer is the marginal likelihood being estimated."""
+    labels; its normalizer is the marginal likelihood being estimated.
+
+    Each call works on the logits ``t = w @ X.T`` in two (n, rows) buffers
+    that the density keeps for the batch size of its last call, so no call
+    allocates an (n, rows) array.  The buffers make the density unsafe to
+    call from two threads at once.
+    """
     X, y = model.X, model.y
+    X_T = X.T
     d = X.shape[1]
     var = model.prior_sd**2
     log_prior_norm = -0.5 * d * math.log(2.0 * math.pi * var)
-    # rows negated where y = 1, so each row's negative log-likelihood is
-    # softplus(u) with u = (1 - 2y) * (w . x); the sign flip is exact
-    signed_X_T = ((1.0 - 2.0 * y)[:, None] * X).T
+    # -1 where y = 1, so row j's negative log-likelihood is softplus(u_j)
+    # with u = sign * t; the sign flip is exact
+    sign = 1.0 - 2.0 * y
+    workspace = np.empty((2, 0, y.size))
+
+    def logits(wb):
+        """t = w @ X.T in the first buffer; the second is spare."""
+        nonlocal workspace
+        if workspace.shape[1] != wb.shape[0]:
+            workspace = np.empty((2, wb.shape[0], y.size))
+        t, spare = workspace
+        np.matmul(wb, X_T, out=t)
+        return t, spare
+
+    def log_density_of(wb, u, spare):
+        """Log-density from u = sign * t, overwriting u and spare."""
+        # softplus(u) = max(u, 0) + log1p(exp(-|u|)), stable on both tails
+        np.abs(u, out=spare)
+        np.negative(spare, out=spare)
+        np.exp(spare, out=spare)
+        np.log1p(spare, out=spare)
+        np.maximum(u, 0.0, out=u)
+        u += spare
+        loglik = -np.sum(u, axis=1)
+        log_prior = log_prior_norm - 0.5 * np.sum(wb**2, axis=1) / var
+        return log_prior + loglik
+
+    def gradient_of(wb, t):
+        """Gradient from the logits t, overwriting t with y - sigmoid(t)."""
+        # sigmoid(t) = 1 / (1 + exp(-t)), exactly 0 where exp(-t) overflows
+        np.negative(t, out=t)
+        with np.errstate(over="ignore"):
+            np.exp(t, out=t)
+        t += 1.0
+        np.divide(1.0, t, out=t)
+        np.subtract(y, t, out=t)
+        return -wb / var + t @ X
 
     def log_density(w):
         wb, squeeze = _as_batch(w, d)
-        u = wb @ signed_X_T
-        # softplus(u) = max(u, 0) + log1p(exp(-|u|)), stable on both tails
-        loglik = -np.sum(np.maximum(u, 0.0) + np.log1p(np.exp(-np.abs(u))), axis=1)
-        log_prior = log_prior_norm - 0.5 * np.sum(wb**2, axis=1) / var
-        return _maybe_scalar(log_prior + loglik, squeeze)
+        t, spare = logits(wb)
+        np.multiply(t, sign, out=t)
+        return _maybe_scalar(log_density_of(wb, t, spare), squeeze)
 
     def gradient(w):
         wb, squeeze = _as_batch(w, d)
-        resid = y - sigmoid(wb @ X.T)
-        g = -wb / var + resid @ X
+        g = gradient_of(wb, logits(wb)[0])
         return g[0] if squeeze else g
 
-    return UnnormalizedDensity(dim=d, log_density=log_density, gradient=gradient)
+    def fused(w):
+        wb, squeeze = _as_batch(w, d)
+        t, u = logits(wb)
+        np.multiply(t, sign, out=u)
+        g = gradient_of(wb, t)
+        lp = log_density_of(wb, u, t)
+        return _maybe_scalar(lp, squeeze), g[0] if squeeze else g
+
+    return UnnormalizedDensity(dim=d, log_density=log_density, gradient=gradient, fused=fused)
 
 
 @dataclass(frozen=True)

@@ -70,26 +70,40 @@ def blend_log_ratio(log_ratios, beta: float, q: float):
     return _blend(0.0, lr, beta, q)
 
 
+def _evaluate(density: UnnormalizedDensity, z: np.ndarray):
+    """``density.value_and_grad`` of an (n, d) batch as arrays (n,), (n, d)."""
+    lp, g = density.value_and_grad(z)
+    return np.atleast_1d(np.asarray(lp, dtype=float)), np.atleast_2d(np.asarray(g, dtype=float))
+
+
 class PathBatch:
     """One (n, d) batch ``z`` on a path, evaluated at any beta.
 
     ``batch(beta)`` is the path log-density (n,) and
-    ``batch.value_and_grad(beta)`` the (logp, grad) pair.  Each endpoint
-    log-density is evaluated at most once, when a beta first needs it, and
-    then serves every beta.
+    ``batch.value_and_grad(beta)`` the (logp, grad) pair.  Each endpoint is
+    evaluated at most once, value and gradient in one call, when a beta
+    first needs it, and that pair then serves every beta.
     """
 
     def __init__(self, path: "AnnealingPath", z):
         self.path = path
         self.z = np.atleast_2d(np.asarray(z, dtype=float))
         self._ends = [None, None]
+        self._waypoint = (None, None)
 
-    def end(self, i: int) -> np.ndarray:
-        """Log-density (n,) of the base (``i`` = 0) or the target (1)."""
+    def end(self, i: int):
+        """Log-density (n,) and gradient (n, d) of the base (``i`` = 0) or
+        the target (1)."""
         if self._ends[i] is None:
-            density = self.path.target if i else self.path.base
-            self._ends[i] = np.atleast_1d(np.asarray(density.log_density(self.z), dtype=float))
+            self._ends[i] = _evaluate(self.path.target if i else self.path.base, self.z)
         return self._ends[i]
+
+    def waypoint(self, density: UnnormalizedDensity):
+        """The pair of ``end`` for any other density on the batch, such as a
+        ``MomentPath`` waypoint; only the most recent one's is kept."""
+        if self._waypoint[0] is not density:
+            self._waypoint = (density, _evaluate(density, self.z))
+        return self._waypoint[1]
 
     def __call__(self, beta: float) -> np.ndarray:
         return self.path._log_density(self, _check_beta(beta))
@@ -105,7 +119,7 @@ class PathBatch:
         lp = self.path._log_density(self, beta)
         live = np.isfinite(lp)
         if np.all(live):
-            return lp, np.atleast_2d(np.asarray(self.path._gradient(self, beta, slice(None)), dtype=float))
+            return lp, self.path._gradient(self, beta, slice(None))
         g = np.zeros_like(self.z)
         if np.any(live):
             g[live] = self.path._gradient(self, beta, live)
@@ -176,8 +190,8 @@ class QPath(AnnealingPath):
 
     def _log_density(self, batch: PathBatch, beta: float):
         if beta == 0.0 or beta == 1.0:
-            return batch.end(int(beta))
-        lp0, lp1 = batch.end(0), batch.end(1)
+            return batch.end(int(beta))[0]
+        lp0, lp1 = batch.end(0)[0], batch.end(1)[0]
         # the power mean vanishes where both endpoints do, or on the
         # geometric order where either does
         if self._geometric:
@@ -188,18 +202,16 @@ class QPath(AnnealingPath):
         return np.where(dead, -np.inf, out)
 
     def _gradient(self, batch: PathBatch, beta: float, live):
-        z = batch.z[live]
         if beta == 0.0 or beta == 1.0:
-            return (self.target if beta else self.base).gradient(z)
-        lp0, lp1 = batch.end(0)[live], batch.end(1)[live]
+            return batch.end(int(beta))[1][live]
+        (lp0, g0), (lp1, g1) = batch.end(0), batch.end(1)
+        lp0, lp1, g0, g1 = lp0[live], lp1[live], g0[live], g1[live]
         if self._geometric:
             w1 = np.full_like(lp0, beta)
         else:
             q = self.q[live] if np.ndim(self.q) else self.q
             # responsibility of the target endpoint in the power mean
             w1 = sigmoid(math.log(beta) - math.log1p(-beta) + (1.0 - q) * (lp1 - lp0))
-        g0 = np.atleast_2d(np.asarray(self.base.gradient(z), dtype=float))
-        g1 = np.atleast_2d(np.asarray(self.target.gradient(z), dtype=float))
         col = w1[:, None]
         return np.where(col == 1.0, g1, np.where(col == 0.0, g0, (1.0 - col) * g0 + col * g1))
 
@@ -346,8 +358,7 @@ class MomentPath(AnnealingPath):
         return (1.0 - beta) * self.log_scale0 + beta * self.log_scale1
 
     def _log_density(self, batch: PathBatch, beta: float):
-        lp = self._waypoint(beta).log_density(batch.z) + self._offset(beta)
-        return np.atleast_1d(np.asarray(lp, dtype=float))
+        return batch.waypoint(self._waypoint(beta))[0] + self._offset(beta)
 
     def _gradient(self, batch: PathBatch, beta: float, live):
-        return self._waypoint(beta).gradient(batch.z[live])
+        return batch.waypoint(self._waypoint(beta))[1][live]

@@ -229,7 +229,8 @@ def _ais_sweep(path, betas, run_betas, z, cfg, moves_per_step, rng, adapt_steps)
 
     Each increment is taken before the HMC moves at its beta; the chains'
     log-density at the previous beta comes from the state the moves there
-    ended on, so no point is evaluated twice.  The chains form one block per
+    ended on, and the first increment from the batch that gave the starting
+    log-density, so no point is evaluated twice.  The chains form one block per
     generator of ``rng``; weights, ESS and acceptance are kept per block,
     from row-wise reductions over a (blocks, chains) view.
     """
@@ -239,9 +240,10 @@ def _ais_sweep(path, betas, run_betas, z, cfg, moves_per_step, rng, adapt_steps)
     log_w = np.zeros((blocks, z.shape[0] // blocks))
     acceptance = np.full((blocks, run_betas.size - 1), math.nan)
     ess = np.full((blocks, run_betas.size - 1), math.nan)
-    lp_old = path.log_density_of(z)(run_betas[0])
+    batch = path.log_density_of(z)
+    lp_old = batch(run_betas[0])
     for t in range(1, run_betas.size):
-        state = path.value_and_grad(z, run_betas[t])
+        state = batch.value_and_grad(run_betas[t])
         log_w = _accumulate(log_w, _masked_increment(state[0], lp_old).reshape(log_w.shape))
         alive = np.any(np.isfinite(log_w), axis=1)
         ess[alive, t - 1] = _ess_rows(log_w[alive])
@@ -249,6 +251,7 @@ def _ais_sweep(path, betas, run_betas, z, cfg, moves_per_step, rng, adapt_steps)
             path, run_betas[t], z, state, cfg, rng, adapt_steps, moves_per_step
         )
         lp_old = state[0]
+        batch = path.log_density_of(z)
     result = _finish_ais(log_w, betas, acceptance, ess)
     return result.blocks()[0] if isinstance(rng, np.random.Generator) else result
 
@@ -370,7 +373,8 @@ def smc_run(
     resamples = 0
     step_cfg = cfg
     step = 0
-    lp_old = path.log_density_of(z)(beta)
+    batch = path.log_density_of(z)
+    lp_old = batch(beta)
     while beta < 1.0:
         step += 1
         if step > _MAX_STEPS:
@@ -378,7 +382,6 @@ def smc_run(
                 "adaptive schedule failed to reach beta = 1",
                 {"beta_trace": np.asarray(beta_trace)},
             )
-        batch = path.log_density_of(z)
         if adaptive:
             beta_next, converged = _next_beta_by_ess(
                 lambda b: _masked_increment(batch(b), lp_old), beta, ess_target, tol
@@ -417,6 +420,7 @@ def smc_run(
             path, beta_next, z, state, step_cfg, gen, adapt_steps, moves_per_step
         )
         lp_old = state[0]
+        batch = path.log_density_of(z)
 
         beta = beta_next
         beta_trace.append(beta)

@@ -7,14 +7,19 @@ from qanneal.densities import LogisticModel, UnnormalizedDensity, logistic_poste
 
 
 def counted(density: UnnormalizedDensity, calls: dict, name: str) -> UnnormalizedDensity:
-    """``density`` with each of its ``log_density`` calls counted in ``calls[name]``."""
+    """``density`` with each of its evaluations, a ``log_density`` or a
+    ``value_and_grad`` call, counted in ``calls[name]``."""
     calls[name] = 0
 
     def log_density(z):
         calls[name] += 1
         return density.log_density(z)
 
-    return replace(density, log_density=log_density)
+    def fused(z):
+        calls[name] += 1
+        return density.value_and_grad(z)
+
+    return replace(density, log_density=log_density, fused=fused)
 
 
 def piecewise_density(heights) -> UnnormalizedDensity:

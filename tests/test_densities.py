@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from conftest import fd_gradient, rel_err
 from qanneal.densities import (
     GridDensity,
     LogisticModel,
+    UnnormalizedDensity,
     gaussian,
     grid_from_density,
     logistic_posterior,
@@ -226,16 +228,17 @@ class TestPareto:
             assert abs(frac - u) < 4.0 * math.sqrt(u * (1.0 - u) / 1e5)
 
 
-class TestLogisticPosterior:
-    def _toy_model(self, n=30, d=3, seed=8):
-        rng = np.random.default_rng(seed)
-        X = np.hstack([np.ones((n, 1)), rng.standard_normal((n, d - 1))])
-        w_true = rng.standard_normal(d)
-        y = (rng.random(n) < 1.0 / (1.0 + np.exp(-X @ w_true))).astype(float)
-        return LogisticModel(X=X, y=y)
+def _logistic_model(n, d=3, seed=8):
+    rng = np.random.default_rng(seed)
+    X = np.hstack([np.ones((n, 1)), rng.standard_normal((n, d - 1))])
+    w_true = rng.standard_normal(d)
+    y = (rng.random(n) < 1.0 / (1.0 + np.exp(-X @ w_true))).astype(float)
+    return LogisticModel(X=X, y=y)
 
+
+class TestLogisticPosterior:
     def test_gradient_matches_fd(self):
-        model = self._toy_model()
+        model = _logistic_model(n=30)
         post = logistic_posterior(model)
         rng = np.random.default_rng(9)
         for _ in range(100):
@@ -243,14 +246,14 @@ class TestLogisticPosterior:
             assert rel_err(post.gradient(w), fd_gradient(post.log_density, w)) < 1e-5
 
     def test_extreme_weights_stay_finite(self):
-        model = self._toy_model()
+        model = _logistic_model(n=30)
         post = logistic_posterior(model)
         w = np.array([500.0, -500.0, 250.0])
         assert np.isfinite(post.log_density(w))
         assert np.all(np.isfinite(post.gradient(w)))
 
     def test_one_pass_likelihood_matches_two_logaddexp_passes(self):
-        model = self._toy_model()
+        model = _logistic_model(n=30)
         post = logistic_posterior(model)
         X, y, var = model.X, model.y, model.prior_sd**2
         rng = np.random.default_rng(11)
@@ -285,6 +288,86 @@ class TestLogisticPosterior:
     def test_label_validation(self):
         with pytest.raises(ValueError):
             LogisticModel(X=np.ones((2, 1)), y=np.array([0.0, -1.0]))
+
+
+_FULL_COV = np.array([[2.0, 0.3, 0.1], [0.3, 1.0, -0.2], [0.1, -0.2, 0.5]])
+
+
+def _separate_only(density):
+    """The density rebuilt from its ``log_density`` and ``gradient`` alone."""
+    return UnnormalizedDensity(dim=density.dim, log_density=density.log_density, gradient=density.gradient)
+
+
+# name -> (density, draw(rng, n) of points where it is finite)
+_ENERGIES = {
+    "gaussian_full_cov": (
+        lambda: gaussian([0.5, -1.0, 2.0], _FULL_COV),
+        lambda rng, n: rng.standard_normal((n, 3)) * 2.0,
+    ),
+    "student_t": (
+        lambda: student_t([0.5, -1.0, 2.0], _FULL_COV, nu=3.0),
+        lambda rng, n: rng.standard_normal((n, 3)) * 3.0,
+    ),
+    "logistic_posterior": (
+        lambda: logistic_posterior(_logistic_model(n=200)),
+        lambda rng, n: rng.standard_normal((n, 3)) * 2.0,
+    ),
+    "log_scaled_logistic_posterior": (
+        lambda: with_log_scale(logistic_posterior(_logistic_model(n=200)), -3.5),
+        lambda rng, n: rng.standard_normal((n, 3)) * 2.0,
+    ),
+    "log_scaled_gaussian": (
+        lambda: with_log_scale(gaussian([0.0, 1.0, -1.0], _FULL_COV), 2.5),
+        lambda rng, n: rng.standard_normal((n, 3)) * 2.0,
+    ),
+    "pareto_inside_support": (
+        lambda: pareto(-1.0, 2.0, -0.25),
+        lambda rng, n: -1.0 + 7.5 * rng.random((n, 1)),
+    ),
+    "separate_only_gaussian": (
+        lambda: _separate_only(gaussian([0.5, -1.0, 2.0], _FULL_COV)),
+        lambda rng, n: rng.standard_normal((n, 3)) * 2.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ENERGIES))
+def test_value_and_grad_is_bit_identical_to_separate_calls(name):
+    make, draw = _ENERGIES[name]
+    den = make()
+    rng = np.random.default_rng(21)
+    # alternating batch sizes rebuild any per-shape workspace between calls
+    batches = [draw(rng, n) for n in (7, 5, 7, 1)]
+    results = []
+    for z in batches:
+        lp, g = den.value_and_grad(z)
+        assert lp.shape == (z.shape[0],) and g.shape == z.shape
+        assert np.all(np.isfinite(lp)) and np.all(np.isfinite(g))
+        assert np.array_equal(lp, den.log_density(z))
+        assert np.array_equal(g, den.gradient(z))
+        results.append((lp, g, lp.copy(), g.copy()))
+    # no returned array aliases a buffer that a later call writes
+    for lp, g, lp_copy, g_copy in results:
+        assert np.array_equal(lp, lp_copy) and np.array_equal(g, g_copy)
+    again = den.value_and_grad(batches[0])
+    assert np.array_equal(again[0], results[0][0]) and np.array_equal(again[1], results[0][1])
+    point = batches[1][0]
+    lp, g = den.value_and_grad(point)
+    assert isinstance(lp, float) and g.shape == point.shape
+    assert lp == den.log_density(point) and np.array_equal(g, den.gradient(point))
+
+
+def test_logistic_value_and_grad_allocates_no_batch_by_rows_array():
+    post = logistic_posterior(_logistic_model(n=200))
+    w = np.random.default_rng(22).standard_normal((256, 3))
+    post.value_and_grad(w)  # builds the workspace for this batch size
+    tracemalloc.start()
+    try:
+        post.value_and_grad(w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 200 * np.dtype(float).itemsize
 
 
 class TestGridDensity:

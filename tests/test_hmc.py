@@ -208,20 +208,21 @@ class TestBlocks:
 
 
 class CountingDensity:
-    """Endpoint wrapper that records every batch its callables receive."""
+    """Endpoint wrapper that records every batch it is evaluated on, by
+    ``log_density``, ``gradient`` or ``value_and_grad``."""
 
     def __init__(self, density):
-        self.log_density_calls, self.gradient_calls = [], []
+        self.calls = []
         self.density = replace(
             density,
-            log_density=self._counted(density.log_density, self.log_density_calls),
-            gradient=self._counted(density.gradient, self.gradient_calls),
+            log_density=self._counted(density.log_density),
+            gradient=self._counted(density.gradient),
+            fused=self._counted(density.value_and_grad),
         )
 
-    @staticmethod
-    def _counted(fn, seen):
+    def _counted(self, fn):
         def wrapped(z):
-            seen.append(np.array(z, copy=True))
+            self.calls.append(np.array(z, copy=True))
             return fn(z)
 
         return wrapped
@@ -240,16 +241,14 @@ class TestEnergyContract:
         energy = partial(path.value_and_grad, beta=beta)
         state = energy(z)
         for counter in (base, target):
-            counter.log_density_calls.clear()
-            counter.gradient_calls.clear()
+            counter.calls.clear()
         cfg = HmcConfig(step_size=2.5, n_leapfrog=self.L, mass=np.ones(1))
         return path, (base, target), z, energy, state, cfg, rng
 
     def assert_calls(self, counters, z, expected):
         for counter in counters:
-            for seen in (counter.log_density_calls, counter.gradient_calls):
-                assert len(seen) == expected
-                assert not any(np.array_equal(batch, z) for batch in seen)
+            assert len(counter.calls) == expected
+            assert not any(np.array_equal(batch, z) for batch in counter.calls)
 
     def assert_state_fresh(self, path, z, state, beta=0.4):
         fresh = path.value_and_grad(z, beta)

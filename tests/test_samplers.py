@@ -372,9 +372,10 @@ class TestSmc:
         steps = len(diag.beta_trace) - 1
         assert steps >= 3
         # per step one evaluation that every bisection iteration blends and
-        # the state at the new beta reuses; the base also at the start, but
-        # not on the last step, whose jump to beta = 1 needs the target alone
-        assert calls["base"] == steps
+        # the state at the new beta reuses; the first step reuses the base
+        # evaluation of the start, and the last step's jump to beta = 1
+        # needs the target alone
+        assert calls["base"] == steps - 1
         assert calls["target"] == steps
 
     def test_identical_endpoints_adaptive_exactly_zero(self):
