@@ -1,5 +1,5 @@
-"""Endpoint density families: Gaussians, Student-t, generalized Pareto, logistic
-regression posteriors, and finite grid densities for brute-force checks.
+"""Endpoint density families: Gaussians, Student-t, logistic regression
+posteriors, and finite grid densities for brute-force checks.
 
 All log-density and gradient callables accept a single point of shape (d,) or a
 batch of shape (n, d) and vectorize over the batch axis.
@@ -225,76 +225,6 @@ def q_from_nu(nu: float, d: int) -> float:
     if not nu > 0.0:
         raise ValueError("nu must be positive")
     return (nu + d + 2.0) / (nu + d)
-
-
-def nu_from_q(q: float, d: int) -> float:
-    """Inverse of ``q_from_nu``; requires 1 < q < (d+2)/d for a positive nu."""
-    if not 1.0 < q < (d + 2.0) / d:
-        raise ValueError("q outside the Student-t range for this dimension")
-    return (d - d * q + 2.0) / (q - 1.0)
-
-
-def pareto(x_min: float, sigma: float, xi: float) -> UnnormalizedDensity:
-    """Normalized generalized Pareto density on [x_min, inf) (xi >= 0) or
-    [x_min, x_min - sigma/xi] (xi < 0); exponential at xi = 0."""
-    if not sigma > 0.0:
-        raise ValueError("sigma must be positive")
-    upper = math.inf if xi >= 0.0 else x_min - sigma / xi
-
-    def log_density(z):
-        zb, squeeze = _as_batch(z, 1)
-        x = zb[:, 0]
-        t = (x - x_min) / sigma
-        inside = (x >= x_min) & (x <= upper)
-        if xi == 0.0:
-            out = np.where(inside, -math.log(sigma) - t, -np.inf)
-        else:
-            arg = np.where(inside, 1.0 + xi * t, 1.0)
-            out = np.where(
-                inside, -math.log(sigma) - (1.0 / xi + 1.0) * np.log(arg), -np.inf
-            )
-        return _maybe_scalar(out, squeeze)
-
-    def gradient(z):
-        zb, squeeze = _as_batch(z, 1)
-        x = zb[:, 0]
-        inside = (x >= x_min) & (x <= upper)
-        if xi == 0.0:
-            g = np.where(inside, -1.0 / sigma, np.nan)
-        else:
-            g = np.where(inside, -(1.0 + xi) / (sigma + xi * (x - x_min)), np.nan)
-        g = g[:, None]
-        return g[0] if squeeze else g
-
-    def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
-        u = rng.random(n)
-        if xi == 0.0:
-            x = x_min - sigma * np.log1p(-u)
-        else:
-            x = x_min + sigma * np.expm1(-xi * np.log1p(-u)) / xi
-        return x[:, None]
-
-    return UnnormalizedDensity(
-        dim=1,
-        log_density=log_density,
-        gradient=gradient,
-        exact_sampler=sampler,
-        known_log_normalizer=0.0,
-    )
-
-
-def q_from_xi(xi: float) -> float:
-    """Order matching a generalized Pareto tail: q = (2 xi + 1)/(xi + 1)."""
-    if xi == -1.0:
-        raise ValueError("xi = -1 has no matching order")
-    return (2.0 * xi + 1.0) / (xi + 1.0)
-
-
-def xi_from_q(q: float) -> float:
-    """Inverse of ``q_from_xi``; q = 2 is the pole."""
-    if q == 2.0:
-        raise ValueError("q = 2 has no matching shape parameter")
-    return (q - 1.0) / (2.0 - q)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Annealed importance sampling, bidirectional bounds, and sequential Monte
 Carlo over annealing paths.
 
-Every estimator works purely on log-densities; incremental weights are
-accumulated and aggregated by a max-shifted log-sum-exp so no unbounded
-log-ratio is ever exponentiated on its own.
+All three run one annealing loop, ``_anneal``: AIS is SMC that never
+resamples.  Every estimator works purely on log-densities; incremental
+weights are accumulated and aggregated by a max-shifted log-sum-exp so no
+unbounded log-ratio is ever exponentiated on its own.
 """
 
 from __future__ import annotations
@@ -23,9 +24,10 @@ _ADAPT_STEPS = 10
 
 
 class WeightCollapseError(RuntimeError):
-    """Raised when every chain or particle carries a -inf weight.
+    """Raised at the step where every chain of a block carries a -inf
+    weight, or where an adaptive run gives up before beta = 1.
 
-    ``diagnostics`` holds whatever trace data existed at the collapse.
+    ``diagnostics`` holds the trace data that existed then.
     """
 
     def __init__(self, message: str, diagnostics: dict | None = None):
@@ -82,9 +84,10 @@ def systematic_resample(log_weights, rng: np.random.Generator) -> np.ndarray:
 class AisResult:
     """Outcome of one annealed importance sampling run.
 
-    ``log_Z_estimate`` is the log-mean-exp of the finite per-chain weights;
-    chains that hit -inf stay recorded in ``per_chain_log_w`` but are dropped
-    from the mean, with the count in ``n_dropped``.
+    ``log_Z_estimate`` is the log-mean-exp of the per-chain weights in
+    ``per_chain_log_w``.  A chain that hit a -inf weight stays in that mean
+    as a zero weight, which keeps the forward estimate of Z unbiased;
+    ``n_dropped`` counts such chains.
 
     A run over several blocks of chains (``rng`` a sequence of generators)
     holds every block at once: each field but ``schedule_used`` gains a
@@ -151,145 +154,6 @@ def _accumulate(log_w: np.ndarray, incr: np.ndarray) -> np.ndarray:
         return np.where(dead, -np.inf, log_w + incr)
 
 
-def _transition(path, beta, z, state, cfg, rng, adapt_steps, moves_per_step):
-    """Step-size warm-up and HMC moves at fixed beta, carrying the
-    (logp, grad) state from each transition to the next.
-
-    Returns the positions, their state, the config used and the mean
-    acceptance of the moves in each block of ``rng``.
-    """
-    energy = partial(path.value_and_grad, beta=beta)
-    cfg, z, state = tune_step_size(z, energy, cfg, rng, n_adapt=adapt_steps, state=state)
-    blocks = len(_generators(rng))
-    rates = []
-    for _ in range(moves_per_step):
-        z, accepted, state = hmc_step(z, energy, cfg, rng, state=state)
-        rates.append(_block_means(accepted, blocks))
-    if not rates:
-        return z, state, cfg, np.full(blocks, math.nan)
-    return z, state, cfg, np.mean(np.stack(rates, axis=1), axis=1)
-
-
-def ais_forward(
-    path,
-    schedule,
-    chains: int,
-    cfg: HmcConfig,
-    moves_per_step: int,
-    rng: Rng,
-    adapt_steps: int = _ADAPT_STEPS,
-) -> AisResult:
-    """Forward AIS estimate of log(Z_target / Z_base).
-
-    Per-chain weights telescope the path energy along the schedule, each
-    increment evaluated before the HMC moves for that step.  The log-mean-exp
-    of the weights is a stochastic lower bound in expectation.
-
-    With ``rng`` a sequence of generators, ``chains`` chains run per
-    generator, each block drawing its base samples and moves from its own
-    generator, and the result holds one estimate per block.
-    """
-    betas = _betas_of(schedule)
-    if path.base.exact_sampler is None:
-        raise ValueError("forward AIS requires an exact sampler for the base")
-    if chains < 1:
-        raise ValueError("chains must be positive")
-    z = _draw(rng, chains * len(_generators(rng)), path.base.exact_sampler)
-    return _ais_sweep(path, betas, betas, z, cfg, moves_per_step, rng, adapt_steps)
-
-
-def ais_reverse(
-    path,
-    schedule,
-    exact_target_samples: np.ndarray,
-    cfg: HmcConfig,
-    moves_per_step: int,
-    rng: Rng,
-    adapt_steps: int = _ADAPT_STEPS,
-) -> AisResult:
-    """Reverse AIS from exact target samples down the schedule.
-
-    The returned ``log_Z_estimate`` is the log-mean-exp of the run-direction
-    weights and so estimates log(Z_base / Z_target); negating it gives the
-    stochastic upper bound on log(Z_target / Z_base) that ``bdmc_gap`` pairs
-    with a forward run.  With ``rng`` a sequence of generators the samples
-    split into equal blocks, one per generator, as in ``ais_forward``.
-    """
-    betas = _betas_of(schedule)
-    z = np.asarray(exact_target_samples, dtype=float)
-    if z.ndim == 1:
-        z = z[:, None]
-    if z.shape[0] < 1:
-        raise ValueError("reverse AIS requires at least one target sample")
-    return _ais_sweep(path, betas, betas[::-1], z, cfg, moves_per_step, rng, adapt_steps)
-
-
-def _ais_sweep(path, betas, run_betas, z, cfg, moves_per_step, rng, adapt_steps) -> AisResult:
-    """Telescope the path energy of chains ``z`` along ``run_betas``.
-
-    Each increment is taken before the HMC moves at its beta; the chains'
-    log-density at the previous beta comes from the state the moves there
-    ended on, and the first increment from the batch that gave the starting
-    log-density, so no point is evaluated twice.  The chains form one block per
-    generator of ``rng``; weights, ESS and acceptance are kept per block,
-    from row-wise reductions over a (blocks, chains) view.
-    """
-    blocks = len(_generators(rng))
-    if z.shape[0] % blocks:
-        raise ValueError("the chains must split into equal blocks, one per generator")
-    log_w = np.zeros((blocks, z.shape[0] // blocks))
-    acceptance = np.full((blocks, run_betas.size - 1), math.nan)
-    ess = np.full((blocks, run_betas.size - 1), math.nan)
-    batch = path.log_density_of(z)
-    lp_old = batch(run_betas[0])
-    for t in range(1, run_betas.size):
-        state = batch.value_and_grad(run_betas[t])
-        log_w = _accumulate(log_w, _masked_increment(state[0], lp_old).reshape(log_w.shape))
-        alive = np.any(np.isfinite(log_w), axis=1)
-        ess[alive, t - 1] = _ess_rows(log_w[alive])
-        z, state, cfg, acceptance[:, t - 1] = _transition(
-            path, run_betas[t], z, state, cfg, rng, adapt_steps, moves_per_step
-        )
-        lp_old = state[0]
-        batch = path.log_density_of(z)
-    result = _finish_ais(log_w, betas, acceptance, ess)
-    return result.blocks()[0] if isinstance(rng, np.random.Generator) else result
-
-
-def _finish_ais(
-    log_w: np.ndarray, betas: np.ndarray, acceptance: np.ndarray, ess: np.ndarray
-) -> AisResult:
-    """Per-block estimates from (blocks, chains) weights; every block must
-    keep a finite weight."""
-    finite = np.isfinite(log_w)
-    n_dropped = log_w.shape[1] - np.sum(finite, axis=1)
-    if np.any(n_dropped == log_w.shape[1]):
-        raise WeightCollapseError("every chain carries a -inf weight")
-    for dropped in n_dropped[n_dropped > 0]:
-        warnings.warn(
-            f"{dropped} of {log_w.shape[1]} chains hit -inf weights and were "
-            "excluded from the estimate",
-            RuntimeWarning,
-        )
-    # a block's dropped chains leave its sum, as if they had never run
-    estimate = np.array(
-        [_log_sum_exp(row[keep]) - math.log(int(np.sum(keep))) for row, keep in zip(log_w, finite)]
-    )
-    return AisResult(
-        log_Z_estimate=estimate,
-        per_chain_log_w=log_w,
-        schedule_used=betas,
-        acceptance_trace=acceptance,
-        n_dropped=n_dropped,
-        ess_trace=ess,
-    )
-
-
-def bdmc_gap(fwd: AisResult, rev: AisResult) -> float:
-    """Width of the sandwich: reverse upper bound minus forward lower bound."""
-    return float(-rev.log_Z_estimate - fwd.log_Z_estimate)
-
-
 # adaptive steps bisect to within this fraction of the particle count of the
 # ESS target, in at most _BISECTIONS halvings; a run that takes more than
 # _MAX_STEPS steps is abandoned
@@ -324,6 +188,167 @@ def _next_beta_by_ess(incr_fn, beta_now, ess_target, tol):
     return 0.5 * (lo + hi), False
 
 
+@dataclass
+class _Run:
+    """One annealing run: log Z and the weights carried since the last
+    resampling per block of chains (rows), and traces per step (columns)."""
+
+    log_Z: np.ndarray
+    positions: np.ndarray
+    log_w: np.ndarray
+    beta_trace: np.ndarray
+    ess_trace: np.ndarray
+    acceptance_trace: np.ndarray
+    resample_count: int
+
+
+def _anneal(
+    path, z, cfg, moves_per_step, rng, adapt_steps, betas, ess_target, resample_below
+) -> _Run:
+    """Weight and move the chains ``z`` along the path: the one annealing loop.
+
+    Betas follow the grid ``betas`` in run order or, if it is None, the ESS
+    bisection toward ``ess_target`` up to 1.  The chains resample when the
+    carried ESS falls below ``resample_below``: never at 0 (AIS), always at
+    inf (adaptive SMC).  Weights are unnormalized, one row per generator of
+    ``rng``.  Each resampling, and the end of the run, adds their log-mean-exp
+    to log Z, so a -inf weight counts as zero.  A row of -inf weights raises
+    ``WeightCollapseError`` at that step.
+    """
+    gen, *others = _generators(rng)
+    blocks = 1 + len(others)
+    if z.shape[0] % blocks:
+        raise ValueError("the chains must split into equal blocks, one per generator")
+    if others and resample_below > 0.0:
+        raise ValueError("a resampling run takes a single generator")
+    n = z.shape[0] // blocks
+    tol = _ESS_TOL_FRACTION * n
+    log_w, log_Z = np.zeros((blocks, n)), np.zeros(blocks)
+    beta = 0.0 if betas is None else betas[0]
+    beta_trace, ess_trace, acc_trace, resamples = [beta], [], [], 0
+    batch = path.log_density_of(z)
+    lp_old = batch(beta)
+    while beta < 1.0 if betas is None else len(beta_trace) < betas.size:
+        if betas is not None:
+            beta = betas[len(beta_trace)]
+        elif len(beta_trace) > _MAX_STEPS:
+            raise WeightCollapseError(
+                "adaptive schedule failed to reach beta = 1", {"beta_trace": np.asarray(beta_trace)}
+            )
+        else:
+            beta, converged = _next_beta_by_ess(
+                lambda b: _masked_increment(batch(b), lp_old), beta, ess_target, tol
+            )
+            if not converged:
+                warnings.warn(
+                    f"incremental ESS bisection did not converge at beta {beta_trace[-1]:.6f}",
+                    RuntimeWarning,
+                )
+        beta_trace.append(beta)
+        state = batch.value_and_grad(beta)
+        log_w = _accumulate(log_w, _masked_increment(state[0], lp_old).reshape(log_w.shape))
+        if not np.all(np.any(np.isfinite(log_w), axis=1)):
+            raise WeightCollapseError(
+                "every chain of a block carries a -inf weight",
+                {"beta_trace": np.asarray(beta_trace), "ess_trace": np.asarray(ess_trace).T},
+            )
+        ess_trace.append(_ess_rows(log_w))
+        if ess_trace[-1][0] < resample_below:
+            log_Z += _log_sum_exp(log_w) - math.log(n)
+            idx = systematic_resample(log_w[0], gen)
+            z, state, log_w = z[idx], (state[0][idx], state[1][idx]), np.zeros_like(log_w)
+            resamples += 1
+        energy = partial(path.value_and_grad, beta=beta)
+        cfg, z, state = tune_step_size(z, energy, cfg, rng, n_adapt=adapt_steps, state=state)
+        rates = []
+        for _ in range(moves_per_step):
+            z, accepted, state = hmc_step(z, energy, cfg, rng, state=state)
+            rates.append(_block_means(accepted, blocks))
+        acc = np.mean(np.stack(rates, axis=1), axis=1) if rates else np.full(blocks, math.nan)
+        acc_trace.append(acc)
+        lp_old = state[0]
+        batch = path.log_density_of(z)
+    log_Z += np.array([_log_sum_exp(row) for row in log_w]) - math.log(n)
+    return _Run(
+        log_Z, z, log_w, np.asarray(beta_trace), np.stack(ess_trace, axis=1),
+        np.stack(acc_trace, axis=1), resamples,
+    )
+
+
+def ais_forward(
+    path,
+    schedule,
+    chains: int,
+    cfg: HmcConfig,
+    moves_per_step: int,
+    rng: Rng,
+    adapt_steps: int = _ADAPT_STEPS,
+) -> AisResult:
+    """Forward AIS estimate of log(Z_target / Z_base).
+
+    Per-chain weights telescope the path energy along the schedule, each
+    increment evaluated before the HMC moves for that step.  The log-mean-exp
+    of the weights is a stochastic lower bound in expectation.
+
+    With ``rng`` a sequence of generators, ``chains`` chains run per
+    generator, each block drawing its base samples and moves from its own
+    generator, and the result holds one estimate per block.
+    """
+    betas = _betas_of(schedule)
+    if path.base.exact_sampler is None:
+        raise ValueError("forward AIS requires an exact sampler for the base")
+    if chains < 1:
+        raise ValueError("chains must be positive")
+    z = _draw(rng, chains * len(_generators(rng)), path.base.exact_sampler)
+    run = _anneal(path, z, cfg, moves_per_step, rng, adapt_steps, betas, None, 0.0)
+    return _ais_result(run, betas, rng)
+
+
+def ais_reverse(
+    path,
+    schedule,
+    exact_target_samples: np.ndarray,
+    cfg: HmcConfig,
+    moves_per_step: int,
+    rng: Rng,
+    adapt_steps: int = _ADAPT_STEPS,
+) -> AisResult:
+    """Reverse AIS from exact target samples down the schedule.
+
+    The returned ``log_Z_estimate`` is the log-mean-exp of the run-direction
+    weights and so estimates log(Z_base / Z_target); negating it gives the
+    stochastic upper bound on log(Z_target / Z_base) that ``bdmc_gap`` pairs
+    with a forward run.  With ``rng`` a sequence of generators the samples
+    split into equal blocks, one per generator, as in ``ais_forward``.
+    """
+    betas = _betas_of(schedule)
+    z = np.asarray(exact_target_samples, dtype=float)
+    if z.ndim == 1:
+        z = z[:, None]
+    if z.shape[0] < 1:
+        raise ValueError("reverse AIS requires at least one target sample")
+    run = _anneal(path, z, cfg, moves_per_step, rng, adapt_steps, betas[::-1], None, 0.0)
+    return _ais_result(run, betas, rng)
+
+
+def _ais_result(run: _Run, betas: np.ndarray, rng: Rng) -> AisResult:
+    """The AIS record of ``run``, with a warning for each block of dead chains."""
+    n_dropped = np.sum(~np.isfinite(run.log_w), axis=1)
+    for dropped in n_dropped[n_dropped > 0]:
+        warnings.warn(
+            f"{dropped} of {run.log_w.shape[1]} chains hit -inf weights and count "
+            "as zero weights in the estimate",
+            RuntimeWarning,
+        )
+    result = AisResult(run.log_Z, run.log_w, betas, run.acceptance_trace, n_dropped, run.ess_trace)
+    return result.blocks()[0] if isinstance(rng, np.random.Generator) else result
+
+
+def bdmc_gap(fwd: AisResult, rev: AisResult) -> float:
+    """Width of the sandwich: reverse upper bound minus forward lower bound."""
+    return float(-rev.log_Z_estimate - fwd.log_Z_estimate)
+
+
 def smc_run(
     path,
     schedule,
@@ -350,89 +375,21 @@ def smc_run(
     gen = np.random.default_rng(rng) if isinstance(rng, (int, np.integer)) else rng
     if path.base.exact_sampler is None:
         raise ValueError("SMC requires an exact sampler for the base")
-
     adaptive = isinstance(schedule, str)
-    if adaptive:
-        if schedule != "adaptive":
-            raise ValueError(f"unknown schedule rule {schedule!r}")
-        if not 0.0 < ess_fraction <= 1.0:
-            raise ValueError(
-                f"ess_fraction must lie in (0, 1] for an adaptive schedule, got {ess_fraction}"
-            )
-        betas = None
-    else:
-        betas = _betas_of(schedule)
-
-    z = path.base.exact_sampler(gen, particles)
-    log_w = np.full(particles, -math.log(particles))
-    log_Z = 0.0
-    ess_target = ess_fraction * particles
-    tol = _ESS_TOL_FRACTION * particles
-    beta = 0.0
-    beta_trace, ess_trace, acc_trace = [0.0], [], []
-    resamples = 0
-    step_cfg = cfg
-    step = 0
-    batch = path.log_density_of(z)
-    lp_old = batch(beta)
-    while beta < 1.0:
-        step += 1
-        if step > _MAX_STEPS:
-            raise WeightCollapseError(
-                "adaptive schedule failed to reach beta = 1",
-                {"beta_trace": np.asarray(beta_trace)},
-            )
-        if adaptive:
-            beta_next, converged = _next_beta_by_ess(
-                lambda b: _masked_increment(batch(b), lp_old), beta, ess_target, tol
-            )
-            if not converged:
-                warnings.warn(
-                    f"incremental ESS bisection did not converge at beta {beta:.6f}",
-                    RuntimeWarning,
-                )
-        else:
-            beta_next = float(betas[step])
-        state = batch.value_and_grad(beta_next)
-
-        log_w_next = _accumulate(log_w, _masked_increment(state[0], lp_old))
-        total_next = _log_sum_exp(log_w_next)
-        if total_next == -np.inf:
-            raise WeightCollapseError(
-                "all particle weights collapsed to -inf",
-                {
-                    "beta_trace": np.asarray(beta_trace + [beta_next]),
-                    "ess_trace": np.asarray(ess_trace),
-                },
-            )
-        log_Z += total_next - _log_sum_exp(log_w)
-        log_w = log_w_next - total_next
-        ess = ess_of_log_weights(log_w)
-
-        if adaptive or ess < ess_target:
-            idx = systematic_resample(log_w, gen)
-            z = z[idx]
-            state = (state[0][idx], state[1][idx])
-            log_w = np.full(particles, -math.log(particles))
-            resamples += 1
-
-        z, state, step_cfg, (acc,) = _transition(
-            path, beta_next, z, state, step_cfg, gen, adapt_steps, moves_per_step
+    if adaptive and schedule != "adaptive":
+        raise ValueError(f"unknown schedule rule {schedule!r}")
+    if adaptive and not 0.0 < ess_fraction <= 1.0:
+        raise ValueError(
+            f"ess_fraction must lie in (0, 1] for an adaptive schedule, got {ess_fraction}"
         )
-        lp_old = state[0]
-        batch = path.log_density_of(z)
-
-        beta = beta_next
-        beta_trace.append(beta)
-        ess_trace.append(ess)
-        acc_trace.append(acc)
-
+    betas = None if adaptive else _betas_of(schedule)
+    z = path.base.exact_sampler(gen, particles)
+    ess_target = ess_fraction * particles
+    resample_below = math.inf if adaptive else ess_target
+    run = _anneal(path, z, cfg, moves_per_step, gen, adapt_steps, betas, ess_target, resample_below)
+    log_w = run.log_w[0]
     diagnostics = SmcDiagnostics(
-        beta_trace=np.asarray(beta_trace),
-        ess_trace=np.asarray(ess_trace),
-        acceptance_trace=np.asarray(acc_trace),
-        resample_count=resamples,
-        positions=z,
-        log_weights=log_w,
+        run.beta_trace, run.ess_trace[0], run.acceptance_trace[0], run.resample_count,
+        run.positions, log_w - _log_sum_exp(log_w),
     )
-    return log_Z, diagnostics
+    return float(run.log_Z[0]), diagnostics

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -57,6 +58,63 @@ def piecewise_density(heights) -> UnnormalizedDensity:
         gradient=gradient,
         exact_sampler=sampler,
         known_log_normalizer=float(np.log(np.mean(h))),
+    )
+
+
+def _column(z):
+    """The coordinates of a 1-D point (1,) or batch (n, 1) as an (n,) array,
+    and whether ``z`` was a single point."""
+    z = np.asarray(z, dtype=float)
+    if z.shape[-1:] != (1,) or z.ndim > 2:
+        raise ValueError("expected a point (1,) or a batch (n, 1)")
+    return z.reshape(-1), z.ndim == 1
+
+
+def pareto(x_min: float, sigma: float, xi: float) -> UnnormalizedDensity:
+    """Normalized generalized Pareto density on [x_min, inf) (xi >= 0) or
+    [x_min, x_min - sigma/xi] (xi < 0); exponential at xi = 0.
+
+    The bounded-support density of the dead-endpoint tests: it is -inf, with
+    a nan gradient, outside its support.
+    """
+    if not sigma > 0.0:
+        raise ValueError("sigma must be positive")
+    upper = math.inf if xi >= 0.0 else x_min - sigma / xi
+
+    def log_density(z):
+        x, point = _column(z)
+        t = (x - x_min) / sigma
+        inside = (x >= x_min) & (x <= upper)
+        if xi == 0.0:
+            out = np.where(inside, -math.log(sigma) - t, -np.inf)
+        else:
+            arg = np.where(inside, 1.0 + xi * t, 1.0)
+            out = np.where(inside, -math.log(sigma) - (1.0 / xi + 1.0) * np.log(arg), -np.inf)
+        return float(out[0]) if point else out
+
+    def gradient(z):
+        x, point = _column(z)
+        inside = (x >= x_min) & (x <= upper)
+        if xi == 0.0:
+            g = np.where(inside, -1.0 / sigma, np.nan)
+        else:
+            g = np.where(inside, -(1.0 + xi) / (sigma + xi * (x - x_min)), np.nan)
+        return g if point else g[:, None]
+
+    def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
+        u = rng.random(n)
+        if xi == 0.0:
+            x = x_min - sigma * np.log1p(-u)
+        else:
+            x = x_min + sigma * np.expm1(-xi * np.log1p(-u)) / xi
+        return x[:, None]
+
+    return UnnormalizedDensity(
+        dim=1,
+        log_density=log_density,
+        gradient=gradient,
+        exact_sampler=sampler,
+        known_log_normalizer=0.0,
     )
 
 

@@ -8,7 +8,7 @@ from scipy import stats
 from scipy.integrate import quad
 from scipy.special import expit
 
-from conftest import fd_gradient, rel_err
+from conftest import fd_gradient, pareto, rel_err
 from qanneal.densities import (
     GridDensity,
     LogisticModel,
@@ -17,14 +17,10 @@ from qanneal.densities import (
     grid_from_density,
     logistic_posterior,
     logistic_prior,
-    nu_from_q,
-    pareto,
     q_from_nu,
-    q_from_xi,
     sigmoid,
     student_t,
     with_log_scale,
-    xi_from_q,
 )
 
 
@@ -164,28 +160,9 @@ class TestTailOrderConversions:
         assert q_from_nu(1.0, 1) == pytest.approx(2.0, abs=1e-15)
         assert q_from_nu(3.0, 2) == pytest.approx(1.4, abs=1e-15)
 
-    def test_round_trip(self):
-        for d in (1, 2, 5):
-            for nu in (0.5, 1.0, 3.0, 10.0):
-                assert nu_from_q(q_from_nu(nu, d), d) == pytest.approx(nu, rel=1e-12)
-
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            nu_from_q(1.0, 1)  # q must exceed 1
-        with pytest.raises(ValueError):
-            nu_from_q(3.5, 1)  # beyond (d+2)/d
-        with pytest.raises(ValueError):
             q_from_nu(-1.0, 1)
-
-    def test_pareto_frozen_values(self):
-        assert q_from_xi(0.0) == pytest.approx(1.0, abs=1e-15)
-        assert q_from_xi(1.0) == pytest.approx(1.5, abs=1e-15)
-        for xi in (-0.4, 0.0, 0.7, 2.0):
-            assert xi_from_q(q_from_xi(xi)) == pytest.approx(xi, abs=1e-12)
-        with pytest.raises(ValueError):
-            q_from_xi(-1.0)
-        with pytest.raises(ValueError):
-            xi_from_q(2.0)
 
 
 class TestPareto:

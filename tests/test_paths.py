@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import counted, fd_gradient, rel_err
+from conftest import counted, fd_gradient, pareto, rel_err
 from qanneal.deformed import exp_q, ln_q_exp, power_mean
 from qanneal.densities import (
     LogisticModel,
@@ -11,7 +11,6 @@ from qanneal.densities import (
     gaussian,
     logistic_posterior,
     logistic_prior,
-    pareto,
     student_t,
 )
 from qanneal.hmc import HmcConfig

@@ -4,15 +4,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
+from scipy.special import logsumexp, ndtr
 
-from conftest import counted, piecewise_density
-from qanneal.densities import UnnormalizedDensity, gaussian, pareto, with_log_scale
+from conftest import counted, pareto, piecewise_density
+from qanneal.densities import UnnormalizedDensity, gaussian, with_log_scale
 from qanneal.hmc import HmcConfig
 from qanneal.paths import QPath
 from qanneal.samplers import (
     AisResult,
     WeightCollapseError,
+    _anneal,
     _log_sum_exp,
     ais_forward,
     ais_reverse,
@@ -31,6 +32,28 @@ def log_z_two_problem():
     # Base N(0,1) against e^2 * N(2,1): true log(Z1/Z0) = 2.
     base = gaussian(np.array([0.0]), np.array([[1.0]]))
     target = with_log_scale(gaussian(np.array([2.0]), np.array([[1.0]])), 2.0)
+    return QPath(base, target, q=1.0)
+
+
+def truncated_path():
+    # N(0,1) toward exp(-(x-1)^2 / 2) on x > 0, whose Z is sqrt(2 pi) Phi(1);
+    # chains that start at x <= 0 die at the first step
+    base = gaussian(np.array([0.0]), np.array([[1.0]]))
+
+    def trunc_lp(z):
+        z = np.asarray(z, dtype=float)
+        batch = z if z.ndim == 2 else z[None, :]
+        x = batch[:, 0]
+        lp = np.where(x > 0.0, -0.5 * (x - 1.0) ** 2, -np.inf)
+        return lp if z.ndim == 2 else lp[0]
+
+    def trunc_grad(z):
+        z = np.asarray(z, dtype=float)
+        batch = z if z.ndim == 2 else z[None, :]
+        g = -(batch - 1.0) * (batch[:, :1] > 0.0)
+        return g if z.ndim == 2 else g[0]
+
+    target = UnnormalizedDensity(dim=1, log_density=trunc_lp, gradient=trunc_grad)
     return QPath(base, target, q=1.0)
 
 
@@ -204,29 +227,28 @@ class TestAisForward:
         assert estimates.mean() <= 2.0 + 2.0 * se
 
     def test_dead_chains_dropped_with_warning(self):
-        base = gaussian(np.array([0.0]), np.array([[1.0]]))
-
-        def trunc_lp(z):
-            z = np.asarray(z, dtype=float)
-            batch = z if z.ndim == 2 else z[None, :]
-            x = batch[:, 0]
-            lp = np.where(x > 0.0, -0.5 * (x - 1.0) ** 2, -np.inf)
-            return lp if z.ndim == 2 else lp[0]
-
-        def trunc_grad(z):
-            z = np.asarray(z, dtype=float)
-            batch = z if z.ndim == 2 else z[None, :]
-            g = -(batch - 1.0) * (batch[:, :1] > 0.0)
-            return g if z.ndim == 2 else g[0]
-
-        target = UnnormalizedDensity(dim=1, log_density=trunc_lp, gradient=trunc_grad)
-        path = QPath(base, target, q=1.0)
         with pytest.warns(RuntimeWarning, match="-inf weights"):
-            res = ais_forward(path, np.linspace(0.0, 1.0, 4), chains=50,
+            res = ais_forward(truncated_path(), np.linspace(0.0, 1.0, 4), chains=50,
                               cfg=small_cfg(), moves_per_step=1,
                               rng=np.random.default_rng(17), adapt_steps=0)
         assert 0 < res.n_dropped < 50
         assert math.isfinite(res.log_Z_estimate)
+
+    def test_dead_chains_count_as_zero_weight(self):
+        # dropping dead chains from the mean, instead of counting them as
+        # zero weights, overestimates Z here by about a factor of two
+        path, true_z = truncated_path(), math.sqrt(2.0 * math.pi) * ndtr(1.0)
+        z_hats = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for seed in range(200):
+                res = ais_forward(path, np.linspace(0.0, 1.0, 11), chains=64,
+                                  cfg=small_cfg(), moves_per_step=1,
+                                  rng=np.random.default_rng(seed), adapt_steps=0)
+                z_hats.append(math.exp(res.log_Z_estimate))
+        z_hats = np.asarray(z_hats)
+        se = z_hats.std() / math.sqrt(z_hats.size)
+        assert abs(z_hats.mean() - true_z) < 4.0 * se
 
     def test_total_collapse_raises(self):
         base = gaussian(np.array([0.0]), np.array([[1.0]]))
@@ -241,10 +263,12 @@ class TestAisForward:
             dim=1, log_density=dead_lp, gradient=lambda z: np.zeros_like(z)
         )
         path = QPath(base, target, q=1.0)
-        with pytest.raises(WeightCollapseError):
-            ais_forward(path, np.array([0.0, 1.0]), chains=10,
+        with pytest.raises(WeightCollapseError) as excinfo:
+            ais_forward(path, np.linspace(0.0, 1.0, 5), chains=10,
                         cfg=small_cfg(), moves_per_step=0,
                         rng=np.random.default_rng(19), adapt_steps=0)
+        # the first step kills every chain, and the run stops there
+        assert np.array_equal(excinfo.value.diagnostics["beta_trace"], [0.0, 0.25])
 
     def test_requires_base_sampler(self):
         base = gaussian(np.array([0.0]), np.array([[1.0]]))
@@ -352,6 +376,14 @@ class TestAisBlocks:
                         [np.random.default_rng(0), np.random.default_rng(1)])
 
 
+    def test_resampling_takes_one_generator(self):
+        g = gaussian([0.0], 1.0)
+        gens = [np.random.default_rng(0), np.random.default_rng(1)]
+        with pytest.raises(ValueError, match="single generator"):
+            _anneal(QPath(g, g, q=0.5), np.zeros((4, 1)), small_cfg(), 1, gens, 0,
+                    np.array([0.0, 1.0]), None, 2.0)
+
+
 class TestSmc:
     def test_identical_endpoints_fixed_schedule_exactly_zero(self):
         g = gaussian(np.array([1.0]), np.array([[1.5]]))
@@ -455,6 +487,24 @@ class TestSmc:
                     moves_per_step=1, cfg=small_cfg(),
                     rng=np.random.default_rng(47), adapt_steps=0)
         assert "beta_trace" in excinfo.value.diagnostics
+
+    def test_never_resampling_is_forward_ais(self):
+        # the default toy pair at q = 0.9 with default tuning: AIS is SMC
+        # with ess_fraction 0, step for step
+        base = gaussian([-4.0], 3.0)
+        target = with_log_scale(gaussian([4.0], 1.0), 2.0)
+        path = QPath(base, target, q=0.9)
+        cfg = HmcConfig(step_size=0.5, n_leapfrog=5, mass=np.ones(1))
+        grid = np.linspace(0.0, 1.0, 17)
+        for seed in range(20):
+            log_z, diag = smc_run(path, grid, particles=64, moves_per_step=1, cfg=cfg,
+                                  rng=seed, ess_fraction=0.0)
+            ais = ais_forward(path, grid, 64, cfg, 1, np.random.default_rng(seed))
+            assert diag.resample_count == 0
+            assert np.array_equal(diag.beta_trace, grid)
+            assert np.array_equal(diag.acceptance_trace, ais.acceptance_trace)
+            assert log_z == pytest.approx(ais.log_Z_estimate, abs=1e-12, rel=0.0)
+            assert np.allclose(diag.ess_trace, ais.ess_trace, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("ess_fraction", [1.5, 0.0, -0.5, math.nan])
     def test_adaptive_rejects_unreachable_ess_fraction_at_once(self, ess_fraction):
