@@ -137,8 +137,12 @@ def _hmc_core(
 
     proposal, p1, (lp1, g1) = leapfrog(positions, p0, energy, cfg, g0)
     ok = np.all(np.isfinite(proposal), axis=1) & np.all(np.isfinite(p1), axis=1)
-    lp1 = np.where(ok, lp1, -np.inf)
-    k1 = np.where(ok, _kinetic(np.where(ok[:, None], p1, 0.0), cfg.mass), np.inf)
+    if not ok.all():
+        # -inf log-density rejects a divergent trajectory whatever its
+        # kinetic energy, which a zeroed momentum keeps finite
+        lp1 = np.where(ok, lp1, -np.inf)
+        p1 = np.where(ok[:, None], p1, 0.0)
+    k1 = _kinetic(p1, cfg.mass)
 
     with np.errstate(invalid="ignore"):
         log_ratio = (lp1 - k1) - (lp0 - k0)
@@ -150,7 +154,7 @@ def _hmc_core(
     accept_prob = np.exp(np.minimum(log_ratio, 0.0))
 
     keep = accepted[:, None]
-    out = np.where(keep, np.where(ok[:, None], proposal, 0.0), positions)
+    out = np.where(keep, proposal, positions)
     state = (np.where(accepted, lp1, lp0), np.where(keep, g1, g0))
     return out, accepted, accept_prob, state
 

@@ -31,26 +31,41 @@ def _check_beta(beta: float) -> float:
     return beta
 
 
+def _deform(lp0, lp1, q):
+    """The beta-free terms of ``_blend`` off the geometric order.
+
+    Returns ``(d, x, swap, em, anchor)``: d = 1 - q, the deformed gap
+    x = d * (lp1 - lp0), the rows ``swap`` = x > 0 where the target
+    dominates in the deformed scale, em = expm1(-|x|) and the log-density of
+    the dominant endpoint, ``anchor``.  Anchoring there keeps every expm1
+    argument nonpositive.
+    """
+    d = 1.0 - q
+    x = d * (lp1 - lp0)
+    swap = x > 0.0
+    return d, x, swap, np.expm1(np.where(swap, -x, x)), np.where(swap, lp1, lp0)
+
+
+def _blend_at(terms, beta):
+    """``_blend`` at ``beta`` from the ``_deform`` terms: one log1p per element,
+    on the side each element takes."""
+    d, _, swap, em, anchor = terms
+    return anchor + np.log1p(np.where(swap, 1.0 - beta, beta) * em) / d
+
+
 def _blend(lp0, lp1, beta, q):
     """(1/(1-q)) * log((1-beta) * p0^(1-q) + beta * p1^(1-q)) in log space,
     from endpoint log-densities at an interior beta.
 
     No row may have both endpoints at -inf, nor either one on the geometric
-    order; ``QPath`` masks such rows around the call.  ``beta`` and ``q`` may
+    order; ``QPath`` masks such rows first.  ``beta`` and ``q`` may
     be arrays that broadcast against the endpoints, one value per row; an
     array ``q`` must stay off the geometric order.
     """
     if np.ndim(q) == 0 and is_geometric_order(q):
         # difference form keeps equal endpoints bit-exact at every beta
         return lp0 + beta * (lp1 - lp0)
-    d = 1.0 - q
-    x = d * (lp1 - lp0)
-    # anchor at whichever endpoint dominates in the deformed scale,
-    # so expm1 only ever sees nonpositive arguments
-    swap = x > 0.0
-    lo = np.log1p(beta * np.expm1(np.where(swap, 0.0, x)))
-    hi = np.log1p((1.0 - beta) * np.expm1(np.where(swap, -x, 0.0)))
-    return np.where(swap, lp1 + hi / d, lp0 + lo / d)
+    return _blend_at(_deform(lp0, lp1, q), beta)
 
 
 def blend_log_ratio(log_ratios, beta: float, q: float):
@@ -70,10 +85,19 @@ def blend_log_ratio(log_ratios, beta: float, q: float):
     return _blend(0.0, lr, beta, q)
 
 
+def _as_float(a, ndim: int) -> np.ndarray:
+    """``a`` as a float array of at least ``ndim`` (1 or 2) dimensions;
+    ``a`` itself when it already is a float array of exactly that many."""
+    if isinstance(a, np.ndarray) and a.dtype == np.float64 and a.ndim == ndim:
+        return a
+    a = np.asarray(a, dtype=float)
+    return np.atleast_1d(a) if ndim == 1 else np.atleast_2d(a)
+
+
 def _evaluate(density: UnnormalizedDensity, z: np.ndarray):
     """``density.value_and_grad`` of an (n, d) batch as arrays (n,), (n, d)."""
     lp, g = density.value_and_grad(z)
-    return np.atleast_1d(np.asarray(lp, dtype=float)), np.atleast_2d(np.asarray(g, dtype=float))
+    return _as_float(lp, 1), _as_float(g, 2)
 
 
 class PathBatch:
@@ -82,14 +106,17 @@ class PathBatch:
     ``batch(beta)`` is the path log-density (n,) and
     ``batch.value_and_grad(beta)`` the (logp, grad) pair.  Each endpoint is
     evaluated at most once, value and gradient in one call, when a beta
-    first needs it, and that pair then serves every beta.
+    first needs it, and that pair then serves every beta.  ``terms`` holds
+    what the path computes once per batch for every beta, such as a
+    ``QPath``'s deformed gap.
     """
 
     def __init__(self, path: "AnnealingPath", z):
         self.path = path
-        self.z = np.atleast_2d(np.asarray(z, dtype=float))
+        self.z = _as_float(z, 2)
         self._ends = [None, None]
         self._waypoint = (None, None)
+        self.terms = None
 
     def end(self, i: int):
         """Log-density (n,) and gradient (n, d) of the base (``i`` = 0) or
@@ -188,30 +215,43 @@ class QPath(AnnealingPath):
     def _geometric(self) -> bool:
         return np.ndim(self.q) == 0 and is_geometric_order(self.q)
 
+    def _terms(self, batch: PathBatch):
+        """The rows of ``batch`` where the path density vanishes (None when
+        none does) and the beta-free terms of the blend on the others, kept
+        on the batch: the endpoints on the geometric order, else
+        ``_deform``'s terms, whose deformed gap the gradient reuses."""
+        if batch.terms is None:
+            lp0, lp1 = batch.end(0)[0], batch.end(1)[0]
+            # the power mean vanishes where both endpoints do, or on the
+            # geometric order where either does
+            if self._geometric:
+                dead = (lp0 == -np.inf) | (lp1 == -np.inf)
+            else:
+                dead = (lp0 == -np.inf) & (lp1 == -np.inf)
+            if dead.any():
+                lp0, lp1 = np.where(dead, 0.0, lp0), np.where(dead, 0.0, lp1)
+            else:
+                dead = None
+            batch.terms = dead, ((lp0, lp1) if self._geometric else _deform(lp0, lp1, self.q))
+        return batch.terms
+
     def _log_density(self, batch: PathBatch, beta: float):
         if beta == 0.0 or beta == 1.0:
             return batch.end(int(beta))[0]
-        lp0, lp1 = batch.end(0)[0], batch.end(1)[0]
-        # the power mean vanishes where both endpoints do, or on the
-        # geometric order where either does
-        if self._geometric:
-            dead = (lp0 == -np.inf) | (lp1 == -np.inf)
-        else:
-            dead = (lp0 == -np.inf) & (lp1 == -np.inf)
-        out = _blend(np.where(dead, 0.0, lp0), np.where(dead, 0.0, lp1), beta, self.q)
-        return np.where(dead, -np.inf, out)
+        dead, terms = self._terms(batch)
+        out = _blend(*terms, beta, self.q) if self._geometric else _blend_at(terms, beta)
+        return out if dead is None else np.where(dead, -np.inf, out)
 
     def _gradient(self, batch: PathBatch, beta: float, live):
         if beta == 0.0 or beta == 1.0:
             return batch.end(int(beta))[1][live]
-        (lp0, g0), (lp1, g1) = batch.end(0), batch.end(1)
-        lp0, lp1, g0, g1 = lp0[live], lp1[live], g0[live], g1[live]
+        g0, g1 = batch.end(0)[1][live], batch.end(1)[1][live]
         if self._geometric:
-            w1 = np.full_like(lp0, beta)
+            w1 = np.full(g0.shape[0], beta)
         else:
-            q = self.q[live] if np.ndim(self.q) else self.q
+            _, (_, gap, *_) = self._terms(batch)
             # responsibility of the target endpoint in the power mean
-            w1 = sigmoid(math.log(beta) - math.log1p(-beta) + (1.0 - q) * (lp1 - lp0))
+            w1 = sigmoid(math.log(beta) - math.log1p(-beta) + gap[live])
         col = w1[:, None]
         return np.where(col == 1.0, g1, np.where(col == 0.0, g0, (1.0 - col) * g0 + col * g1))
 

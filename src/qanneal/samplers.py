@@ -368,11 +368,17 @@ def smc_run(
     resamples); an adaptive run needs ``ess_fraction`` in (0, 1], since the
     ESS never exceeds the particle count.  Accumulation is the log of the
     weighted mean incremental weight, so the estimate of Z is unbiased when
-    no adaptation is used.  Deterministic given an integer seed.
+    no adaptation is used.  ``rng`` is one generator or an integer seed, and
+    the run is deterministic given the seed; a sequence of generators, as AIS
+    takes, raises ``ValueError``.
     """
     if particles < 2:
         raise ValueError("particles must be at least 2")
     gen = np.random.default_rng(rng) if isinstance(rng, (int, np.integer)) else rng
+    if not isinstance(gen, np.random.Generator):
+        raise ValueError(
+            "smc_run takes a single generator or an integer seed: it resamples across all its chains"
+        )
     if path.base.exact_sampler is None:
         raise ValueError("SMC requires an exact sampler for the base")
     adaptive = isinstance(schedule, str)

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from qanneal.deformed import rho_from_log_weights
-from qanneal.paths import _blend
+from qanneal.paths import _blend_at, _deform
 from qanneal.samplers import _ess_rows
 
 
@@ -113,11 +114,12 @@ def ess_heuristic_q(
     restart runs golden-section coordinate descent on (beta, log10(1-q))
     from beta = 1, one beta search then one q search per sweep, until it
     moves less than 1e-6 or has made 50 sweeps.  All restarts run together
-    as rows of one array, evaluated in blocks of rows of at most
+    as rows of one array, and each search runs on blocks of rows of at most
     ``_LOSS_BLOCK_ELEMENTS`` floats (one row each when n exceeds it; every
-    row's loss is the same in any block).  Feasible means
-    the squared ESS error got within (5% of target)^2; ties across restarts
-    keep the earliest.
+    row's search is the same in any block).  A beta search computes the
+    blend's q-only terms once per block and then evaluates only its log1p
+    pass at each beta.  Feasible means the squared ESS error got within
+    (5% of target)^2; ties across restarts keep the earliest.
     """
     ratios = np.asarray(log_ws, dtype=float)
     if ratios.ndim != 1 or ratios.size == 0:
@@ -133,33 +135,45 @@ def ess_heuristic_q(
         # All ratios zero: every (beta, q) gives equal weights.
         return HeuristicResult(q=choice.q, beta1=1.0, loss=(n - target) ** 2, feasible=False)
 
-    evals = 0
     block = max(1, _LOSS_BLOCK_ELEMENTS // n)
+    # every restart starts at beta = 1, where the blend is the log ratio
+    # itself for every q
+    start = float(_ess_rows(ratios)) - target
+    evals = cfg.restarts
 
-    def losses(beta, u):
+    def terms_at(u):
+        return _deform(0.0, ratios, (1.0 - 10.0**u)[:, None])
+
+    def losses(terms, beta):
         nonlocal evals
         evals += beta.size
-        beta, q = beta[:, None], (1.0 - 10.0**u)[:, None]
-        err = np.empty(beta.size)
-        for lo in range(0, beta.size, block):
-            rows = slice(lo, lo + block)
-            # the blend is the log ratio itself at beta = 1, for every q
-            lw = np.where(beta[rows] == 1.0, ratios, _blend(0.0, ratios, beta[rows], q[rows]))
-            err[rows] = _ess_rows(lw) - target
+        beta = beta[:, None]
+        err = _ess_rows(np.where(beta == 1.0, ratios, _blend_at(terms, beta))) - target
         return err * err
+
+    def beta_search(u):
+        # q is fixed along the search, so its terms are computed once
+        return _golden_rows(partial(losses, terms_at(u)), _BETA_BOUNDS, u.size)
+
+    def q_search(beta):
+        return _golden_rows(lambda v: losses(terms_at(v), beta), _LOG10_DELTA_BOUNDS, beta.size)
+
+    def by_blocks(search, per_row):
+        found = [search(per_row[lo : lo + block]) for lo in range(0, per_row.size, block)]
+        return tuple(np.concatenate(parts) for parts in zip(*found))
 
     log10_rho = rng.normal(math.log10(choice.rho), cfg.log10_sd, size=cfg.restarts)
     u = np.clip(-log10_rho, *_LOG10_DELTA_BOUNDS)
     beta = np.ones(cfg.restarts)
-    best_loss = losses(beta, u)
+    best_loss = np.full(cfg.restarts, start * start)
     best_beta, best_u = beta.copy(), u.copy()
     active = np.arange(cfg.restarts)
     for _ in range(_MAX_SWEEPS):
         if active.size == 0:
             break
         u_now = u[active]
-        beta_new, _ = _golden_rows(lambda b: losses(b, u_now), _BETA_BOUNDS, active.size)
-        u_new, value = _golden_rows(lambda v: losses(beta_new, v), _LOG10_DELTA_BOUNDS, active.size)
+        beta_new, _ = by_blocks(beta_search, u_now)
+        u_new, value = by_blocks(q_search, beta_new)
         moved = np.abs(beta_new - beta[active]) + np.abs(u_new - u_now)
         beta[active], u[active] = beta_new, u_new
         better = value < best_loss[active]
@@ -169,7 +183,7 @@ def ess_heuristic_q(
         active = active[~(moved < 1e-6)]
 
     # argmin keeps the earliest restart among equal losses; q goes through
-    # the same array power as in losses(), so it reproduces the loss exactly
+    # the same array power as in terms_at(), so it reproduces the loss exactly
     k = int(np.argmin(best_loss))
     return HeuristicResult(
         q=float((1.0 - 10.0**best_u)[k]),

@@ -132,6 +132,27 @@ class TestHmcStep:
             runs.append(z)
         assert np.array_equal(runs[0], runs[1])
 
+    def test_divergent_row_leaves_the_others_bit_identical(self):
+        # a flat log-density whose gradient pushes outward: from 1.7e308 the
+        # row's position overflows on the second step while its momentum and
+        # log-density stay finite, so only the kernel's finiteness test can
+        # reject it
+        def energy(z):
+            return np.zeros(len(z)), np.where(np.isfinite(z), z, 0.0)
+
+        cfg = HmcConfig(step_size=0.3, n_leapfrog=5, mass=np.array([1.0, 2.0]))
+        z = np.random.default_rng(0).normal(size=(8, 2))
+        bad = z.copy()
+        bad[3] = 1.7e308
+        runs = [hmc_step(start, energy, cfg, np.random.default_rng(7)) for start in (z, bad)]
+        (z1, acc, (lp, g)), (bad1, bad_acc, (bad_lp, bad_g)) = runs
+        assert not bad_acc[3] and np.array_equal(bad1[3], bad[3])
+        assert bad_lp[3] == 0.0 and np.array_equal(bad_g[3], bad[3])
+        others = np.arange(8) != 3
+        assert acc[others].any() and np.all(np.isfinite(z1))
+        for got, want in ((bad1, z1), (bad_acc, acc), (bad_lp, lp), (bad_g, g)):
+            assert np.array_equal(got[others], want[others])
+
 
 class TestTuneStepSize:
     @pytest.mark.parametrize("eps0", [1e-3, 3.0])

@@ -17,6 +17,7 @@ from qanneal.hmc import HmcConfig
 from qanneal.paths import (
     MomentPath,
     QPath,
+    _blend,
     blend_log_ratio,
     gaussian_natural_params,
     moment_path_params,
@@ -181,6 +182,66 @@ class TestBlendLogRatio:
         assert np.all(np.isfinite(out))
 
 
+def two_branch_blend(lp0, lp1, beta, q):
+    """The blend off the geometric order as first written: both branches at
+    every element, and the one each element takes kept."""
+    d = 1.0 - q
+    x = d * (lp1 - lp0)
+    swap = x > 0.0
+    lo = np.log1p(beta * np.expm1(np.where(swap, 0.0, x)))
+    hi = np.log1p((1.0 - beta) * np.expm1(np.where(swap, -x, 0.0)))
+    return np.where(swap, lp1 + hi / d, lp0 + lo / d)
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestOnePassBlend:
+    """The one-pass kernel is the two-branch kernel to the last bit."""
+
+    @staticmethod
+    def endpoints(rng, n=64):
+        lp0 = rng.normal(0.0, 30.0, n) * 10.0 ** rng.integers(-12, 3, n)
+        lp1 = rng.normal(0.0, 30.0, n) * 10.0 ** rng.integers(-12, 3, n)
+        lp1[:6] = lp0[:6]  # equal endpoints
+        lp0[6], lp1[7] = -np.inf, -np.inf  # gaps of +inf and -inf
+        lp0[8:10], lp1[8:10] = (0.0, -0.0), (-0.0, 0.0)  # gaps of -0.0 and +0.0
+        return lp0, lp1
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_bit_identical_to_the_two_branch_form(self, seed):
+        rng = np.random.default_rng(seed)
+        lp0, lp1 = self.endpoints(rng)
+        n = lp0.size
+        orders = [0.0, 0.5, 1.0 - 1e-9, 1.0 + 1e-9, 1.5, 3.0,
+                  rng.choice([0.3, 0.99, 1.01, 2.0], n)]
+        betas = [1e-300, 1e-6, rng.uniform(), 0.5, 1.0 - 1e-16, rng.uniform(1e-9, 1.0, n)]
+        for q in orders:
+            for beta in betas:
+                # beta below 1e-16 rounds 1 - beta to 1, so log1p meets -1
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    got, want = _blend(lp0, lp1, beta, q), two_branch_blend(lp0, lp1, beta, q)
+                assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_heuristic_form_is_bit_identical(self, seed):
+        # the ESS heuristic's call: a zero base, one row of restarts per
+        # (beta, q), beta = 1 included
+        rng = np.random.default_rng(seed)
+        ratios = self.endpoints(rng)[1]
+        ratios[7] = -1e300
+        rows = 8
+        beta = np.append(rng.uniform(1e-6, 1.0, rows - 1), 1.0)[:, None]
+        q = (1.0 - 10.0 ** rng.uniform(-12.0, 0.0, rows))[:, None]
+        for qq in (q, 2.0 - q):
+            # at beta = 1, the ratio -1e300 takes log1p to -1
+            with np.errstate(divide="ignore"):
+                got, want = _blend(0.0, ratios, beta, qq), two_branch_blend(0.0, ratios, beta, qq)
+            assert_same_bits(got, want)
+
+
 class TestQPathGradient:
     def _pairs(self):
         rng = np.random.default_rng(12)
@@ -266,6 +327,21 @@ class TestValueAndGrad:
         live = np.isfinite(lp)
         assert np.all(g[~live] == 0.0)
         assert np.array_equal(g[live], path.gradient(zs[live], 0.5))
+
+    @pytest.mark.parametrize("q", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("beta", [1e-6, 0.3, 0.999999])
+    def test_live_rows_match_an_all_live_batch(self, q, beta):
+        # x = -2 is dead under both endpoints, x = -0.5 under the target only
+        path = QPath(pareto(-1.0, 1.0, 0.0), pareto(0.0, 2.0, 0.3), q=q)
+        live = np.array([[0.25], [1e-3], [1.7], [4.0]])
+        for dead in ([[-2.0]], [[-0.5]]):
+            zs = np.concatenate([live[:2], dead, live[2:]])
+            lp, g = path.value_and_grad(zs, beta)
+            want_lp, want_g = path.value_and_grad(live, beta)
+            keep = np.arange(len(zs)) != 2
+            assert_same_bits(lp[keep], want_lp)
+            assert_same_bits(g[keep], want_g)
+            assert_same_bits(path.log_density_of(zs)(beta)[keep], want_lp)
 
     @pytest.mark.parametrize("nu", [None, 3.0])
     def test_moment_path_matches_separate_evaluations(self, nu):

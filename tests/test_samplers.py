@@ -383,6 +383,14 @@ class TestAisBlocks:
             _anneal(QPath(g, g, q=0.5), np.zeros((4, 1)), small_cfg(), 1, gens, 0,
                     np.array([0.0, 1.0]), None, 2.0)
 
+    def test_smc_run_takes_one_generator(self):
+        g = gaussian([0.0], 1.0)
+        gens = [np.random.default_rng(0), np.random.default_rng(1)]
+        before = [gen.bit_generator.state for gen in gens]
+        with pytest.raises(ValueError, match="single generator"):
+            smc_run(QPath(g, g, q=0.5), np.linspace(0.0, 1.0, 3), 16, 1, small_cfg(), gens)
+        assert [gen.bit_generator.state for gen in gens] == before
+
 
 class TestSmc:
     def test_identical_endpoints_fixed_schedule_exactly_zero(self):
