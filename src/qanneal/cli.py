@@ -45,7 +45,7 @@ _TOY_DEFAULTS = {
     "target_log_scale": 0.0,
 }
 _STEP_SIZE = 0.5
-_LEAPFROG = 5
+_HMC = HmcConfig(step_size=_STEP_SIZE, n_leapfrog=5)
 # grid-q batches its orders into sweeps of at most this many chains, so
 # memory stays bounded at large chain counts (one order per sweep above
 # 8,192 chains); the default grids run as a single sweep
@@ -212,10 +212,6 @@ def _dataset_path(config: RunConfig):
     return QPath(base=logistic_prior(model), target=logistic_posterior(model), q=q)
 
 
-def _hmc_config(dim: int) -> HmcConfig:
-    return HmcConfig(step_size=_STEP_SIZE, n_leapfrog=_LEAPFROG, mass=np.ones(dim))
-
-
 def _given(config: RunConfig, *keys: str) -> dict:
     """The extras among ``keys`` that the run sets; a key it leaves out
     keeps the default of the function these go to."""
@@ -238,7 +234,7 @@ def _drive_smc(config: RunConfig, path) -> dict:
         schedule,
         particles=config.particles,
         moves_per_step=config.moves,
-        cfg=_hmc_config(path.base.dim),
+        cfg=_HMC,
         rng=int(config.seed),
         **_given(config, "adapt_steps"),
     )
@@ -264,7 +260,7 @@ def _ais_traces(result) -> dict:
 def _drive_ais(config: RunConfig, path) -> dict:
     rng = np.random.default_rng(config.seed)
     result = ais_forward(
-        path, linear_schedule(config.K), config.particles, _hmc_config(path.base.dim),
+        path, linear_schedule(config.K), config.particles, _HMC,
         config.moves, rng, **_given(config, "adapt_steps"),
     )
     return {
@@ -277,16 +273,17 @@ def _drive_ais(config: RunConfig, path) -> dict:
 
 def _bdmc_bodies(config: RunConfig, path, blocks: int) -> list[dict]:
     """Forward then reverse AIS of ``blocks`` blocks of chains as one sweep
-    each, every block on its own ``default_rng(seed)``: one bdmc body per
-    block, each the body a single run of that block's path gives."""
+    each, every block on the common random numbers of one
+    ``default_rng(seed)``: one bdmc body per block, each the body a single
+    run of that block's path gives."""
     chains, moves = config.particles, config.moves
-    gens = [np.random.default_rng(config.seed) for _ in range(blocks)]
-    cfg = _hmc_config(path.base.dim)
+    rng = np.random.default_rng(config.seed)
+    cfg = replace(_HMC, step_size=np.full(blocks, _STEP_SIZE))
     schedule = linear_schedule(config.K)
     adapt = _given(config, "adapt_steps")
-    fwd = ais_forward(path, schedule, chains, cfg, moves, gens, **adapt)
-    target_draws = np.concatenate([path.target.exact_sampler(g, chains) for g in gens])
-    rev = ais_reverse(path, schedule, target_draws, cfg, moves, gens, **adapt)
+    fwd = ais_forward(path, schedule, chains, cfg, moves, rng, **adapt)
+    target_draws = np.tile(path.target.exact_sampler(rng, chains), (blocks, 1))
+    rev = ais_reverse(path, schedule, target_draws, cfg, moves, rng, **adapt)
     return [
         {
             "log_Z": f.log_Z_estimate,
@@ -334,10 +331,10 @@ def _drive_grid(config: RunConfig) -> tuple[dict, list[tuple[str, RunReport]]]:
     """One bdmc sandwich per order of the grid, the orders batched into one
     sweep (several only past ``_GRID_SWEEP_CHAINS`` chains).
 
-    Every order runs on its own ``default_rng(seed)``, as a bdmc run of that
-    order would alone: common random numbers sharpen the comparison, and
-    each per-q report equals that run's apart from ``wallclock_s``, which is
-    the whole grid's.
+    Every order draws the common random numbers of one ``default_rng(seed)``,
+    as a bdmc run of that order would alone: they sharpen the comparison,
+    and each per-q report equals that run's apart from ``wallclock_s``,
+    which is the whole grid's.
     """
     start = time.perf_counter()
     qs = q_grid(*map(int, _given(config, "grid_count").values()))  # q_grid's count

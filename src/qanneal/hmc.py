@@ -1,14 +1,17 @@
 """Hamiltonian Monte Carlo on log-density energies.
 
 The kernel is vectorized over a batch of chains: positions have shape (n, d)
-and every chain draws its own momentum and accept threshold from the shared
-generator, in a fixed order, so results are reproducible given a seed.
+and every chain draws its own momentum and accept threshold from the one
+generator of the run, in a fixed order, so results are reproducible given a
+seed.
 
-A batch can also hold several independent runs side by side: pass ``rng`` as
-a sequence of generators, one per block of equal, consecutive rows.  Each
-block then draws from its own generator exactly what it would draw alone,
-and ``tune_step_size`` adapts one step size per block from that block's
-acceptance, so every block reproduces its own single run bit for bit.
+A batch can also hold several runs side by side, one per block of equal,
+consecutive rows: give ``HmcConfig.step_size`` as an array with one step per
+block.  The blocks then share one stream of common random numbers: the
+generator draws one block's momenta and thresholds and every block uses
+them, and ``tune_step_size`` adapts each block's step from that block's
+acceptance.  So every block reproduces bit for bit the run it would make
+alone on a generator in the same state.
 
 The energy is one callable, ``energy(z) -> (logp, grad)``, returning the
 log-density (n,) and its gradient (n, d) together.  The kernel calls it once
@@ -22,13 +25,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
+from numpy.random import Generator
 
 EnergyFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 State = tuple[np.ndarray, np.ndarray]
-Rng = np.random.Generator | Sequence[np.random.Generator]
 
 # the mean acceptance probability that ``tune_step_size`` steers toward
 _TARGET_ACCEPT = 0.65
@@ -36,25 +39,20 @@ _TARGET_ACCEPT = 0.65
 
 @dataclass(frozen=True)
 class HmcConfig:
-    """Leapfrog step size, trajectory length, and diagonal mass matrix.
+    """Leapfrog step size and trajectory length, with an identity metric.
 
-    ``step_size`` is one float, or an (n,) array with one step per chain of
-    the batch it is used on.
+    ``step_size`` is one float, or a (B,) array with one step per block of
+    equal, consecutive rows of the batch it is used on.
     """
 
     step_size: float | np.ndarray
     n_leapfrog: int
-    mass: np.ndarray
 
     def __post_init__(self):
         if not np.all(np.asarray(self.step_size) > 0.0):
             raise ValueError("step_size must be positive")
         if self.n_leapfrog < 1:
             raise ValueError("n_leapfrog must be at least 1")
-        mass = np.atleast_1d(np.asarray(self.mass, dtype=float))
-        if mass.ndim != 1 or np.any(mass <= 0.0) or not np.all(np.isfinite(mass)):
-            raise ValueError("mass must be a positive finite vector")
-        object.__setattr__(self, "mass", mass)
 
 
 def leapfrog(
@@ -74,40 +72,28 @@ def leapfrog(
     The update is volume preserving and time reversible: negating the returned
     momentum and integrating again retraces the trajectory.  Nonfinite
     gradients propagate into the outputs; callers detect divergence there.
-    A per-chain ``cfg.step_size`` steps each row of ``z`` by its own value.
+    A per-block ``cfg.step_size`` steps each block of rows of ``z`` by its
+    own value.
     """
     eps = cfg.step_size
     if np.ndim(eps):
-        eps = eps[:, None]
-    inv_mass = 1.0 / cfg.mass
+        eps = np.repeat(eps, z.shape[0] // eps.size)[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
         if grad0 is None:
             grad0 = energy(z)[1]
         p = momentum + 0.5 * eps * grad0
-        z = z + eps * inv_mass * p
+        z = z + eps * p
         logp, grad = energy(z)
         for _ in range(cfg.n_leapfrog - 1):
             p = p + eps * grad
-            z = z + eps * inv_mass * p
+            z = z + eps * p
             logp, grad = energy(z)
         p = p + 0.5 * eps * grad
     return z, p, (logp, grad)
 
 
-def _kinetic(p: np.ndarray, mass: np.ndarray) -> np.ndarray:
-    return 0.5 * np.sum(p * p / mass, axis=-1)
-
-
-def _generators(rng: Rng) -> list[np.random.Generator]:
-    """The block generators of ``rng``: itself alone, or each one given."""
-    return [rng] if isinstance(rng, np.random.Generator) else list(rng)
-
-
-def _draw(rng: Rng, n: int, draw) -> np.ndarray:
-    """``draw(generator, rows)`` for the n rows, each block of rows from its
-    own generator, stacked in block order."""
-    gens = _generators(rng)
-    return np.concatenate([draw(g, n // len(gens)) for g in gens])
+def _kinetic(p: np.ndarray) -> np.ndarray:
+    return 0.5 * np.sum(p * p, axis=-1)
 
 
 def _block_means(values: np.ndarray, blocks: int) -> np.ndarray:
@@ -120,7 +106,7 @@ def _hmc_core(
     positions: np.ndarray,
     energy: EnergyFn,
     cfg: HmcConfig,
-    rng: Rng,
+    rng: Generator,
     state: State,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, State]:
     """One Metropolis-corrected HMC update for a (n, d) batch whose
@@ -131,9 +117,11 @@ def _hmc_core(
     state or energy) are auto-rejected.
     """
     n, d = positions.shape
+    blocks = np.size(cfg.step_size)
     lp0, g0 = state
-    p0 = _draw(rng, n, lambda g, k: g.standard_normal((k, d))) * np.sqrt(cfg.mass)
-    k0 = _kinetic(p0, cfg.mass)
+    # one block's draws, tiled: every block shares the same random numbers
+    p0 = np.tile(rng.standard_normal((n // blocks, d)), (blocks, 1))
+    k0 = _kinetic(p0)
 
     proposal, p1, (lp1, g1) = leapfrog(positions, p0, energy, cfg, g0)
     ok = np.all(np.isfinite(proposal), axis=1) & np.all(np.isfinite(p1), axis=1)
@@ -142,14 +130,14 @@ def _hmc_core(
         # kinetic energy, which a zeroed momentum keeps finite
         lp1 = np.where(ok, lp1, -np.inf)
         p1 = np.where(ok[:, None], p1, 0.0)
-    k1 = _kinetic(p1, cfg.mass)
+    k1 = _kinetic(p1)
 
     with np.errstate(invalid="ignore"):
         log_ratio = (lp1 - k1) - (lp0 - k0)
     log_ratio = np.where(np.isnan(log_ratio), -np.inf, log_ratio)
 
     with np.errstate(divide="ignore"):
-        log_u = np.log(_draw(rng, n, lambda g, k: g.uniform(size=k)))
+        log_u = np.log(np.tile(rng.uniform(size=n // blocks), blocks))
     accepted = log_u < log_ratio
     accept_prob = np.exp(np.minimum(log_ratio, 0.0))
 
@@ -163,7 +151,7 @@ def hmc_step(
     z: np.ndarray,
     energy: EnergyFn,
     cfg: HmcConfig,
-    rng: Rng,
+    rng: Generator,
     state: State | None = None,
 ) -> tuple[np.ndarray, np.ndarray, State]:
     """Metropolis-corrected HMC transition leaving exp(log-density) invariant.
@@ -181,23 +169,11 @@ def hmc_step(
     return out, accepted, state
 
 
-def _block_steps(step_size, blocks: int, rows: int) -> list[float]:
-    """Each block's step size, from a shared or a per-chain ``step_size``."""
-    if np.ndim(step_size) == 0:
-        return [float(step_size)] * blocks
-    return [float(s) for s in step_size[:: rows // blocks]]
-
-
-def _row_steps(steps: list[float], rows: int):
-    """A shared float for one block; otherwise each block's step on its rows."""
-    return steps[0] if len(steps) == 1 else np.repeat(steps, rows // len(steps))
-
-
 def tune_step_size(
     positions: np.ndarray,
     energy: EnergyFn,
     cfg: HmcConfig,
-    rng: Rng,
+    rng: Generator,
     n_adapt: int,
     state: State | None = None,
 ) -> tuple[HmcConfig, np.ndarray, State]:
@@ -211,24 +187,27 @@ def tune_step_size(
     hands its end state to the next.  ``n_adapt = 0`` is a no-op so callers
     can disable adaptation entirely.
 
-    With ``rng`` a sequence of generators, each block of rows keeps its own
+    With a per-block ``cfg.step_size``, each block of rows keeps its own
     dual-averaging state in plain floats, fed by the mean acceptance of its
-    own rows, and the tuned config carries one step per chain.
+    own rows, and the tuned config carries one step per block.
     """
     if state is None:
         state = energy(positions)
     if n_adapt == 0:
         return cfg, positions, state
 
-    blocks, rows = len(_generators(rng)), positions.shape[0]
-    eps = _block_steps(cfg.step_size, blocks, rows)
+    def steps(values):
+        return np.array(values) if np.ndim(cfg.step_size) else values[0]
+
+    eps = [float(s) for s in np.atleast_1d(cfg.step_size)]
+    blocks = len(eps)
     mu = [math.log(10.0 * e) for e in eps]
     log_eps_bar = [math.log(e) for e in eps]
     h_bar = [0.0] * blocks
     gamma, t0, kappa = 0.05, 10.0, 0.75
     for m in range(1, n_adapt + 1):
         positions, _, accept_prob, state = _hmc_core(
-            positions, energy, replace(cfg, step_size=_row_steps(eps, rows)), rng, state
+            positions, energy, replace(cfg, step_size=steps(eps)), rng, state
         )
         rates = _block_means(accept_prob, blocks)
         eta = m**-kappa
@@ -239,5 +218,5 @@ def tune_step_size(
             log_eps_bar[b] = eta * log_eps + (1.0 - eta) * log_eps_bar[b]
             eps[b] = math.exp(log_eps)
 
-    tuned = replace(cfg, step_size=_row_steps([math.exp(x) for x in log_eps_bar], rows))
+    tuned = replace(cfg, step_size=steps([math.exp(x) for x in log_eps_bar]))
     return tuned, positions, state

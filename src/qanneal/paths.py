@@ -57,8 +57,8 @@ def _blend(lp0, lp1, beta, q):
     """(1/(1-q)) * log((1-beta) * p0^(1-q) + beta * p1^(1-q)) in log space,
     from endpoint log-densities at an interior beta.
 
-    No row may have both endpoints at -inf, nor either one on the geometric
-    order; ``QPath`` masks such rows first.  ``beta`` and ``q`` may
+    No row may have both endpoints at -inf, nor either one at q >= 1;
+    ``QPath`` masks such rows first.  ``beta`` and ``q`` may
     be arrays that broadcast against the endpoints, one value per row; an
     array ``q`` must stay off the geometric order.
     """
@@ -205,11 +205,19 @@ class QPath(AnnealingPath):
     def __post_init__(self):
         if self.base.dim != self.target.dim:
             raise ValueError("endpoint dimensions differ")
-        if np.ndim(self.q):
-            q = np.asarray(self.q, dtype=float)
+        q = self.q
+        if np.ndim(q):
+            q = np.asarray(q, dtype=float)
             if q.ndim != 1 or np.any(is_geometric_order(q)):
                 raise ValueError("an array q must be a vector off the geometric order")
             object.__setattr__(self, "q", q)
+        # the power mean vanishes where both endpoints do or, on the geometric
+        # order and above it (a soft minimum), where either does; the rule is
+        # one ufunc when every row takes the same, else the "either" rows
+        either = q > 1.0 if np.ndim(q) else is_geometric_order(q) or q > 1.0
+        if np.all(either) or not np.any(either):
+            either = np.logical_or if np.all(either) else np.logical_and
+        object.__setattr__(self, "_dead_rule", either)
 
     @property
     def _geometric(self) -> bool:
@@ -222,12 +230,11 @@ class QPath(AnnealingPath):
         ``_deform``'s terms, whose deformed gap the gradient reuses."""
         if batch.terms is None:
             lp0, lp1 = batch.end(0)[0], batch.end(1)[0]
-            # the power mean vanishes where both endpoints do, or on the
-            # geometric order where either does
-            if self._geometric:
-                dead = (lp0 == -np.inf) | (lp1 == -np.inf)
+            rule, dead0, dead1 = self._dead_rule, lp0 == -np.inf, lp1 == -np.inf
+            if callable(rule):
+                dead = rule(dead0, dead1)
             else:
-                dead = (lp0 == -np.inf) & (lp1 == -np.inf)
+                dead = np.where(rule, dead0 | dead1, dead0 & dead1)
             if dead.any():
                 lp0, lp1 = np.where(dead, 0.0, lp0), np.where(dead, 0.0, lp1)
             else:
@@ -357,12 +364,12 @@ class MomentPath(AnnealingPath):
     """Moment-averaged annealing path with Gaussian or Student-t waypoints.
 
     ``nu=None`` gives the Gaussian moment path; a finite ``nu`` gives the
-    Student-t path whose escort expectations mix linearly. Endpoint log
-    scale factors interpolate log-linearly so unnormalized targets fit.
+    Student-t path whose escort expectations mix linearly. The target's log
+    scale factor ``log_scale1`` enters log-linearly in beta, so unnormalized
+    targets fit; the base is normalized.
     """
 
-    def __init__(self, mu0, cov0, mu1, cov1, nu: float | None = None,
-                 log_scale0: float = 0.0, log_scale1: float = 0.0):
+    def __init__(self, mu0, cov0, mu1, cov1, nu: float | None = None, log_scale1: float = 0.0):
         self.mu0 = np.atleast_1d(np.asarray(mu0, dtype=float))
         self.mu1 = np.atleast_1d(np.asarray(mu1, dtype=float))
         if self.mu0.shape != self.mu1.shape:
@@ -370,13 +377,12 @@ class MomentPath(AnnealingPath):
         self.cov0 = np.asarray(cov0, dtype=float)
         self.cov1 = np.asarray(cov1, dtype=float)
         self.nu = nu
-        self.log_scale0 = float(log_scale0)
         self.log_scale1 = float(log_scale1)
         # the endpoints stay built; of the interior waypoints only the most
         # recent is kept, which serves every evaluation at a fixed beta
         self._ends = (self._build_waypoint(0.0), self._build_waypoint(1.0))
         self._waypoints: dict[float, UnnormalizedDensity] = {}
-        self.base = with_log_scale(self._ends[0], self.log_scale0)
+        self.base = self._ends[0]
         self.target = with_log_scale(self._ends[1], self.log_scale1)
 
     def _build_waypoint(self, beta: float) -> UnnormalizedDensity:
@@ -395,7 +401,7 @@ class MomentPath(AnnealingPath):
         return self._waypoints[beta]
 
     def _offset(self, beta: float) -> float:
-        return (1.0 - beta) * self.log_scale0 + beta * self.log_scale1
+        return beta * self.log_scale1
 
     def _log_density(self, batch: PathBatch, beta: float):
         return batch.waypoint(self._waypoint(beta))[0] + self._offset(beta)

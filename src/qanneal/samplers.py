@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
+from numpy.random import Generator
 
-from qanneal.hmc import HmcConfig, Rng, _block_means, _draw, _generators, hmc_step, tune_step_size
+from qanneal.hmc import HmcConfig, _block_means, hmc_step, tune_step_size
 
 
 # default dual-averaging sweeps that tune the step size at each beta
@@ -67,7 +68,7 @@ def ess_of_log_weights(log_weights) -> float:
     return float(_ess_rows(lw))
 
 
-def systematic_resample(log_weights, rng: np.random.Generator) -> np.ndarray:
+def systematic_resample(log_weights, rng: Generator) -> np.ndarray:
     """Systematic resampling indices from a single stratified uniform draw."""
     lw = np.asarray(log_weights, dtype=float)
     if not np.any(np.isfinite(lw)):
@@ -89,9 +90,9 @@ class AisResult:
     as a zero weight, which keeps the forward estimate of Z unbiased;
     ``n_dropped`` counts such chains.
 
-    A run over several blocks of chains (``rng`` a sequence of generators)
-    holds every block at once: each field but ``schedule_used`` gains a
-    leading block axis, and ``blocks()`` splits it into one result per block.
+    A run over several blocks of chains (a per-block step size) holds every
+    block at once: each field but ``schedule_used`` gains a leading block
+    axis, and ``blocks()`` splits it into one result per block.
     """
 
     log_Z_estimate: float | np.ndarray
@@ -102,7 +103,7 @@ class AisResult:
     ess_trace: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     def blocks(self) -> list["AisResult"]:
-        """One result per block; a run of a single generator is its own."""
+        """One result per block; a run of a shared step size is its own."""
         if np.ndim(self.log_Z_estimate) == 0:
             return [self]
         return [
@@ -210,17 +211,17 @@ def _anneal(
     Betas follow the grid ``betas`` in run order or, if it is None, the ESS
     bisection toward ``ess_target`` up to 1.  The chains resample when the
     carried ESS falls below ``resample_below``: never at 0 (AIS), always at
-    inf (adaptive SMC).  Weights are unnormalized, one row per generator of
-    ``rng``.  Each resampling, and the end of the run, adds their log-mean-exp
-    to log Z, so a -inf weight counts as zero.  A row of -inf weights raises
-    ``WeightCollapseError`` at that step.
+    inf (adaptive SMC).  Weights are unnormalized, one row per block of
+    chains, that is per entry of ``cfg.step_size``; every block draws from
+    the one generator ``rng``.  Each resampling, and the end of the run, adds
+    their log-mean-exp to log Z, so a -inf weight counts as zero.  A row of
+    -inf weights raises ``WeightCollapseError`` at that step.
     """
-    gen, *others = _generators(rng)
-    blocks = 1 + len(others)
+    blocks = np.size(cfg.step_size)
     if z.shape[0] % blocks:
-        raise ValueError("the chains must split into equal blocks, one per generator")
-    if others and resample_below > 0.0:
-        raise ValueError("a resampling run takes a single generator")
+        raise ValueError("the chains must split into equal blocks, one per step size")
+    if blocks > 1 and resample_below > 0.0:
+        raise ValueError("a resampling run takes one block of chains")
     n = z.shape[0] // blocks
     tol = _ESS_TOL_FRACTION * n
     log_w, log_Z = np.zeros((blocks, n)), np.zeros(blocks)
@@ -255,7 +256,7 @@ def _anneal(
         ess_trace.append(_ess_rows(log_w))
         if ess_trace[-1][0] < resample_below:
             log_Z += _log_sum_exp(log_w) - math.log(n)
-            idx = systematic_resample(log_w[0], gen)
+            idx = systematic_resample(log_w[0], rng)
             z, state, log_w = z[idx], (state[0][idx], state[1][idx]), np.zeros_like(log_w)
             resamples += 1
         energy = partial(path.value_and_grad, beta=beta)
@@ -281,7 +282,7 @@ def ais_forward(
     chains: int,
     cfg: HmcConfig,
     moves_per_step: int,
-    rng: Rng,
+    rng: Generator,
     adapt_steps: int = _ADAPT_STEPS,
 ) -> AisResult:
     """Forward AIS estimate of log(Z_target / Z_base).
@@ -290,18 +291,18 @@ def ais_forward(
     increment evaluated before the HMC moves for that step.  The log-mean-exp
     of the weights is a stochastic lower bound in expectation.
 
-    With ``rng`` a sequence of generators, ``chains`` chains run per
-    generator, each block drawing its base samples and moves from its own
-    generator, and the result holds one estimate per block.
+    With a per-block ``cfg.step_size``, ``chains`` chains run per block,
+    every block drawing the same base samples and moves from ``rng``
+    (common random numbers), and the result holds one estimate per block.
     """
     betas = _betas_of(schedule)
     if path.base.exact_sampler is None:
         raise ValueError("forward AIS requires an exact sampler for the base")
     if chains < 1:
         raise ValueError("chains must be positive")
-    z = _draw(rng, chains * len(_generators(rng)), path.base.exact_sampler)
+    z = np.tile(path.base.exact_sampler(rng, chains), (np.size(cfg.step_size), 1))
     run = _anneal(path, z, cfg, moves_per_step, rng, adapt_steps, betas, None, 0.0)
-    return _ais_result(run, betas, rng)
+    return _ais_result(run, betas, cfg)
 
 
 def ais_reverse(
@@ -310,7 +311,7 @@ def ais_reverse(
     exact_target_samples: np.ndarray,
     cfg: HmcConfig,
     moves_per_step: int,
-    rng: Rng,
+    rng: Generator,
     adapt_steps: int = _ADAPT_STEPS,
 ) -> AisResult:
     """Reverse AIS from exact target samples down the schedule.
@@ -318,8 +319,8 @@ def ais_reverse(
     The returned ``log_Z_estimate`` is the log-mean-exp of the run-direction
     weights and so estimates log(Z_base / Z_target); negating it gives the
     stochastic upper bound on log(Z_target / Z_base) that ``bdmc_gap`` pairs
-    with a forward run.  With ``rng`` a sequence of generators the samples
-    split into equal blocks, one per generator, as in ``ais_forward``.
+    with a forward run.  With a per-block ``cfg.step_size`` the samples
+    split into equal blocks, one per step, as in ``ais_forward``.
     """
     betas = _betas_of(schedule)
     z = np.asarray(exact_target_samples, dtype=float)
@@ -328,10 +329,10 @@ def ais_reverse(
     if z.shape[0] < 1:
         raise ValueError("reverse AIS requires at least one target sample")
     run = _anneal(path, z, cfg, moves_per_step, rng, adapt_steps, betas[::-1], None, 0.0)
-    return _ais_result(run, betas, rng)
+    return _ais_result(run, betas, cfg)
 
 
-def _ais_result(run: _Run, betas: np.ndarray, rng: Rng) -> AisResult:
+def _ais_result(run: _Run, betas: np.ndarray, cfg: HmcConfig) -> AisResult:
     """The AIS record of ``run``, with a warning for each block of dead chains."""
     n_dropped = np.sum(~np.isfinite(run.log_w), axis=1)
     for dropped in n_dropped[n_dropped > 0]:
@@ -341,7 +342,7 @@ def _ais_result(run: _Run, betas: np.ndarray, rng: Rng) -> AisResult:
             RuntimeWarning,
         )
     result = AisResult(run.log_Z, run.log_w, betas, run.acceptance_trace, n_dropped, run.ess_trace)
-    return result.blocks()[0] if isinstance(rng, np.random.Generator) else result
+    return result if np.ndim(cfg.step_size) else result.blocks()[0]
 
 
 def bdmc_gap(fwd: AisResult, rev: AisResult) -> float:
@@ -355,7 +356,7 @@ def smc_run(
     particles: int,
     moves_per_step: int,
     cfg: HmcConfig,
-    rng: np.random.Generator | int,
+    rng: Generator | int,
     ess_fraction: float = 0.5,
     adapt_steps: int = _ADAPT_STEPS,
 ) -> tuple[float, SmcDiagnostics]:
@@ -368,17 +369,12 @@ def smc_run(
     resamples); an adaptive run needs ``ess_fraction`` in (0, 1], since the
     ESS never exceeds the particle count.  Accumulation is the log of the
     weighted mean incremental weight, so the estimate of Z is unbiased when
-    no adaptation is used.  ``rng`` is one generator or an integer seed, and
-    the run is deterministic given the seed; a sequence of generators, as AIS
-    takes, raises ``ValueError``.
+    no adaptation is used.  ``rng`` is a generator or an integer seed, and
+    the run is deterministic given the seed.
     """
     if particles < 2:
         raise ValueError("particles must be at least 2")
-    gen = np.random.default_rng(rng) if isinstance(rng, (int, np.integer)) else rng
-    if not isinstance(gen, np.random.Generator):
-        raise ValueError(
-            "smc_run takes a single generator or an integer seed: it resamples across all its chains"
-        )
+    gen = np.random.default_rng(rng)
     if path.base.exact_sampler is None:
         raise ValueError("SMC requires an exact sampler for the base")
     adaptive = isinstance(schedule, str)

@@ -90,7 +90,7 @@ def toy_gaussian_pair():
 
 
 def small_cfg(dim=1, step=0.4, n_leapfrog=8):
-    return HmcConfig(step_size=step, n_leapfrog=n_leapfrog, mass=np.ones(dim))
+    return HmcConfig(step_size=step, n_leapfrog=n_leapfrog)
 
 
 def test_identity_suite():
@@ -352,7 +352,7 @@ def test_estimator_sanity():
         hist_path = QPath(base=piecewise_density(np.ones(4)),
                           target=piecewise_density(heights), q=1.0)
         true_z = float(np.mean(heights))
-        cfg = HmcConfig(step_size=0.25, n_leapfrog=5, mass=np.ones(1))
+        cfg = HmcConfig(step_size=0.25, n_leapfrog=5)
         z_hats = []
         for seed in range(200):
             log_z, _ = smc_run(hist_path, np.linspace(0.0, 1.0, 5), particles=64,
@@ -461,7 +461,7 @@ def test_stability_stress():
                 assert np.all(np.isfinite(ld) | (ld == -np.inf))
                 assert np.all(np.isfinite(path.gradient(grid, beta)))
 
-            cfg = HmcConfig(step_size=0.3, n_leapfrog=5, mass=np.ones(1))
+            cfg = HmcConfig(step_size=0.3, n_leapfrog=5)
             schedule = np.linspace(0.0, 1.0, 33)
             fwd = ais_forward(path, schedule, chains=16, cfg=cfg, moves_per_step=1,
                               rng=np.random.default_rng(1), adapt_steps=2)

@@ -26,20 +26,14 @@ def fused(logp, grad):
 class TestConfig:
     def test_rejects_bad_fields(self):
         with pytest.raises(ValueError):
-            HmcConfig(step_size=0.0, n_leapfrog=5, mass=np.ones(1))
+            HmcConfig(step_size=0.0, n_leapfrog=5)
         with pytest.raises(ValueError):
-            HmcConfig(step_size=0.1, n_leapfrog=0, mass=np.ones(1))
-        with pytest.raises(ValueError):
-            HmcConfig(step_size=0.1, n_leapfrog=5, mass=np.array([1.0, -1.0]))
-
-    def test_mass_coerced_to_vector(self):
-        cfg = HmcConfig(step_size=0.1, n_leapfrog=5, mass=2.0)
-        assert cfg.mass.shape == (1,)
+            HmcConfig(step_size=0.1, n_leapfrog=0)
 
 
 class TestLeapfrog:
     def test_zero_momentum_zero_gradient_is_identity(self):
-        cfg = HmcConfig(step_size=0.3, n_leapfrog=7, mass=np.ones(2))
+        cfg = HmcConfig(step_size=0.3, n_leapfrog=7)
         z = np.array([[1.5, -0.25], [0.0, 2.0]])
         p = np.zeros_like(z)
         z1, p1, _ = leapfrog(z, p, lambda x: (np.zeros(len(x)), np.zeros_like(x)), cfg)
@@ -48,7 +42,7 @@ class TestLeapfrog:
 
     def test_reversibility(self):
         rng = np.random.default_rng(0)
-        cfg = HmcConfig(step_size=0.15, n_leapfrog=25, mass=np.array([1.0, 2.0]))
+        cfg = HmcConfig(step_size=0.15, n_leapfrog=25)
         energy = fused(*standard_normal_energy())
         z0 = rng.normal(size=(6, 2))
         p0 = rng.normal(size=(6, 2))
@@ -64,7 +58,7 @@ class TestLeapfrog:
         p0 = rng.normal(size=(30, 1))
 
         def max_energy_error(eps):
-            cfg = HmcConfig(step_size=eps, n_leapfrog=int(round(2.0 / eps)), mass=np.ones(1))
+            cfg = HmcConfig(step_size=eps, n_leapfrog=int(round(2.0 / eps)))
             z1, p1, _ = leapfrog(z0, p0, fused(logp, grad), cfg)
             h0 = -logp(z0) + 0.5 * np.sum(p0**2, axis=1)
             h1 = -logp(z1) + 0.5 * np.sum(p1**2, axis=1)
@@ -81,7 +75,7 @@ class TestHmcStep:
         def logp(z):
             return np.zeros(np.asarray(z).shape[0])
 
-        cfg = HmcConfig(step_size=0.5, n_leapfrog=4, mass=np.ones(1))
+        cfg = HmcConfig(step_size=0.5, n_leapfrog=4)
         rng = np.random.default_rng(2)
         z = np.zeros((64, 1))
         z1, accepted, _ = hmc_step(z, fused(logp, lambda x: np.zeros_like(x)), cfg, rng)
@@ -93,7 +87,7 @@ class TestHmcStep:
             x = np.asarray(z)[:, 0]
             return np.where(np.abs(x) < 1.0, 0.0, -np.inf)
 
-        cfg = HmcConfig(step_size=50.0, n_leapfrog=1, mass=np.ones(1))
+        cfg = HmcConfig(step_size=50.0, n_leapfrog=1)
         rng = np.random.default_rng(3)
         z = np.zeros((16, 1))
         z1, accepted, _ = hmc_step(z, fused(logp, lambda x: np.zeros_like(x)), cfg, rng)
@@ -102,7 +96,7 @@ class TestHmcStep:
 
     def test_long_chain_moments_match_standard_normal(self):
         logp, grad = standard_normal_energy()
-        cfg = HmcConfig(step_size=0.8, n_leapfrog=8, mass=np.ones(1))
+        cfg = HmcConfig(step_size=0.8, n_leapfrog=8)
         rng = np.random.default_rng(5)
         chains = 100
         z = rng.normal(size=(chains, 1))
@@ -122,7 +116,7 @@ class TestHmcStep:
 
     def test_deterministic_given_seed(self):
         logp, grad = standard_normal_energy()
-        cfg = HmcConfig(step_size=0.4, n_leapfrog=6, mass=np.ones(2))
+        cfg = HmcConfig(step_size=0.4, n_leapfrog=6)
         runs = []
         for _ in range(2):
             rng = np.random.default_rng(99)
@@ -140,7 +134,7 @@ class TestHmcStep:
         def energy(z):
             return np.zeros(len(z)), np.where(np.isfinite(z), z, 0.0)
 
-        cfg = HmcConfig(step_size=0.3, n_leapfrog=5, mass=np.array([1.0, 2.0]))
+        cfg = HmcConfig(step_size=0.3, n_leapfrog=5)
         z = np.random.default_rng(0).normal(size=(8, 2))
         bad = z.copy()
         bad[3] = 1.7e308
@@ -158,7 +152,7 @@ class TestTuneStepSize:
     @pytest.mark.parametrize("eps0", [1e-3, 3.0])
     def test_reaches_reasonable_acceptance(self, eps0):
         logp, grad = standard_normal_energy()
-        cfg = HmcConfig(step_size=eps0, n_leapfrog=8, mass=np.ones(1))
+        cfg = HmcConfig(step_size=eps0, n_leapfrog=8)
         rng = np.random.default_rng(6)
         z = rng.normal(size=(64, 1))
         tuned, z, _ = tune_step_size(z, fused(logp, grad), cfg, rng, n_adapt=80)
@@ -170,7 +164,7 @@ class TestTuneStepSize:
 
     def test_zero_adapt_is_a_no_op(self):
         logp, grad = standard_normal_energy()
-        cfg = HmcConfig(step_size=0.2, n_leapfrog=3, mass=np.ones(1))
+        cfg = HmcConfig(step_size=0.2, n_leapfrog=3)
         rng = np.random.default_rng(7)
         z = np.zeros((4, 1))
         tuned, z_out, _ = tune_step_size(z, fused(logp, grad), cfg, rng, n_adapt=0)
@@ -179,10 +173,11 @@ class TestTuneStepSize:
 
 
 class TestBlocks:
-    """Generators given one per block: each block runs as it would alone."""
+    """A step per block on one generator: the blocks share its common random
+    numbers, and each block runs as it would alone."""
 
     CHAINS = 16
-    SEEDS = (3, 3, 8)
+    SEED = 3
     STEPS = (0.05, 2.0, 0.5)
     # a different scale per block, so the blocks tune differently
     SCALES = (1.0, 4.0, 0.25)
@@ -198,34 +193,38 @@ class TestBlocks:
         return self.gaussian_energy(self.SCALES[b])
 
     def start(self):
-        return np.random.default_rng(0).normal(size=(len(self.SEEDS) * self.CHAINS, 1))
+        return np.random.default_rng(0).normal(size=(len(self.STEPS) * self.CHAINS, 1))
 
     def test_tune_step_size_gives_each_block_its_serial_step(self):
         z = self.start()
-        cfg = HmcConfig(step_size=np.repeat(self.STEPS, self.CHAINS), n_leapfrog=4, mass=np.ones(1))
-        gens = [np.random.default_rng(seed) for seed in self.SEEDS]
-        tuned, z_out, (lp, g) = tune_step_size(z, self.energy(), cfg, gens, n_adapt=25)
-        for b, (seed, step) in enumerate(zip(self.SEEDS, self.STEPS)):
+        cfg = HmcConfig(step_size=np.array(self.STEPS), n_leapfrog=4)
+        rng = np.random.default_rng(self.SEED)
+        tuned, z_out, (lp, g) = tune_step_size(z, self.energy(), cfg, rng, n_adapt=25)
+        for b, step in enumerate(self.STEPS):
             rows = slice(b * self.CHAINS, (b + 1) * self.CHAINS)
             alone, z_b, (lp_b, g_b) = tune_step_size(
                 z[rows], self.block_energy(b), replace(cfg, step_size=step),
-                np.random.default_rng(seed), n_adapt=25,
+                np.random.default_rng(self.SEED), n_adapt=25,
             )
-            assert np.all(tuned.step_size[rows] == alone.step_size)
+            assert tuned.step_size[b] == alone.step_size
             assert np.array_equal(z_out[rows], z_b)
             assert np.array_equal(lp[rows], lp_b) and np.array_equal(g[rows], g_b)
-        assert len(set(tuned.step_size)) == len(self.SEEDS)
+        assert tuned.step_size.shape == (len(self.STEPS),)
+        assert len(set(tuned.step_size)) == len(self.STEPS)
 
-    def test_hmc_step_draws_each_block_from_its_own_generator(self):
+    def test_hmc_step_blocks_share_one_stream(self):
         z = self.start()
-        cfg = HmcConfig(step_size=np.repeat(self.STEPS, self.CHAINS), n_leapfrog=3, mass=np.ones(1))
-        z_out, accepted, _ = hmc_step(z, self.energy(), cfg, [np.random.default_rng(s) for s in self.SEEDS])
-        for b, (seed, step) in enumerate(zip(self.SEEDS, self.STEPS)):
+        cfg = HmcConfig(step_size=np.array(self.STEPS), n_leapfrog=3)
+        rng = np.random.default_rng(self.SEED)
+        z_out, accepted, _ = hmc_step(z, self.energy(), cfg, rng)
+        for b, step in enumerate(self.STEPS):
             rows = slice(b * self.CHAINS, (b + 1) * self.CHAINS)
-            z_b, acc_b, _ = hmc_step(z[rows], self.block_energy(b), replace(cfg, step_size=step),
-                                     np.random.default_rng(seed))
+            alone = np.random.default_rng(self.SEED)
+            z_b, acc_b, _ = hmc_step(z[rows], self.block_energy(b), replace(cfg, step_size=step), alone)
             assert np.array_equal(z_out[rows], z_b)
             assert np.array_equal(accepted[rows], acc_b)
+            # the blocks drew one block's numbers, not one set per block
+            assert alone.bit_generator.state == rng.bit_generator.state
 
 
 class CountingDensity:
@@ -263,7 +262,7 @@ class TestEnergyContract:
         state = energy(z)
         for counter in (base, target):
             counter.calls.clear()
-        cfg = HmcConfig(step_size=2.5, n_leapfrog=self.L, mass=np.ones(1))
+        cfg = HmcConfig(step_size=2.5, n_leapfrog=self.L)
         return path, (base, target), z, energy, state, cfg, rng
 
     def assert_calls(self, counters, z, expected):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -148,6 +149,31 @@ class TestQPathLogDensity:
                 path.log_density(np.array([0.0]), beta)
         with pytest.raises(ValueError):
             blend_log_ratio(np.zeros(3), 1.2, 0.5)
+
+
+class TestDeadRowsAtTinyBeta:
+    """A row whose target is -inf is dead for q > 1 at every interior beta,
+    including betas where 1 - beta rounds to 1."""
+
+    # x = -1 is dead under the target only
+    ZS = np.array([[-1.0], [-1.0], [0.5], [1.5]])
+
+    @pytest.mark.parametrize("q", [1.5, 2.0, np.array([0.5, 2.0, 0.5, 2.0])], ids=["1.5", "2", "array"])
+    @pytest.mark.parametrize("beta", [1e-300, 1e-17, 0.3])
+    def test_dead_rows_read_minus_inf(self, q, beta):
+        base, target = gaussian([0.0], 1.0), pareto(0.0, 1.0, 0.0)
+        path = QPath(base, target, q=q)
+        row_qs = np.broadcast_to(q, len(self.ZS))
+        dead = (row_qs > 1.0) & (self.ZS[:, 0] < 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [path.log_density(self.ZS, beta), path.value_and_grad(self.ZS, beta)[0],
+                   path.log_density_of(self.ZS)(beta)]
+            want = [QPath(base, target, q=float(qi)).log_density(z, beta)
+                    for qi, z in zip(row_qs[~dead], self.ZS[~dead])]
+        for lp in got:
+            assert np.all(lp[dead] == -np.inf)
+            assert_same_bits(lp[~dead], np.array(want))
 
 
 class TestBlendLogRatio:
@@ -502,7 +528,7 @@ class TestMomentPath:
     @pytest.mark.parametrize("nu", [None, 3.0])
     def test_waypoint_cache_stays_bounded(self, nu):
         path = MomentPath([-4.0], 3.0, [4.0], 1.0, nu=nu)
-        cfg = HmcConfig(step_size=0.5, n_leapfrog=5, mass=np.ones(1))
+        cfg = HmcConfig(step_size=0.5, n_leapfrog=5)
         _, diag = smc_run(path, "adaptive", particles=64, moves_per_step=1, cfg=cfg,
                           rng=3, ess_fraction=0.9, adapt_steps=2)
         assert len(diag.beta_trace) > 10

@@ -24,8 +24,8 @@ from qanneal.samplers import (
 )
 
 
-def small_cfg(dim=1, step=0.4, n_leapfrog=8):
-    return HmcConfig(step_size=step, n_leapfrog=n_leapfrog, mass=np.ones(dim))
+def small_cfg(step=0.4, n_leapfrog=8):
+    return HmcConfig(step_size=step, n_leapfrog=n_leapfrog)
 
 
 def log_z_two_problem():
@@ -332,10 +332,12 @@ class TestAisReverseAndGap:
 
 
 class TestAisBlocks:
-    """Chains in blocks, one generator each: every block is its serial run."""
+    """Chains in blocks, one step size each, on one generator: every block
+    is its serial run on a generator of the same seed."""
 
     QS = (1.5, 0.5, 2.0)
-    SEEDS = (4, 4, 9)
+    STEPS = (0.4, 0.25, 0.6)
+    SEED = 4
     CHAINS = 24
 
     def assert_same(self, got: AisResult, want: AisResult):
@@ -346,50 +348,60 @@ class TestAisBlocks:
         assert np.array_equal(got.acceptance_trace, want.acceptance_trace, equal_nan=True)
         assert np.array_equal(got.ess_trace, want.ess_trace, equal_nan=True)
 
+    def sandwich(self, path, target, cfg, rng, adapt_steps):
+        """Forward AIS, then reverse AIS from target draws, each block's
+        draws the same: what ``grid-q`` runs."""
+        schedule, blocks = np.linspace(0.0, 1.0, 5), np.size(cfg.step_size)
+        fwd = ais_forward(path, schedule, self.CHAINS, cfg, 2, rng, adapt_steps=adapt_steps)
+        draws = np.tile(target.exact_sampler(rng, self.CHAINS), (blocks, 1))
+        rev = ais_reverse(path, schedule, draws, cfg, 2, rng, adapt_steps=adapt_steps)
+        return fwd, rev
+
     @pytest.mark.parametrize("adapt_steps", [0, 3])
     def test_forward_and_reverse_blocks_are_their_serial_runs(self, adapt_steps):
         # the target lives on x >= 0, so chains of the q > 1 blocks drop out
         base, target = gaussian([0.0], 1.0), pareto(0.0, 1.0, 0.0)
         path = QPath(base, target, q=np.repeat(self.QS, self.CHAINS))
-        schedule, cfg = np.linspace(0.0, 1.0, 5), small_cfg()
-        gens = [np.random.default_rng(seed) for seed in self.SEEDS]
+        cfg = replace(small_cfg(), step_size=np.array(self.STEPS))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            fwd = ais_forward(path, schedule, self.CHAINS, cfg, 2, gens, adapt_steps=adapt_steps)
-            draws = np.concatenate([target.exact_sampler(g, self.CHAINS) for g in gens])
-            rev = ais_reverse(path, schedule, draws, cfg, 2, gens, adapt_steps=adapt_steps)
-            for b, (q, seed) in enumerate(zip(self.QS, self.SEEDS)):
-                alone = QPath(base, target, q=q)
-                rng = np.random.default_rng(seed)
-                want_fwd = ais_forward(alone, schedule, self.CHAINS, cfg, 2, rng, adapt_steps=adapt_steps)
-                want_rev = ais_reverse(alone, schedule, target.exact_sampler(rng, self.CHAINS),
-                                       cfg, 2, rng, adapt_steps=adapt_steps)
+            fwd, rev = self.sandwich(path, target, cfg, np.random.default_rng(self.SEED), adapt_steps)
+            for b, (q, step) in enumerate(zip(self.QS, self.STEPS)):
+                want_fwd, want_rev = self.sandwich(
+                    QPath(base, target, q=q), target, replace(cfg, step_size=step),
+                    np.random.default_rng(self.SEED), adapt_steps,
+                )
                 self.assert_same(fwd.blocks()[b], want_fwd)
                 self.assert_same(rev.blocks()[b], want_rev)
         assert fwd.log_Z_estimate.shape == (3,)
         assert fwd.n_dropped[0] > 0
 
+    def test_blocks_draw_one_stream_once(self):
+        # the whole sandwich leaves the generator where one serial block does
+        base, target = gaussian([0.0], 1.0), gaussian([1.0], 0.5)
+        path = QPath(base, target, q=np.repeat(self.QS, self.CHAINS))
+        cfg = replace(small_cfg(), step_size=np.array(self.STEPS))
+        rng, alone = np.random.default_rng(self.SEED), np.random.default_rng(self.SEED)
+        self.sandwich(path, target, cfg, rng, 3)
+        self.sandwich(QPath(base, target, q=self.QS[0]), target, replace(cfg, step_size=self.STEPS[0]),
+                      alone, 3)
+        assert rng.bit_generator.state == alone.bit_generator.state
+        assert rng.bit_generator.state != np.random.default_rng(self.SEED).bit_generator.state
+
     def test_chains_must_split_into_the_blocks(self):
         g = gaussian([0.0], 1.0)
+        cfg = replace(small_cfg(), step_size=np.array([0.4, 0.4]))
         with pytest.raises(ValueError, match="equal blocks"):
-            ais_reverse(QPath(g, g, q=0.5), [0.0, 1.0], np.zeros((5, 1)), small_cfg(), 1,
-                        [np.random.default_rng(0), np.random.default_rng(1)])
-
+            ais_reverse(QPath(g, g, q=0.5), [0.0, 1.0], np.zeros((5, 1)), cfg, 1,
+                        np.random.default_rng(0))
 
     def test_resampling_takes_one_generator(self):
+        # one generator and one block: resampling across blocks is undefined
         g = gaussian([0.0], 1.0)
-        gens = [np.random.default_rng(0), np.random.default_rng(1)]
-        with pytest.raises(ValueError, match="single generator"):
-            _anneal(QPath(g, g, q=0.5), np.zeros((4, 1)), small_cfg(), 1, gens, 0,
+        cfg = replace(small_cfg(), step_size=np.array([0.4, 0.4]))
+        with pytest.raises(ValueError, match="one block"):
+            _anneal(QPath(g, g, q=0.5), np.zeros((4, 1)), cfg, 1, np.random.default_rng(0), 0,
                     np.array([0.0, 1.0]), None, 2.0)
-
-    def test_smc_run_takes_one_generator(self):
-        g = gaussian([0.0], 1.0)
-        gens = [np.random.default_rng(0), np.random.default_rng(1)]
-        before = [gen.bit_generator.state for gen in gens]
-        with pytest.raises(ValueError, match="single generator"):
-            smc_run(QPath(g, g, q=0.5), np.linspace(0.0, 1.0, 3), 16, 1, small_cfg(), gens)
-        assert [gen.bit_generator.state for gen in gens] == before
 
 
 class TestSmc:
@@ -466,7 +478,7 @@ class TestSmc:
         target = piecewise_density(heights)
         path = QPath(base, target, q=1.0)
         true_z = float(np.mean(heights))
-        cfg = HmcConfig(step_size=0.25, n_leapfrog=5, mass=np.ones(1))
+        cfg = HmcConfig(step_size=0.25, n_leapfrog=5)
         z_hats = []
         for seed in range(60):
             log_z, _ = smc_run(path, np.linspace(0.0, 1.0, 5), particles=64,
@@ -502,7 +514,7 @@ class TestSmc:
         base = gaussian([-4.0], 3.0)
         target = with_log_scale(gaussian([4.0], 1.0), 2.0)
         path = QPath(base, target, q=0.9)
-        cfg = HmcConfig(step_size=0.5, n_leapfrog=5, mass=np.ones(1))
+        cfg = HmcConfig(step_size=0.5, n_leapfrog=5)
         grid = np.linspace(0.0, 1.0, 17)
         for seed in range(20):
             log_z, diag = smc_run(path, grid, particles=64, moves_per_step=1, cfg=cfg,

@@ -43,7 +43,7 @@ class TestSchedule:
         base = gaussian(mean=[0.5], cov=[[1.0]])
         with pytest.raises(ValueError, match="schedule"):
             smc_run(QPath(base, base, q=0.5), betas, particles=4, moves_per_step=0,
-                    cfg=HmcConfig(step_size=0.3, n_leapfrog=1, mass=[1.0]), rng=0)
+                    cfg=HmcConfig(step_size=0.3, n_leapfrog=1), rng=0)
 
 
 class TestLinearSchedule:
@@ -68,7 +68,7 @@ class TestLinearSchedule:
             schedule=linear_schedule(3),
             particles=16,
             moves_per_step=1,
-            cfg=HmcConfig(step_size=0.3, n_leapfrog=3, mass=[1.0]),
+            cfg=HmcConfig(step_size=0.3, n_leapfrog=3),
             rng=7,
             adapt_steps=0,
         )

@@ -1,4 +1,4 @@
-"""Seeded answers of four quick CLI runs, pinned to a committed fixture.
+"""Seeded answers of eight quick CLI runs, pinned to a committed fixture.
 
 Any change that moves one of these numbers fails here, so drift in the
 answers shows in the suite rather than in diffs made by hand.  A change that
@@ -30,6 +30,11 @@ RUNS = {
                "--target-log-scale", "2"],
     "smc": ["smc", "--schedule", "adaptive", "--dataset", "{csv}"],
     "heuristic-q": ["heuristic-q", "--restarts", "20", "--seed", "3"],
+    "ais": ["ais", "--k", "8", "--chains", "32", "--adapt-steps", "3"],
+    "moment": ["anneal-toy", "--path-kind", "moment", "--k", "8", "--target-log-scale", "1.5"],
+    "escort": ["anneal-toy", "--path-kind", "escort", "--nu", "3", "--schedule", "adaptive",
+               "--mu0", "-2", "--var1", "2"],
+    "grid-q-one": ["grid-q", "--k", "4", "--grid-count", "1"],
 }
 FIELDS = ("log_Z", "beta_trace", "ess_trace", "acceptance_trace")
 EXTRAS = ("upper_bound", "bdmc_gaps", "q", "beta1", "loss", "loss_evals")
