@@ -31,10 +31,12 @@ class UnnormalizedDensity:
     known_log_normalizer : float or None
         log of the integral of the unnormalized density, when analytic.
     fused : callable or None
-        ``z -> (log_density(z), gradient(z))`` in one pass, for a density
-        whose two outputs share work; bit for bit what the two give apart.
-        A ``replace`` that swaps ``log_density`` or ``gradient`` must swap
-        or clear it too.
+        ``z -> (log_density(z), gradient(z))`` in one call.  Each built-in
+        density is one batch kernel behind ``fused``, and its
+        ``log_density`` and ``gradient`` are the two projections of that
+        call.  A density built from separate callables leaves it None, and
+        ``value_and_grad`` then calls the two.  A ``replace`` that swaps
+        ``log_density`` or ``gradient`` must swap or clear it too.
     """
 
     dim: int
@@ -58,7 +60,6 @@ def with_log_scale(density: UnnormalizedDensity, log_c: float) -> UnnormalizedDe
     The normalized shape (and therefore the sampler) is unchanged; the known
     normalizer shifts by ``log_c``.
     """
-    base_logp = density.log_density
     known = density.known_log_normalizer
 
     def fused(z):
@@ -67,34 +68,40 @@ def with_log_scale(density: UnnormalizedDensity, log_c: float) -> UnnormalizedDe
 
     return replace(
         density,
-        log_density=lambda z: base_logp(z) + log_c,
         known_log_normalizer=None if known is None else known + log_c,
-        fused=fused,
+        **_projections(fused),
     )
 
 
-def _as_batch(z, dim: int):
-    z = np.asarray(z, dtype=float)
-    if z.ndim == 1:
-        if z.shape[0] != dim:
-            raise ValueError(f"point has dimension {z.shape[0]}, expected {dim}")
-        return z[None, :], True
-    if z.ndim != 2 or z.shape[1] != dim:
-        raise ValueError(f"batch must have shape (n, {dim})")
-    return z, False
+def _projections(fused):
+    """The ``fused``, ``log_density`` and ``gradient`` fields of one fused
+    callable: the other two are its projections."""
+    return {"fused": fused, "log_density": lambda z: fused(z)[0], "gradient": lambda z: fused(z)[1]}
 
 
-def _finite_batch(z, dim: int):
-    """``_as_batch`` for densities defined on all of R^d, which reject a
-    nan or inf coordinate instead of giving it a density."""
-    zb, squeeze = _as_batch(z, dim)
-    if not np.all(np.isfinite(zb)):
-        raise ValueError("points must be finite")
-    return zb, squeeze
+def _from_kernel(d: int, kernel, finite: bool = True):
+    """``_projections`` of a batch-only kernel ``zb -> (logp (n,), grad (n, d))``.
 
+    The fused call checks the shape, rejects a nan or inf coordinate when
+    ``finite`` (a density on all of R^d gives it no density), and turns a
+    (d,) point into a float and a (d,) gradient.
+    """
 
-def _maybe_scalar(values: np.ndarray, squeeze: bool):
-    return float(values[0]) if squeeze else values
+    def fused(z):
+        zb = np.asarray(z, dtype=float)
+        point = zb.ndim == 1
+        if point:
+            if zb.shape[0] != d:
+                raise ValueError(f"point has dimension {zb.shape[0]}, expected {d}")
+            zb = zb[None, :]
+        elif zb.ndim != 2 or zb.shape[1] != d:
+            raise ValueError(f"batch must have shape (n, {d})")
+        if finite and not np.all(np.isfinite(zb)):
+            raise ValueError("points must be finite")
+        lp, g = kernel(zb)
+        return (float(lp[0]), g[0]) if point else (lp, g)
+
+    return _projections(fused)
 
 
 def sigmoid(x):
@@ -102,33 +109,6 @@ def sigmoid(x):
     where exp(-x) overflows to inf, and exactly 1 above about 37."""
     with np.errstate(over="ignore"):
         return 1.0 / (1.0 + np.exp(-x))
-
-
-def _whitened(d: int, mean, inv_chol, value_of, grad_of):
-    """``log_density``, ``gradient`` and ``fused`` of a density on R^d that
-    depends on z through ``white = (z - mean) @ inv_chol.T`` alone:
-    ``value_of(white)`` is the log-density (n,) and ``grad_of(white)`` the
-    gradient (n, d).  The fused call checks and whitens once for both."""
-
-    def white_of(z):
-        zb, squeeze = _finite_batch(z, d)
-        return (zb - mean) @ inv_chol.T, squeeze
-
-    def log_density(z):
-        white, squeeze = white_of(z)
-        return _maybe_scalar(value_of(white), squeeze)
-
-    def gradient(z):
-        white, squeeze = white_of(z)
-        g = grad_of(white)
-        return g[0] if squeeze else g
-
-    def fused(z):
-        white, squeeze = white_of(z)
-        g = grad_of(white)
-        return _maybe_scalar(value_of(white), squeeze), g[0] if squeeze else g
-
-    return log_density, gradient, fused
 
 
 def gaussian(mean, cov) -> UnnormalizedDensity:
@@ -150,24 +130,15 @@ def gaussian(mean, cov) -> UnnormalizedDensity:
     inv_chol = np.linalg.inv(chol)
     log_norm = -0.5 * d * math.log(2.0 * math.pi) - np.sum(np.log(np.diag(chol)))
 
-    log_density, gradient, fused = _whitened(
-        d,
-        mean,
-        inv_chol,
-        lambda white: log_norm - 0.5 * np.sum(white**2, axis=1),
-        lambda white: -white @ inv_chol,
-    )
+    def kernel(zb):
+        white = (zb - mean) @ inv_chol.T
+        return log_norm - 0.5 * np.sum(white**2, axis=1), -white @ inv_chol
 
     def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
         return mean + rng.standard_normal((n, d)) @ chol.T
 
     return UnnormalizedDensity(
-        dim=d,
-        log_density=log_density,
-        gradient=gradient,
-        exact_sampler=sampler,
-        known_log_normalizer=0.0,
-        fused=fused,
+        dim=d, exact_sampler=sampler, known_log_normalizer=0.0, **_from_kernel(d, kernel)
     )
 
 
@@ -196,14 +167,11 @@ def student_t(mean, scale, nu: float) -> UnnormalizedDensity:
         - np.sum(np.log(np.diag(chol)))
     )
 
-    def value_of(white):
-        return log_norm - 0.5 * (nu + d) * np.log1p(np.sum(white**2, axis=1) / nu)
-
-    def grad_of(white):
+    def kernel(zb):
+        white = (zb - mean) @ inv_chol.T
         m = np.sum(white**2, axis=1)
-        return -(nu + d) * (white @ inv_chol) / (nu + m)[:, None]
-
-    log_density, gradient, fused = _whitened(d, mean, inv_chol, value_of, grad_of)
+        lp = log_norm - 0.5 * (nu + d) * np.log1p(m / nu)
+        return lp, -(nu + d) * (white @ inv_chol) / (nu + m)[:, None]
 
     def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
         g = rng.standard_normal((n, d)) @ chol.T
@@ -211,12 +179,7 @@ def student_t(mean, scale, nu: float) -> UnnormalizedDensity:
         return mean + g * np.sqrt(nu / u)[:, None]
 
     return UnnormalizedDensity(
-        dim=d,
-        log_density=log_density,
-        gradient=gradient,
-        exact_sampler=sampler,
-        known_log_normalizer=0.0,
-        fused=fused,
+        dim=d, exact_sampler=sampler, known_log_normalizer=0.0, **_from_kernel(d, kernel)
     )
 
 
@@ -273,59 +236,34 @@ def logistic_posterior(model: LogisticModel) -> UnnormalizedDensity:
     sign = 1.0 - 2.0 * y
     workspace = np.empty((2, 0, y.size))
 
-    def logits(wb):
-        """t = w @ X.T in the first buffer; the second is spare."""
+    def kernel(wb):
         nonlocal workspace
         if workspace.shape[1] != wb.shape[0]:
             workspace = np.empty((2, wb.shape[0], y.size))
-        t, spare = workspace
+        t, u = workspace
         np.matmul(wb, X_T, out=t)
-        return t, spare
-
-    def log_density_of(wb, u, spare):
-        """Log-density from u = sign * t, overwriting u and spare."""
-        # softplus(u) = max(u, 0) + log1p(exp(-|u|)), stable on both tails
-        np.abs(u, out=spare)
-        np.negative(spare, out=spare)
-        np.exp(spare, out=spare)
-        np.log1p(spare, out=spare)
-        np.maximum(u, 0.0, out=u)
-        u += spare
-        loglik = -np.sum(u, axis=1)
-        log_prior = log_prior_norm - 0.5 * np.sum(wb**2, axis=1) / var
-        return log_prior + loglik
-
-    def gradient_of(wb, t):
-        """Gradient from the logits t, overwriting t with y - sigmoid(t)."""
-        # sigmoid(t) = 1 / (1 + exp(-t)), exactly 0 where exp(-t) overflows
+        np.multiply(t, sign, out=u)
+        # gradient: t becomes y - sigmoid(t), with sigmoid(t) = 1 / (1 + exp(-t))
+        # exactly 0 where exp(-t) overflows
         np.negative(t, out=t)
         with np.errstate(over="ignore"):
             np.exp(t, out=t)
         t += 1.0
         np.divide(1.0, t, out=t)
         np.subtract(y, t, out=t)
-        return -wb / var + t @ X
+        g = -wb / var + t @ X
+        # softplus(u) = max(u, 0) + log1p(exp(-|u|)) in u, stable on both
+        # tails, with t as scratch
+        np.abs(u, out=t)
+        np.negative(t, out=t)
+        np.exp(t, out=t)
+        np.log1p(t, out=t)
+        np.maximum(u, 0.0, out=u)
+        u += t
+        log_prior = log_prior_norm - 0.5 * np.sum(wb**2, axis=1) / var
+        return log_prior - np.sum(u, axis=1), g
 
-    def log_density(w):
-        wb, squeeze = _as_batch(w, d)
-        t, spare = logits(wb)
-        np.multiply(t, sign, out=t)
-        return _maybe_scalar(log_density_of(wb, t, spare), squeeze)
-
-    def gradient(w):
-        wb, squeeze = _as_batch(w, d)
-        g = gradient_of(wb, logits(wb)[0])
-        return g[0] if squeeze else g
-
-    def fused(w):
-        wb, squeeze = _as_batch(w, d)
-        t, u = logits(wb)
-        np.multiply(t, sign, out=u)
-        g = gradient_of(wb, t)
-        lp = log_density_of(wb, u, t)
-        return _maybe_scalar(lp, squeeze), g[0] if squeeze else g
-
-    return UnnormalizedDensity(dim=d, log_density=log_density, gradient=gradient, fused=fused)
+    return UnnormalizedDensity(dim=d, **_from_kernel(d, kernel, finite=False))
 
 
 @dataclass(frozen=True)

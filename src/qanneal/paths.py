@@ -49,7 +49,11 @@ def _deform(lp0, lp1, q):
 def _blend_at(terms, beta):
     """``_blend`` at ``beta`` from the ``_deform`` terms: one log1p per element,
     on the side each element takes."""
-    d, _, swap, em, anchor = terms
+    d, x, swap, em, anchor = terms
+    if isinstance(beta, float) and 0.0 < beta and 1.0 - beta == 1.0:
+        # 1 - beta rounds to 1, so log1p((1 - beta) * em) would drop beta:
+        # the target side takes log(exp(-x) + beta) instead
+        return anchor + np.where(swap, np.logaddexp(math.log(beta), -x), np.log1p(beta * em)) / d
     return anchor + np.log1p(np.where(swap, 1.0 - beta, beta) * em) / d
 
 

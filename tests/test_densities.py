@@ -125,20 +125,45 @@ class TestStudentT:
         assert abs(draws.var() - true_var) < 4.0 * se_var
 
 
+_COV2 = [[2.0, 0.3], [0.3, 1.0]]
+
+# name -> one of each built-in density, in two dimensions
+_BUILT_INS = {
+    "gaussian": lambda: gaussian([0.0, 1.0], _COV2),
+    "student_t": lambda: student_t([0.0, 1.0], _COV2, nu=3.0),
+    "logistic_posterior": lambda: logistic_posterior(_logistic_model(n=30, d=2)),
+}
+
+
+def _built_in(name):
+    """``_BUILT_INS[name]``, or ``with_log_scale`` of it for a "log_scaled_" name."""
+    base = name.removeprefix("log_scaled_")
+    den = _BUILT_INS[base]()
+    return den if base == name else with_log_scale(den, 1.5)
+
+
+def _entry_points(den):
+    return den.log_density, den.gradient, den.value_and_grad
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize(
-    "den",
-    [gaussian([0.0, 1.0], [[2.0, 0.3], [0.3, 1.0]]), student_t([0.0, 1.0], [[2.0, 0.3], [0.3, 1.0]], nu=3.0)],
-    ids=["gaussian", "student_t"],
-)
-def test_non_finite_point_is_rejected(den, bad):
+@pytest.mark.parametrize("name", ["gaussian", "student_t", "log_scaled_gaussian", "log_scaled_student_t"])
+def test_non_finite_point_is_rejected(name, bad):
     zs = np.zeros((3, 2))
     zs[1, 0] = bad
-    for fn in (den.log_density, den.gradient):
+    for fn in _entry_points(_built_in(name)):
         with pytest.raises(ValueError):
             fn(zs)
         with pytest.raises(ValueError):
             fn(zs[1])
+
+
+@pytest.mark.parametrize("shape", [(3,), (4, 3), (2, 4, 2)], ids=["point", "batch", "3d"])
+@pytest.mark.parametrize("name", sorted([*_BUILT_INS, *("log_scaled_" + n for n in _BUILT_INS)]))
+def test_wrong_shape_is_rejected(name, shape):
+    for fn in _entry_points(_built_in(name)):
+        with pytest.raises(ValueError):
+            fn(np.zeros(shape))
 
 
 class TestSigmoid:
@@ -303,6 +328,10 @@ _ENERGIES = {
     ),
     "separate_only_gaussian": (
         lambda: _separate_only(gaussian([0.5, -1.0, 2.0], _FULL_COV)),
+        lambda rng, n: rng.standard_normal((n, 3)) * 2.0,
+    ),
+    "log_scaled_separate_only_gaussian": (
+        lambda: with_log_scale(_separate_only(gaussian([0.5, -1.0, 2.0], _FULL_COV)), -1.25),
         lambda rng, n: rng.standard_normal((n, 3)) * 2.0,
     ),
 }

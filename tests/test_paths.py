@@ -175,6 +175,17 @@ class TestDeadRowsAtTinyBeta:
             assert np.all(lp[dead] == -np.inf)
             assert_same_bits(lp[~dead], np.array(want))
 
+    @pytest.mark.parametrize("beta", [1e-300, 1e-17])
+    def test_dead_base_below_the_geometric_order_reads_log_beta(self, beta):
+        # q < 1 keeps a row whose base alone is -inf: the power mean there is
+        # beta^(1/(1-q)) times the target
+        base, target = pareto(0.0, 1.0, 0.0), gaussian([0.0], 1.0)
+        z = np.array([[-1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = QPath(base, target, q=0.5).log_density(z, beta)
+        np.testing.assert_allclose(got, target.log_density(z) + math.log(beta) / 0.5, rtol=1e-12)
+
 
 class TestBlendLogRatio:
     def test_matches_path_energy_difference(self):
@@ -201,6 +212,15 @@ class TestBlendLogRatio:
                 got = path.log_density(lr[:, None], beta)
                 assert np.array_equal(got, blend_log_ratio(lr, beta, q)), (q, beta)
 
+    @pytest.mark.parametrize("lr, q", [(-800.0, 2.0), (800.0, 0.5), (60.0, 0.5)])
+    @pytest.mark.parametrize("beta", [1e-17, 1e-300])
+    def test_beta_survives_where_one_minus_beta_rounds_to_one(self, lr, q, beta):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = blend_log_ratio([lr], beta, q)
+        want = np.logaddexp(math.log1p(-beta), math.log(beta) + (1.0 - q) * lr) / (1.0 - q)
+        np.testing.assert_allclose(got, [want], rtol=1e-10, atol=1e-12)
+
     def test_extreme_ratios_stay_finite(self):
         lr = np.array([-1e4, -10.0, 0.0, 10.0, 1e4])
         with np.errstate(over="raise", invalid="raise"):
@@ -210,12 +230,16 @@ class TestBlendLogRatio:
 
 def two_branch_blend(lp0, lp1, beta, q):
     """The blend off the geometric order as first written: both branches at
-    every element, and the one each element takes kept."""
+    every element, and the one each element takes kept.  Where a scalar
+    beta rounds 1 - beta to 1, the target side is log(exp(-x) + beta)."""
     d = 1.0 - q
     x = d * (lp1 - lp0)
     swap = x > 0.0
     lo = np.log1p(beta * np.expm1(np.where(swap, 0.0, x)))
-    hi = np.log1p((1.0 - beta) * np.expm1(np.where(swap, -x, 0.0)))
+    if np.ndim(beta) == 0 and 0.0 < beta and 1.0 - beta == 1.0:
+        hi = np.logaddexp(math.log(beta), np.where(swap, -x, 0.0))
+    else:
+        hi = np.log1p((1.0 - beta) * np.expm1(np.where(swap, -x, 0.0)))
     return np.where(swap, lp1 + hi / d, lp0 + lo / d)
 
 
@@ -246,8 +270,8 @@ class TestOnePassBlend:
         betas = [1e-300, 1e-6, rng.uniform(), 0.5, 1.0 - 1e-16, rng.uniform(1e-9, 1.0, n)]
         for q in orders:
             for beta in betas:
-                # beta below 1e-16 rounds 1 - beta to 1, so log1p meets -1
-                with np.errstate(divide="ignore", invalid="ignore"):
+                # no log1p meets -1, even where 1 - beta rounds to 1
+                with np.errstate(divide="raise", invalid="raise"):
                     got, want = _blend(lp0, lp1, beta, q), two_branch_blend(lp0, lp1, beta, q)
                 assert_same_bits(got, want)
 
