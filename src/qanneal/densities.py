@@ -221,47 +221,49 @@ def logistic_posterior(model: LogisticModel) -> UnnormalizedDensity:
     """Unnormalized posterior prior(w) * likelihood(w) for Bernoulli-sigmoid
     labels; its normalizer is the marginal likelihood being estimated.
 
-    Each call works on the logits ``t = w @ X.T`` in two (n, rows) buffers
-    that the density keeps for the batch size of its last call, so no call
-    allocates an (n, rows) array.  The buffers make the density unsafe to
-    call from two threads at once.
+    Each call works on the signed logits ``u = w @ XS.T``, where the signed
+    design ``XS`` is ``X`` with the rows of label 1 negated, built once with
+    the density.  Row j's negative log-likelihood is then softplus(u_j), and
+    one softplus pass feeds both the log-likelihood and the sigmoid
+    ``exp(u - softplus(u))`` that the gradient ``-w / var - sigmoid(u) @ XS``
+    needs.  The passes run in two (n, rows) buffers that the density keeps
+    for the batch size of its last call, so no call allocates an (n, rows)
+    array.  The buffers make the density unsafe to call from two threads at
+    once.
     """
     X, y = model.X, model.y
-    X_T = X.T
     d = X.shape[1]
     var = model.prior_sd**2
     log_prior_norm = -0.5 * d * math.log(2.0 * math.pi * var)
-    # -1 where y = 1, so row j's negative log-likelihood is softplus(u_j)
-    # with u = sign * t; the sign flip is exact
-    sign = 1.0 - 2.0 * y
+    # u = sign * (w @ X.T) with sign = -1 where y = 1: the sign flip is exact
+    XS = X * (1.0 - 2.0 * y)[:, None]
+    XS_T = XS.T
     workspace = np.empty((2, 0, y.size))
 
     def kernel(wb):
         nonlocal workspace
         if workspace.shape[1] != wb.shape[0]:
             workspace = np.empty((2, wb.shape[0], y.size))
-        t, u = workspace
-        np.matmul(wb, X_T, out=t)
-        np.multiply(t, sign, out=u)
-        # gradient: t becomes y - sigmoid(t), with sigmoid(t) = 1 / (1 + exp(-t))
-        # exactly 0 where exp(-t) overflows
-        np.negative(t, out=t)
-        with np.errstate(over="ignore"):
-            np.exp(t, out=t)
-        t += 1.0
-        np.divide(1.0, t, out=t)
-        np.subtract(y, t, out=t)
-        g = -wb / var + t @ X
-        # softplus(u) = max(u, 0) + log1p(exp(-|u|)) in u, stable on both
-        # tails, with t as scratch
-        np.abs(u, out=t)
-        np.negative(t, out=t)
-        np.exp(t, out=t)
-        np.log1p(t, out=t)
-        np.maximum(u, 0.0, out=u)
-        u += t
+        u, s = workspace
+        np.matmul(wb, XS_T, out=u)
+        # s = softplus(u) = max(u, 0) + L with L = log1p(exp(-|u|)), stable on
+        # both tails, taken as max(u + L, L), the same bits in place
+        np.abs(u, out=s)
+        np.negative(s, out=s)
+        np.exp(s, out=s)
+        np.log1p(s, out=s)
+        u += s
+        np.maximum(u, s, out=s)
         log_prior = log_prior_norm - 0.5 * np.sum(wb**2, axis=1) / var
-        return log_prior - np.sum(u, axis=1), g
+        lp = log_prior - np.sum(s, axis=1)
+        # sigmoid(u) = exp(u - softplus(u)) on u recomputed, a d-term matmul
+        # that keeps the workspace at two buffers; a row with an infinite
+        # logit, whose log-density is -inf, gets inf - inf = nan
+        np.matmul(wb, XS_T, out=u)
+        with np.errstate(invalid="ignore"):
+            np.subtract(u, s, out=u)
+        np.exp(u, out=u)
+        return lp, -wb / var - u @ XS
 
     return UnnormalizedDensity(dim=d, **_from_kernel(d, kernel, finite=False))
 

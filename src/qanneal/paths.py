@@ -48,12 +48,16 @@ def _deform(lp0, lp1, q):
 
 def _blend_at(terms, beta):
     """``_blend`` at ``beta`` from the ``_deform`` terms: one log1p per element,
-    on the side each element takes."""
+    on the side each element takes, and a logaddexp at a small scalar beta."""
     d, x, swap, em, anchor = terms
-    if isinstance(beta, float) and 0.0 < beta and 1.0 - beta == 1.0:
-        # 1 - beta rounds to 1, so log1p((1 - beta) * em) would drop beta:
-        # the target side takes log(exp(-x) + beta) instead
-        return anchor + np.where(swap, np.logaddexp(math.log(beta), -x), np.log1p(beta * em)) / d
+    if isinstance(beta, float) and 0.0 < beta < 1e-2:
+        # (1 - beta) * em is rounded to about 1e-16, and where em is near -1
+        # its log1p is the log of a number as small as beta: an error of
+        # about 1e-16 / beta, all of beta where 1 - beta rounds to 1.  The
+        # target-side rows with em < -0.5 take log((1 - beta) exp(-x) + beta)
+        far = swap & (em < -0.5)
+        near = np.log1p(np.where(swap, 1.0 - beta, beta) * np.where(far, 0.0, em))
+        return anchor + np.where(far, np.logaddexp(math.log(beta), math.log1p(-beta) - x), near) / d
     return anchor + np.log1p(np.where(swap, 1.0 - beta, beta) * em) / d
 
 
@@ -258,12 +262,11 @@ class QPath(AnnealingPath):
             return batch.end(int(beta))[1][live]
         g0, g1 = batch.end(0)[1][live], batch.end(1)[1][live]
         if self._geometric:
-            w1 = np.full(g0.shape[0], beta)
-        else:
-            _, (_, gap, *_) = self._terms(batch)
-            # responsibility of the target endpoint in the power mean
-            w1 = sigmoid(math.log(beta) - math.log1p(-beta) + gap[live])
-        col = w1[:, None]
+            return (1.0 - beta) * g0 + beta * g1
+        _, (_, gap, *_) = self._terms(batch)
+        # responsibility of the target endpoint in the power mean, which
+        # rounds to exactly 0 or 1 on rows far from the crossover
+        col = sigmoid(math.log(beta) - math.log1p(-beta) + gap[live])[:, None]
         return np.where(col == 1.0, g1, np.where(col == 0.0, g0, (1.0 - col) * g0 + col * g1))
 
 

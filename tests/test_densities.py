@@ -272,12 +272,50 @@ class TestLogisticPosterior:
         lp = post.log_density(w)
         assert np.all(np.isfinite(lp))
         np.testing.assert_allclose(lp, two_pass, rtol=1e-12, atol=0.0)
-        # the formula of the package's sigmoid: numpy's vector exp differs
-        # from libm's in the last bit for about 2 % of inputs, so a reference
-        # built on scipy's expit could not be compared exactly
-        with np.errstate(over="ignore"):
-            grad = -w / var + (y - 1.0 / (1.0 + np.exp(-t))) @ X
+        # the kernel's own formulas, on the signed logits u = w @ XS.T (the
+        # sign flip of t to the bit): the log-likelihood sums softplus(u) =
+        # max(u, 0) + log1p(exp(-|u|)) and the gradient takes the sigmoid
+        # exp(u - softplus(u)); numpy's vector exp differs from libm's in the
+        # last bit for about 2 % of inputs, so a reference built on scipy's
+        # expit could not be compared exactly
+        XS = X * (1.0 - 2.0 * y)[:, None]
+        u = w @ XS.T
+        assert np.array_equal(u, (1.0 - 2.0 * y) * t)
+        softplus = np.maximum(u, 0.0) + np.log1p(np.exp(-np.abs(u)))
+        log_prior = -0.5 * 3 * math.log(2.0 * math.pi * var) - 0.5 * np.sum(w**2, axis=1) / var
+        assert np.array_equal(lp, log_prior - np.sum(softplus, axis=1))
+        grad = -w / var - np.exp(u - softplus) @ XS
         assert np.array_equal(post.gradient(w), grad)
+
+    @pytest.mark.parametrize("scale", [0.5, 2.0, 8.0, 30.0])
+    def test_gradient_matches_an_extended_precision_reference(self, scale):
+        model = _logistic_model(n=200)
+        post = logistic_posterior(model)
+        X, y, var = model.X, model.y, model.prior_sd**2
+        w = np.random.default_rng(12).standard_normal((64, 3)) * scale
+        # the textbook gradient in long double (64-bit significand on x86)
+        ext = np.longdouble
+        t = w.astype(ext) @ X.astype(ext).T
+        want = -w.astype(ext) / ext(var) + (y.astype(ext) - 1.0 / (1.0 + np.exp(-t))) @ X.astype(ext)
+        # error in units of the sum of the magnitudes of the gradient's
+        # terms, the scale on which any float sum of them rounds
+        size = np.abs(w) / var + np.sum(np.abs(X), axis=0)
+        err = np.abs(post.gradient(w) - want.astype(float)) / size
+        assert np.max(err) < 1e-14
+
+    def test_non_finite_row_leaves_the_other_rows_bit_equal(self):
+        post = logistic_posterior(_logistic_model(n=200))
+        w = np.random.default_rng(13).standard_normal((9, 3)) * 2.0
+        lp, g = post.value_and_grad(w)
+        for bad in ([np.inf, 0.0, 0.0], [-np.inf, 1.0, -1.0], [np.nan, 0.5, 0.5], [0.5, np.nan, np.inf]):
+            wb = w.copy()
+            wb[4] = bad
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                lp_bad, g_bad = post.value_and_grad(wb)
+            assert not np.isfinite(lp_bad[4])
+            rest = np.arange(9) != 4
+            assert np.array_equal(lp_bad[rest], lp[rest]) and np.array_equal(g_bad[rest], g[rest])
 
     def test_prior_factor(self):
         # at the likelihood-free limit (no data) the posterior is the prior

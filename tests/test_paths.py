@@ -221,6 +221,19 @@ class TestBlendLogRatio:
         want = np.logaddexp(math.log1p(-beta), math.log(beta) + (1.0 - q) * lr) / (1.0 - q)
         np.testing.assert_allclose(got, [want], rtol=1e-10, atol=1e-12)
 
+    @pytest.mark.parametrize("q", [0.5, 2.0])
+    def test_within_a_few_ulp_at_every_small_beta(self, q):
+        # the blend is anchored at the dominant endpoint, so its error is
+        # counted in ulp of the larger of the result and the log-ratio
+        lr = np.array([-800.0, -60.0, 60.0, 800.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for beta in np.logspace(-300.0, -1.0, 2991):
+                got = blend_log_ratio(lr, float(beta), q)
+                want = np.logaddexp(math.log1p(-beta), math.log(beta) + (1.0 - q) * lr) / (1.0 - q)
+                ulp = np.spacing(np.maximum(np.abs(want), np.abs(lr)))
+                assert np.all(np.abs(got - want) <= 4.0 * ulp), beta
+
     def test_extreme_ratios_stay_finite(self):
         lr = np.array([-1e4, -10.0, 0.0, 10.0, 1e4])
         with np.errstate(over="raise", invalid="raise"):
@@ -230,16 +243,23 @@ class TestBlendLogRatio:
 
 def two_branch_blend(lp0, lp1, beta, q):
     """The blend off the geometric order as first written: both branches at
-    every element, and the one each element takes kept.  Where a scalar
-    beta rounds 1 - beta to 1, the target side is log(exp(-x) + beta)."""
+    every element, and the one each element takes kept.  Below a scalar
+    beta of 1e-2, the target side is log((1 - beta) * exp(-x) + beta) where
+    expm1(-x) < -0.5."""
     d = 1.0 - q
     x = d * (lp1 - lp0)
     swap = x > 0.0
     lo = np.log1p(beta * np.expm1(np.where(swap, 0.0, x)))
-    if np.ndim(beta) == 0 and 0.0 < beta and 1.0 - beta == 1.0:
-        hi = np.logaddexp(math.log(beta), np.where(swap, -x, 0.0))
+    em = np.expm1(np.where(swap, -x, 0.0))
+    if np.ndim(beta) == 0 and 0.0 < beta < 1e-2:
+        far = em < -0.5
+        hi = np.where(
+            far,
+            np.logaddexp(math.log(beta), math.log1p(-beta) - np.where(swap, x, 0.0)),
+            np.log1p((1.0 - beta) * np.where(far, 0.0, em)),
+        )
     else:
-        hi = np.log1p((1.0 - beta) * np.expm1(np.where(swap, -x, 0.0)))
+        hi = np.log1p((1.0 - beta) * em)
     return np.where(swap, lp1 + hi / d, lp0 + lo / d)
 
 
