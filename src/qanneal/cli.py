@@ -2,8 +2,9 @@
 
 Commands cover the toy Gaussian annealing studies (anneal-toy, ais, bdmc,
 heuristic-q, grid-q) and marginal likelihood estimation for logistic
-regression datasets (smc).  Exit codes: 0 success, 2 invalid configuration,
-3 runtime failure.
+regression datasets (smc).  Each is one row of ``COMMANDS``: the settings it
+reads, its driver, its summary line and its defaults.  Exit codes: 0
+success, 2 invalid configuration, 3 runtime failure.
 """
 
 from __future__ import annotations
@@ -15,15 +16,11 @@ import sys
 import time
 from dataclasses import fields, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from qanneal.densities import (
-    gaussian,
-    logistic_posterior,
-    logistic_prior,
-    with_log_scale,
-)
+from qanneal.densities import gaussian, logistic_posterior, logistic_prior, with_log_scale
 from qanneal.hmc import HmcConfig
 from qanneal.io import (
     ConfigError,
@@ -64,34 +61,32 @@ _FLAG_TYPES = {
     "restarts": int, "log10_sd": float, "ess_target_fraction": float,
     "grid_count": int, "adapt_steps": int, "trace_csv": str,
 }
+# the settings that ride in a config's extras; the rest are RunConfig fields
+_EXTRAS = [key for key in _FLAG_TYPES if key not in {f.name for f in fields(RunConfig)}]
 _TOY = ("mu0", "var0", "mu1", "var1", "target_log_scale")
 _AIS = ("path_kind", "q", "K", "moves", *_TOY, "nu", "adapt_steps", "trace_csv")
-
-# each command's help, the settings it reads besides the particle count, the
-# seed and the output that every command takes, and its defaults that differ
-# from RunConfig's
-COMMANDS = {
-    "anneal-toy": ("SMC on a two-Gaussian toy problem",
-                   ("path_kind", "q", "K", "schedule", "moves", *_TOY, "nu", "adapt_steps",
-                    "trace_csv"), {}),
-    "smc": ("SMC marginal likelihood for a logistic dataset",
-            ("path_kind", "q", "K", "schedule", "moves", "dataset", "adapt_steps", "trace_csv"),
-            {"particles": 256}),
-    "ais": ("forward AIS on the toy problem", _AIS, {}),
-    "bdmc": ("forward plus reverse AIS sandwich on the toy", _AIS, {}),
-    "heuristic-q": ("ESS-matching choice of q",
-                    (*_TOY, "restarts", "log10_sd", "ess_target_fraction"), {"particles": 256}),
-    "grid-q": ("BDMC gap sweep over a grid of orders",
-               ("K", "moves", *_TOY, "grid_count", "adapt_steps", "trace_csv"),
-               {"path_kind": "qpath"}),
-}
 _SMC_COMMANDS = ("anneal-toy", "smc")
 _AIS_COMMANDS = ("ais", "bdmc", "grid-q")
+
+# each extra's checks as (predicate, message) in order: the first that fails
+# is its one message, so a value that is not finite gets only "must be finite"
+_FINITE = (math.isfinite, "must be finite")
+_POSITIVE = (lambda v: v > 0.0, "must be positive")
+_BOUNDS = {
+    "mu0": (_FINITE,), "var0": (_FINITE, _POSITIVE), "mu1": (_FINITE,),
+    "var1": (_FINITE, _POSITIVE), "target_log_scale": (_FINITE,), "nu": (_FINITE,),
+    "log10_sd": (_FINITE, _POSITIVE),
+    "restarts": ((lambda v: v >= 1, "need at least one restart"),),
+    "ess_target_fraction": ((lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"),),
+    "grid_count": ((lambda v: v >= 1, "need at least one grid point"),),
+    "adapt_steps": ((lambda v: v >= 0, "must be nonnegative"),),
+}
 
 
 def _validate(config: RunConfig) -> list[str]:
     errors = []
-    if config.command not in COMMANDS:
+    row = COMMANDS.get(config.command)
+    if row is None:
         errors.append(f"command: unknown command {config.command!r}")
     if config.path_kind not in PATH_KINDS:
         errors.append(f"path_kind: unknown kind {config.path_kind!r}")
@@ -134,71 +129,48 @@ def _validate(config: RunConfig) -> list[str]:
     elif config.dataset is not None:
         errors.append("dataset: only the smc command reads a dataset")
 
-    # a non-finite value gets only this message: the checks below let nan and inf by
-    for key in ("mu0", "var0", "mu1", "var1", "target_log_scale", "nu", "log10_sd"):
-        value = config.extras.get(key)
-        if value is not None and not math.isfinite(value):
-            errors.append(f"{key}: must be finite")
-
+    # one message per extra and per output file: the first check it fails
+    problems = {}
+    for key, value in config.extras.items():
+        for ok, message in _BOUNDS.get(key, ()):
+            if not ok(value):
+                problems.setdefault(key, message)
     nu = config.extras.get("nu")
     if config.path_kind == "escort":
         if nu is None or nu <= 0.0:
-            errors.append("nu: escort path needs a positive nu")
-    elif nu is not None and math.isfinite(nu):
-        errors.append("nu: only the escort path takes nu")
-
-    for key in ("var0", "var1"):
-        value = config.extras.get(key)
-        if value is not None and value <= 0.0:
-            errors.append(f"{key}: must be positive")
-
-    restarts = config.extras.get("restarts")
-    if restarts is not None and restarts < 1:
-        errors.append("restarts: need at least one restart")
-    fraction = config.extras.get("ess_target_fraction")
-    if fraction is not None and not 0.0 < fraction <= 1.0:
-        errors.append("ess_target_fraction: must lie in (0, 1]")
-    sd = config.extras.get("log10_sd")
-    if sd is not None and sd <= 0.0:
-        errors.append("log10_sd: must be positive")
-    count = config.extras.get("grid_count")
-    if count is not None and count < 1:
-        errors.append("grid_count: need at least one grid point")
-    adapt = config.extras.get("adapt_steps")
-    if adapt is not None and adapt < 0:
-        errors.append("adapt_steps: must be nonnegative")
-    trace_csv = config.extras.get("trace_csv")
-    if trace_csv is not None and config.command == "heuristic-q":
-        errors.append("trace_csv: heuristic-q has no per-step trace")
-        trace_csv = None
+            problems.setdefault("nu", "escort path needs a positive nu")
+    elif nu is not None:
+        problems.setdefault("nu", "only the escort path takes nu")
+    for key in config.extras if row is not None else ():
+        if key not in _EXTRAS:
+            problems.setdefault(key, "unknown setting")
+        # a grid-q per-q report echoes a bdmc config that keeps grid_count, and reruns as it is
+        elif key not in row.settings and (config.command, key) != ("bdmc", "grid_count"):
+            unread = "has no per-step trace" if key == "trace_csv" else "does not read it"
+            problems.setdefault(key, f"{config.command} {unread}")
     # grid-q's per-q reports go next to the output, so one check covers them
-    for key, target in (("output", config.output), ("trace_csv", trace_csv)):
+    for key, target in (("output", config.output), ("trace_csv", config.extras.get("trace_csv"))):
         if target is not None and not Path(target).parent.is_dir():
-            errors.append(f"{key}: directory does not exist: {target}")
-    return errors
+            problems.setdefault(key, f"directory does not exist: {target}")
+    return errors + [f"{key}: {message}" for key, message in problems.items()]
 
 
 def _toy_params(extras: dict) -> dict:
-    params = dict(_TOY_DEFAULTS)
-    for key in params:
-        if key in extras:
-            params[key] = float(extras[key])
-    return params
+    return {key: float(extras.get(key, default)) for key, default in _TOY_DEFAULTS.items()}
 
 
 def _toy_endpoints(extras: dict):
     p = _toy_params(extras)
     base = gaussian([p["mu0"]], [[p["var0"]]])
     target = with_log_scale(gaussian([p["mu1"]], [[p["var1"]]]), p["target_log_scale"])
-    return base, target, p
+    return base, target
 
 
 def _toy_path(config: RunConfig):
-    p = _toy_params(config.extras)
     if config.path_kind in ("geometric", "qpath"):
-        base, target, _ = _toy_endpoints(config.extras)
         q = 1.0 if config.path_kind == "geometric" else config.q
-        return QPath(base=base, target=target, q=q)
+        return QPath(*_toy_endpoints(config.extras), q=q)
+    p = _toy_params(config.extras)
     nu = float(config.extras["nu"]) if config.path_kind == "escort" else None
     return MomentPath(
         [p["mu0"]], [[p["var0"]]], [p["mu1"]], [[p["var1"]]],
@@ -218,16 +190,31 @@ def _given(config: RunConfig, *keys: str) -> dict:
     return {key: config.extras[key] for key in keys if key in config.extras}
 
 
-def _is_stderr(final_ess: float, n: int) -> float:
-    return math.sqrt(max(n / final_ess - 1.0, 0.0) / n)
+def _truth(config: RunConfig) -> dict:
+    """The report extra holding a toy run's true log Z; a dataset's is unknown."""
+    return {} if config.dataset else {"true_log_Z": _toy_params(config.extras)["target_log_scale"]}
 
 
-def _smc_stderr(ess_trace, n: int) -> float:
+def _traces(betas, ess, acceptance) -> dict:
+    """A run's per-step traces as report fields: the betas it reached (its
+    start left out), with the carried-weight ESS and the mean acceptance."""
+    return {
+        "beta_trace": tuple(float(x) for x in betas[1:]),
+        "ess_trace": tuple(float(x) for x in ess),
+        "acceptance_trace": tuple(float(x) for x in acceptance),
+    }
+
+
+def _stderr(ess_trace, n: int) -> float:
+    """sqrt(sum(n / ESS - 1) / n) over ``ess_trace``.  On a final ESS alone
+    it is the delta-method SE of log Z, CV(w) / sqrt(n) of the final weights,
+    since n / ESS - 1 = var(w) / mean(w)^2."""
     total = sum(max(n / e - 1.0, 0.0) for e in ess_trace if e > 0.0)
     return math.sqrt(total / n)
 
 
-def _drive_smc(config: RunConfig, path) -> dict:
+def _drive_smc(config: RunConfig) -> dict:
+    path = _dataset_path(config) if config.dataset else _toy_path(config)
     schedule = "adaptive" if config.schedule == "adaptive" else linear_schedule(config.K)
     log_z, diag = smc_run(
         path,
@@ -238,37 +225,33 @@ def _drive_smc(config: RunConfig, path) -> dict:
         rng=int(config.seed),
         **_given(config, "adapt_steps"),
     )
-    ess = tuple(float(x) for x in diag.ess_trace)
+    traces = _traces(diag.beta_trace, diag.ess_trace, diag.acceptance_trace)
     return {
         "log_Z": float(log_z),
-        "stderr_estimate": _smc_stderr(ess, config.particles),
-        "ess_trace": ess,
-        "beta_trace": tuple(float(x) for x in diag.beta_trace[1:]),
-        "acceptance_trace": tuple(float(x) for x in diag.acceptance_trace),
-        "extras": {"resample_count": diag.resample_count},
+        "stderr_estimate": _stderr(traces["ess_trace"], config.particles),
+        **traces,
+        "extras": {"resample_count": diag.resample_count, **_truth(config)},
     }
 
 
-def _ais_traces(result) -> dict:
+def _ais_body(config: RunConfig, fwd, **extras) -> dict:
+    """The report body of ``fwd``, a forward AIS result of one block of
+    ``config.particles`` chains, with ``extras`` ahead of the true log Z."""
+    traces = _traces(fwd.schedule_used, fwd.ess_trace, fwd.acceptance_trace)
     return {
-        "ess_trace": tuple(float(x) for x in result.ess_trace),
-        "beta_trace": tuple(float(x) for x in result.schedule_used[1:]),
-        "acceptance_trace": tuple(float(x) for x in result.acceptance_trace),
+        "log_Z": fwd.log_Z_estimate,
+        "stderr_estimate": _stderr(traces["ess_trace"][-1:], config.particles),
+        **traces,
+        "extras": {**extras, **_truth(config)},
     }
 
 
-def _drive_ais(config: RunConfig, path) -> dict:
-    rng = np.random.default_rng(config.seed)
+def _drive_ais(config: RunConfig) -> dict:
     result = ais_forward(
-        path, linear_schedule(config.K), config.particles, _HMC,
-        config.moves, rng, **_given(config, "adapt_steps"),
+        _toy_path(config), linear_schedule(config.K), config.particles, _HMC,
+        config.moves, np.random.default_rng(config.seed), **_given(config, "adapt_steps"),
     )
-    return {
-        "log_Z": result.log_Z_estimate,
-        "stderr_estimate": _is_stderr(result.ess_trace[-1], config.particles),
-        "extras": {"n_dropped": result.n_dropped},
-        **_ais_traces(result),
-    }
+    return _ais_body(config, result, n_dropped=result.n_dropped)
 
 
 def _bdmc_bodies(config: RunConfig, path, blocks: int) -> list[dict]:
@@ -285,27 +268,16 @@ def _bdmc_bodies(config: RunConfig, path, blocks: int) -> list[dict]:
     target_draws = np.tile(path.target.exact_sampler(rng, chains), (blocks, 1))
     rev = ais_reverse(path, schedule, target_draws, cfg, moves, rng, **adapt)
     return [
-        {
-            "log_Z": f.log_Z_estimate,
-            "stderr_estimate": _is_stderr(f.ess_trace[-1], chains),
-            "extras": {
-                "upper_bound": float(-r.log_Z_estimate),
-                "bdmc_gap": bdmc_gap(f, r),
-                "n_dropped_forward": f.n_dropped,
-                "n_dropped_reverse": r.n_dropped,
-            },
-            **_ais_traces(f),
-        }
+        _ais_body(
+            config, f, upper_bound=float(-r.log_Z_estimate), bdmc_gap=bdmc_gap(f, r),
+            n_dropped_forward=f.n_dropped, n_dropped_reverse=r.n_dropped,
+        )
         for f, r in zip(fwd.blocks(), rev.blocks())
     ]
 
 
-def _drive_bdmc(config: RunConfig, path) -> dict:
-    return _bdmc_bodies(config, path, 1)[0]
-
-
 def _drive_heuristic(config: RunConfig) -> dict:
-    base, target, _ = _toy_endpoints(config.extras)
+    base, target = _toy_endpoints(config.extras)
     rng = np.random.default_rng(config.seed)
     draws = base.exact_sampler(rng, config.particles)
     ratios = np.atleast_1d(target.log_density(draws)) - np.atleast_1d(base.log_density(draws))
@@ -314,53 +286,48 @@ def _drive_heuristic(config: RunConfig) -> dict:
     return {
         "log_Z": math.nan,
         "stderr_estimate": math.nan,
-        "ess_trace": (),
-        "beta_trace": (),
-        "acceptance_trace": (),
+        **_traces((), (), ()),
         "extras": {
             "q": float(out.q),
             "beta1": float(out.beta1),
             "loss": float(out.loss),
             "feasible": bool(out.feasible),
             "loss_evals": int(out.loss_evals),
+            **_truth(config),
         },
     }
 
 
-def _drive_grid(config: RunConfig) -> tuple[dict, list[tuple[str, RunReport]]]:
+def _drive_grid(config: RunConfig) -> dict:
     """One bdmc sandwich per order of the grid, the orders batched into one
     sweep (several only past ``_GRID_SWEEP_CHAINS`` chains).
 
     Every order draws the common random numbers of one ``default_rng(seed)``,
     as a bdmc run of that order would alone: they sharpen the comparison,
-    and each per-q report equals that run's apart from ``wallclock_s``,
-    which is the whole grid's.
+    and each per-q report, attached to the body, equals that run's apart
+    from ``wallclock_s``, which is the whole grid's.
     """
     start = time.perf_counter()
-    qs = q_grid(*map(int, _given(config, "grid_count").values()))  # q_grid's count
+    count = config.extras.get("grid_count")
+    qs = q_grid() if count is None else q_grid(int(count))
     chains = config.particles
-    base, target, _ = _toy_endpoints(config.extras)
+    base, target = _toy_endpoints(config.extras)
     per_sweep = max(1, _GRID_SWEEP_CHAINS // chains)
     bodies = []
     for group in np.split(qs, range(per_sweep, qs.size, per_sweep)):
         path = QPath(base=base, target=target, q=np.repeat(group, chains))
         bodies += _bdmc_bodies(config, path, group.size)
     sweep_s = time.perf_counter() - start
-    sub_reports = [
-        _report(replace(config, command="bdmc", path_kind="qpath", q=float(q), output=None), body, sweep_s)
-        for q, body in zip(qs, bodies)
-    ]
-    gaps = [r.extras["bdmc_gap"] for r in sub_reports]
-    best = int(np.argmin(gaps))
+    bdmc = replace(config, command="bdmc", path_kind="qpath", output=None)
     width = max(2, len(str(len(qs) - 1)))
-    attachments = [(f".q{i:0{width}d}", r) for i, r in enumerate(sub_reports)]
-    chosen = sub_reports[best]
-    body = {
-        "log_Z": chosen.log_Z,
-        "stderr_estimate": chosen.stderr_estimate,
-        "ess_trace": chosen.ess_trace,
-        "beta_trace": chosen.beta_trace,
-        "acceptance_trace": chosen.acceptance_trace,
+    attachments = [
+        (f".q{i:0{width}d}", RunReport(wallclock_s=sweep_s, config_echo=replace(bdmc, q=float(q)), **body))
+        for i, (q, body) in enumerate(zip(qs, bodies))
+    ]
+    gaps = [body["extras"]["bdmc_gap"] for body in bodies]
+    best = int(np.argmin(gaps))
+    return {
+        **bodies[best],
         "extras": {
             "qs": [float(q) for q in qs],
             "bdmc_gaps": [float(g) for g in gaps],
@@ -369,68 +336,54 @@ def _drive_grid(config: RunConfig) -> tuple[dict, list[tuple[str, RunReport]]]:
             # the gaps are noisy estimates and can fall below 0
             "negative_gaps": sum(g < 0.0 for g in gaps),
         },
+        "attachments": attachments,
     }
-    return body, attachments
 
 
-def _report(config: RunConfig, body: dict, wallclock_s: float) -> RunReport:
-    if config.command != "smc" and config.command != "grid-q":
-        body.setdefault("extras", {})
-        body["extras"]["true_log_Z"] = _toy_params(config.extras)["target_log_scale"]
-    return RunReport(
-        log_Z=body["log_Z"],
-        stderr_estimate=body["stderr_estimate"],
-        ess_trace=body["ess_trace"],
-        beta_trace=body["beta_trace"],
-        acceptance_trace=body["acceptance_trace"],
-        wallclock_s=wallclock_s,
-        config_echo=config,
-        extras=body["extras"],
-    )
+class _Command(NamedTuple):
+    """One subcommand: its help; the settings it reads besides the particle
+    count, the seed and the output that every command takes; its driver,
+    from a config to the report body; its summary line, a format over the
+    report's fields, its extras and ``steps``; its defaults that differ from
+    RunConfig's."""
+
+    help: str
+    settings: tuple
+    drive: Callable[[RunConfig], dict]
+    summary: str
+    defaults: dict = {}
 
 
-def _execute(config: RunConfig) -> tuple[RunReport, list[tuple[str, RunReport]]]:
-    start = time.perf_counter()
-    attachments: list[tuple[str, RunReport]] = []
-    if config.command == "grid-q":
-        body, attachments = _drive_grid(config)
-    elif config.command == "heuristic-q":
-        body = _drive_heuristic(config)
-    elif config.command == "smc":
-        body = _drive_smc(config, _dataset_path(config))
-    elif config.command == "anneal-toy":
-        body = _drive_smc(config, _toy_path(config))
-    elif config.command == "ais":
-        body = _drive_ais(config, _toy_path(config))
-    elif config.command == "bdmc":
-        body = _drive_bdmc(config, _toy_path(config))
-    else:
-        raise ConfigError([f"command: unknown command {config.command!r}"])
-    return _report(config, body, time.perf_counter() - start), attachments
-
-
-def _summary_line(report: RunReport) -> str:
-    command = report.config_echo.command
-    extras = report.extras
-    if command == "heuristic-q":
-        return (
-            f"heuristic-q: q={extras['q']:.6g} beta1={extras['beta1']:.6g} "
-            f"loss={extras['loss']:.6g} feasible={extras['feasible']}"
-        )
-    if command == "grid-q":
-        return (
-            f"grid-q: best_q={extras['best_q']:.10g} best_gap={extras['best_gap']:.6g} "
-            f"log_Z={report.log_Z:.6g}"
-        )
-    if command == "bdmc":
-        return (
-            f"bdmc: log_Z={report.log_Z:.6g} upper={extras['upper_bound']:.6g} "
-            f"gap={extras['bdmc_gap']:.6g} wallclock_s={report.wallclock_s:.3f}"
-        )
-    return (
-        f"{command}: log_Z={report.log_Z:.6g} stderr={report.stderr_estimate:.6g} "
-        f"steps={len(report.beta_trace)} wallclock_s={report.wallclock_s:.3f}"
-    )
+_RUN_LINE = "log_Z={log_Z:.6g} stderr={stderr_estimate:.6g} steps={steps} wallclock_s={wallclock_s:.3f}"
+COMMANDS = {
+    "anneal-toy": _Command(
+        "SMC on a two-Gaussian toy problem",
+        ("path_kind", "q", "K", "schedule", "moves", *_TOY, "nu", "adapt_steps", "trace_csv"),
+        _drive_smc, _RUN_LINE,
+    ),
+    "smc": _Command(
+        "SMC marginal likelihood for a logistic dataset",
+        ("path_kind", "q", "K", "schedule", "moves", "dataset", "adapt_steps", "trace_csv"),
+        _drive_smc, _RUN_LINE, {"particles": 256},
+    ),
+    "ais": _Command("forward AIS on the toy problem", _AIS, _drive_ais, _RUN_LINE),
+    "bdmc": _Command(
+        "forward plus reverse AIS sandwich on the toy", _AIS,
+        lambda config: _bdmc_bodies(config, _toy_path(config), 1)[0],
+        "log_Z={log_Z:.6g} upper={upper_bound:.6g} gap={bdmc_gap:.6g} wallclock_s={wallclock_s:.3f}",
+    ),
+    "heuristic-q": _Command(
+        "ESS-matching choice of q", (*_TOY, "restarts", "log10_sd", "ess_target_fraction"),
+        _drive_heuristic, "q={q:.6g} beta1={beta1:.6g} loss={loss:.6g} feasible={feasible}",
+        {"particles": 256},
+    ),
+    "grid-q": _Command(
+        "BDMC gap sweep over a grid of orders",
+        ("K", "moves", *_TOY, "grid_count", "adapt_steps", "trace_csv"),
+        _drive_grid, "best_q={best_q:.10g} best_gap={best_gap:.6g} log_Z={log_Z:.6g}",
+        {"path_kind": "qpath"},
+    ),
+}
 
 
 def run(config: RunConfig) -> RunReport:
@@ -438,7 +391,11 @@ def run(config: RunConfig) -> RunReport:
     errors = _validate(config)
     if errors:
         raise ConfigError(errors)
-    report, attachments = _execute(config)
+    row = COMMANDS[config.command]
+    start = time.perf_counter()
+    body = row.drive(config)
+    attachments = body.pop("attachments", [])  # grid-q's per-q reports
+    report = RunReport(wallclock_s=time.perf_counter() - start, config_echo=config, **body)
     if config.output is not None:
         out = Path(config.output)
         for suffix, sub in attachments:
@@ -447,7 +404,9 @@ def run(config: RunConfig) -> RunReport:
     trace_csv = config.extras.get("trace_csv")
     if trace_csv is not None:
         write_trace_csv(report, trace_csv)
-    print(_summary_line(report))
+    print(f"{config.command}: " + row.summary.format(
+        **vars(report), **report.extras, steps=len(report.beta_trace)
+    ))
     return report
 
 
@@ -457,25 +416,24 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Annealed estimators of log normalizing constants over power-mean paths.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, settings, defaults) in COMMANDS.items():
+    for command, row in COMMANDS.items():
         # an unset flag is left out of the namespace, so RunConfig's default holds
-        sub = commands.add_parser(command, help=help_text, argument_default=argparse.SUPPRESS)
-        for key in ("particles", "seed", "output", *settings):
+        sub = commands.add_parser(command, help=row.help, argument_default=argparse.SUPPRESS)
+        for key in ("particles", "seed", "output", *row.settings):
             kind = _FLAG_TYPES[key]
             names = ["--" + key.lower().replace("_", "-")]
             if key == "particles":
                 names.append("--chains")
             spec = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
             sub.add_argument(*names, dest=key, **spec)
-        sub.set_defaults(**defaults)
+        sub.set_defaults(**row.defaults)
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    given = vars(args)
-    settings = {key: given[key] for key in _FLAG_TYPES if key in given}
-    config_fields = {f.name: settings.pop(f.name) for f in fields(RunConfig) if f.name in settings}
-    return RunConfig(command=args.command, **config_fields, extras=settings)
+    given = {key: value for key, value in vars(args).items() if key in _FLAG_TYPES}
+    extras = {key: given.pop(key) for key in _EXTRAS if key in given}
+    return RunConfig(command=args.command, **given, extras=extras)
 
 
 def main(argv=None) -> int:

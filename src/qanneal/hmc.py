@@ -191,6 +191,8 @@ def tune_step_size(
     dual-averaging state in plain floats, fed by the mean acceptance of its
     own rows, and the tuned config carries one step per block.
     """
+    if n_adapt < 0:
+        raise ValueError("n_adapt must be nonnegative")
     if state is None:
         state = energy(positions)
     if n_adapt == 0:

@@ -65,9 +65,11 @@ class RunReport:
 
     Traces are aligned by annealing step: ``beta_trace[i]`` is the beta
     reached at step i, with the matching carried-weight ESS and mean HMC
-    acceptance.  ``stderr_estimate`` is a delta-method proxy built from the
-    per-step ESS under an independence approximation, not a calibrated
-    confidence radius.  Command-specific outputs live in ``extras``.
+    acceptance.  ``stderr_estimate`` is sqrt(sum(n / ESS - 1) / n) over n
+    chains.  AIS takes the final ESS alone, so its value is exactly the
+    delta-method SE of log Z, CV(w) / sqrt(n) of the per-chain weights (a
+    population variance).  SMC sums over every step's ESS, a proxy under an
+    independence approximation.  Command-specific outputs live in ``extras``.
     """
 
     log_Z: float

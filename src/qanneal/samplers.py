@@ -217,6 +217,8 @@ def _anneal(
     their log-mean-exp to log Z, so a -inf weight counts as zero.  A row of
     -inf weights raises ``WeightCollapseError`` at that step.
     """
+    if moves_per_step < 0:
+        raise ValueError("moves_per_step must be nonnegative")
     blocks = np.size(cfg.step_size)
     if z.shape[0] % blocks:
         raise ValueError("the chains must split into equal blocks, one per step size")

@@ -14,6 +14,7 @@ from conftest import logistic_evidence_quadrature, make_logistic_csv
 from qanneal import cli
 from qanneal.cli import main, run
 from qanneal.io import ConfigError, RunConfig, load_binary_regression_csv, report_from_json
+from qanneal.samplers import ais_forward
 
 IDENTICAL = {"mu0": 0.0, "var0": 1.0, "mu1": 0.0, "var1": 1.0}
 
@@ -95,10 +96,15 @@ class TestValidation:
             ["anneal-toy", "--path-kind", "escort", "--nu", "inf"],
             ["anneal-toy", "--nu", "nan"],
             ["heuristic-q", "--log10-sd", "inf"],
+            # -inf also fails a lower bound; "--flag=-inf", since argparse reads "-inf" as a flag
+            ["bdmc", "--var0=-inf"],
+            ["heuristic-q", "--log10-sd=-inf"],
+            ["anneal-toy", "--path-kind", "escort", "--nu=-inf"],
         ],
     )
     def test_non_finite_toy_value_is_one_config_error(self, argv, capsys):
-        key = argv[-2].lstrip("-").replace("-", "_")
+        flag = argv[-1].split("=")[0] if "=" in argv[-1] else argv[-2]
+        key = flag.lstrip("-").replace("-", "_")
         assert main(argv) == 2
         assert capsys.readouterr().err == f"config error: {key}: must be finite\n"
 
@@ -136,6 +142,22 @@ class TestValidation:
             run(RunConfig(command="heuristic-q", extras={"trace_csv": str(trace)}))
         assert err.value.errors == ["trace_csv: heuristic-q has no per-step trace"]
         assert not trace.exists()
+
+    @pytest.mark.parametrize(
+        "extras, messages",
+        [
+            ({"grid_count": 5}, ["grid_count: heuristic-q does not read it"]),
+            ({"mu7": 1.0}, ["mu7: unknown setting"]),
+            ({"grid_count": 5, "mu7": 1.0, "adapt_steps": 3, "K": 3},
+             ["grid_count: heuristic-q does not read it", "mu7: unknown setting",
+              "adapt_steps: heuristic-q does not read it", "K: unknown setting"]),
+        ],
+    )
+    def test_extras_the_command_does_not_read_are_rejected(self, extras, messages):
+        # K is a RunConfig field, so no command reads it from the extras
+        with pytest.raises(ConfigError) as err:
+            run(RunConfig(command="heuristic-q", extras=extras))
+        assert err.value.errors == messages
 
     def test_unknown_names_rejected(self):
         config = RunConfig(command="warp", path_kind="spline", schedule="cubic")
@@ -189,6 +211,24 @@ class TestToyRuns:
         report = run(config)
         gap = report.extras["bdmc_gap"]
         assert gap == pytest.approx(report.extras["upper_bound"] - report.log_Z, abs=1e-12)
+
+    @pytest.mark.parametrize("command", ["ais", "bdmc"])
+    def test_stderr_is_the_delta_method_se_of_the_weights(self, capsys, monkeypatch, command):
+        """n / ESS - 1 = var(w) / mean(w)^2 for the final weights w, so the
+        reported SE is CV(w) / sqrt(n), with the population variance."""
+        forward = []
+
+        def capture(*args, **kwargs):
+            forward.append(ais_forward(*args, **kwargs))
+            return forward[-1]
+
+        monkeypatch.setattr(cli, "ais_forward", capture)
+        report = run(RunConfig(command=command, particles=64, K=8, seed=2))
+        log_w = forward[0].per_chain_log_w
+        w = np.exp(log_w - log_w.max())
+        assert w.size == 64
+        se = w.std() / (w.mean() * math.sqrt(w.size))
+        assert report.stderr_estimate == pytest.approx(se, rel=1e-12, abs=0.0)
 
     def test_moment_path_run_is_finite(self, capsys):
         config = toy_config(path_kind="moment", particles=64, K=6, seed=4, extras={})

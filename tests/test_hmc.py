@@ -171,6 +171,12 @@ class TestTuneStepSize:
         assert tuned is cfg
         assert z_out is z
 
+    def test_negative_adapt_is_rejected(self):
+        logp, grad = standard_normal_energy()
+        with pytest.raises(ValueError, match="n_adapt"):
+            tune_step_size(np.zeros((4, 1)), fused(logp, grad), HmcConfig(step_size=0.2, n_leapfrog=3),
+                           np.random.default_rng(7), n_adapt=-1)
+
 
 class TestBlocks:
     """A step per block on one generator: the blocks share its common random

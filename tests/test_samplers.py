@@ -543,6 +543,31 @@ class TestSmc:
                         cfg=small_cfg(), rng=0, ess_fraction=ess_fraction)
 
 
+class TestNegativeCounts:
+    """A negative move or tuning count is an error at every entry point,
+    not a run that silently counts it as 0."""
+
+    @pytest.mark.parametrize(
+        "counts, match",
+        [({"moves_per_step": -1, "adapt_steps": 0}, "moves_per_step"),
+         ({"moves_per_step": 1, "adapt_steps": -1}, "n_adapt")],
+    )
+    @pytest.mark.parametrize("entry", ["ais_forward", "ais_reverse", "smc_linear", "smc_adaptive"])
+    def test_rejected(self, entry, counts, match):
+        path, grid, cfg = log_z_two_problem(), np.linspace(0.0, 1.0, 5), small_cfg()
+        rng = np.random.default_rng(0)
+        runs = {
+            "ais_forward": lambda: ais_forward(path, grid, 8, cfg, rng=rng, **counts),
+            "ais_reverse": lambda: ais_reverse(
+                path, grid, path.target.exact_sampler(rng, 8), cfg, rng=rng, **counts
+            ),
+            "smc_linear": lambda: smc_run(path, grid, particles=8, cfg=cfg, rng=0, **counts),
+            "smc_adaptive": lambda: smc_run(path, "adaptive", particles=8, cfg=cfg, rng=0, **counts),
+        }
+        with pytest.raises(ValueError, match=match):
+            runs[entry]()
+
+
 class TestAisResultType:
     def test_fields_round_trip(self):
         res = AisResult(
