@@ -51,108 +51,100 @@ _GRID_SWEEP_CHAINS = 1 << 14
 PATH_KINDS = ("geometric", "qpath", "moment", "escort")
 SCHEDULE_RULES = ("linear", "adaptive")
 
-# every setting a command line can give, with its type or its choices, in
-# the order a config's extras echo them
-_FLAG_TYPES = {
-    "particles": int, "seed": int, "output": str, "dataset": str,
-    "path_kind": PATH_KINDS, "q": float, "K": int, "schedule": SCHEDULE_RULES, "moves": int,
-    "mu0": float, "var0": float, "mu1": float, "var1": float, "target_log_scale": float,
-    "nu": float,
-    "restarts": int, "log10_sd": float, "ess_target_fraction": float,
-    "grid_count": int, "adapt_steps": int, "trace_csv": str,
+_FINITE = (math.isfinite, "must be finite")
+_POSITIVE = (lambda v: v > 0.0, "must be positive")
+_NONNEGATIVE = (lambda v: v >= 0, "must be nonnegative")
+
+
+def _choice(choices: tuple) -> tuple:
+    """A setting's entry in ``_SETTINGS`` when it takes one of ``choices``."""
+    return choices, (choices.__contains__, "must be one of " + ", ".join(choices))
+
+
+# every setting a command can read: its type or its choices, then its checks
+# as (predicate, message) in order.  The first that fails is its one message,
+# so a value that is not finite gets only "must be finite".  The settings that
+# are not RunConfig fields ride in a config's extras, in this order.
+_SETTINGS = {
+    "particles": (int,), "seed": (int,), "output": (str,), "dataset": (str,),
+    "path_kind": _choice(PATH_KINDS), "q": (float, _FINITE),
+    "K": (int, (lambda v: v >= 1, "need at least one step")),
+    "schedule": _choice(SCHEDULE_RULES), "moves": (int, _NONNEGATIVE),
+    "mu0": (float, _FINITE), "var0": (float, _FINITE, _POSITIVE), "mu1": (float, _FINITE),
+    "var1": (float, _FINITE, _POSITIVE), "target_log_scale": (float, _FINITE),
+    "nu": (float, _FINITE),
+    "restarts": (int, (lambda v: v >= 1, "need at least one restart")),
+    "log10_sd": (float, _FINITE, _POSITIVE),
+    "ess_target_fraction": (float, (lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]")),
+    "grid_count": (int, (lambda v: v >= 1, "need at least one grid point")),
+    "adapt_steps": (int, _NONNEGATIVE), "trace_csv": (str,),
 }
-# the settings that ride in a config's extras; the rest are RunConfig fields
-_EXTRAS = [key for key in _FLAG_TYPES if key not in {f.name for f in fields(RunConfig)}]
+# RunConfig's defaults of the settings that are its fields; the rest are extras
+_FIELD_DEFAULTS = {f.name: f.default for f in fields(RunConfig) if f.name in _SETTINGS}
+_EXTRAS = tuple(key for key in _SETTINGS if key not in _FIELD_DEFAULTS)
 _TOY = ("mu0", "var0", "mu1", "var1", "target_log_scale")
 _AIS = ("path_kind", "q", "K", "moves", *_TOY, "nu", "adapt_steps", "trace_csv")
 _SMC_COMMANDS = ("anneal-toy", "smc")
-_AIS_COMMANDS = ("ais", "bdmc", "grid-q")
-
-# each extra's checks as (predicate, message) in order: the first that fails
-# is its one message, so a value that is not finite gets only "must be finite"
-_FINITE = (math.isfinite, "must be finite")
-_POSITIVE = (lambda v: v > 0.0, "must be positive")
-_BOUNDS = {
-    "mu0": (_FINITE,), "var0": (_FINITE, _POSITIVE), "mu1": (_FINITE,),
-    "var1": (_FINITE, _POSITIVE), "target_log_scale": (_FINITE,), "nu": (_FINITE,),
-    "log10_sd": (_FINITE, _POSITIVE),
-    "restarts": ((lambda v: v >= 1, "need at least one restart"),),
-    "ess_target_fraction": ((lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"),),
-    "grid_count": ((lambda v: v >= 1, "need at least one grid point"),),
-    "adapt_steps": ((lambda v: v >= 0, "must be nonnegative"),),
-}
 
 
 def _validate(config: RunConfig) -> list[str]:
-    errors = []
+    """One message per setting at fault, the first rule it breaks.
+
+    A setting the command's row does not list keeps the command's default,
+    and an extra it does not list is left out; a listed setting that is set
+    meets its checks in ``_SETTINGS``.  An unknown command lists every one.
+    """
     row = COMMANDS.get(config.command)
-    if row is None:
-        errors.append(f"command: unknown command {config.command!r}")
-    if config.path_kind not in PATH_KINDS:
-        errors.append(f"path_kind: unknown kind {config.path_kind!r}")
-    if config.schedule not in SCHEDULE_RULES:
-        errors.append(f"schedule: unknown rule {config.schedule!r}")
-
-    if config.command == "grid-q":
-        if config.path_kind != "qpath":
-            errors.append("path_kind: grid-q sweeps qpath orders; set path_kind to qpath")
-        if config.q is not None:
-            errors.append("q: grid-q chooses q itself; leave it unset")
-    elif config.path_kind == "qpath":
-        if config.q is None:
-            errors.append("q: required when path_kind is qpath")
-        elif not math.isfinite(config.q):
-            errors.append("q: must be finite")
-    elif config.q is not None:
-        errors.append("q: only meaningful when path_kind is qpath")
-
+    problems = {} if row else {"command": f"unknown command {config.command!r}"}
+    listed = ("particles", "seed", "output", *row.settings) if row else _SETTINGS
+    defaults = {**_FIELD_DEFAULTS, **(row.defaults if row else {})}
+    # q off the qpath is not read, so that rule goes ahead of its checks
+    reads_path = "path_kind" in listed
+    if reads_path and (config.q is None) == (config.path_kind == "qpath"):
+        need = "required" if config.q is None else "only meaningful"
+        problems.setdefault("q", f"{need} when path_kind is qpath")
     min_particles = 2 if config.command in _SMC_COMMANDS else 1
     if config.particles < min_particles:
-        errors.append(f"particles: need at least {min_particles}")
-    if config.K < 1:
-        errors.append("K: need at least one step")
-    if config.moves < 0:
-        errors.append("moves: must be nonnegative")
-    if config.schedule == "adaptive" and config.command in _AIS_COMMANDS:
-        errors.append("schedule: AIS-style commands need a fixed schedule; use linear")
-
-    if config.command == "smc":
-        if config.dataset is None:
-            errors.append("dataset: required for smc")
-        elif not os.path.exists(config.dataset):
-            errors.append(f"dataset: file not found: {config.dataset}")
-        if config.path_kind in ("moment", "escort"):
-            errors.append(
-                "path_kind: moment and escort need closed-form endpoint moments; "
-                "smc supports geometric and qpath"
-            )
-    elif config.dataset is not None:
-        errors.append("dataset: only the smc command reads a dataset")
-
-    # one message per extra and per output file: the first check it fails
-    problems = {}
-    for key, value in config.extras.items():
-        for ok, message in _BOUNDS.get(key, ()):
-            if not ok(value):
-                problems.setdefault(key, message)
+        problems.setdefault("particles", f"need at least {min_particles}")
+    # (key, value, known): the fields off the command's default, then every extra
+    given = [
+        (key, getattr(config, key), True) for key, default in defaults.items()
+        if getattr(config, key) != default
+    ]
+    given += [(key, value, key in _EXTRAS) for key, value in config.extras.items()]
+    for key, value, known in given:
+        if not known:
+            fault = "unknown setting"
+        elif key not in listed:
+            unread = "has no per-step trace" if key == "trace_csv" else "does not read it"
+            keep = f"; leave it at {defaults[key]!r}" if key in defaults else ""
+            fault = f"{config.command} {unread}{keep}"
+        else:
+            fault = next((message for ok, message in _SETTINGS[key][1:] if not ok(value)), None)
+        if fault is not None:
+            problems.setdefault(key, fault)
     nu = config.extras.get("nu")
-    if config.path_kind == "escort":
+    if reads_path and config.path_kind == "escort":
         if nu is None or nu <= 0.0:
             problems.setdefault("nu", "escort path needs a positive nu")
-    elif nu is not None:
+    elif reads_path and nu is not None:
         problems.setdefault("nu", "only the escort path takes nu")
-    for key in config.extras if row is not None else ():
-        if key not in _EXTRAS:
-            problems.setdefault(key, "unknown setting")
-        # a grid-q per-q report echoes a bdmc config that keeps grid_count, and reruns as it is
-        elif key not in row.settings and (config.command, key) != ("bdmc", "grid_count"):
-            unread = "has no per-step trace" if key == "trace_csv" else "does not read it"
-            problems.setdefault(key, f"{config.command} {unread}")
+    if config.command == "smc":
+        if config.dataset is None:
+            problems.setdefault("dataset", "required for smc")
+        elif not os.path.exists(config.dataset):
+            problems.setdefault("dataset", f"file not found: {config.dataset}")
+        if config.path_kind in ("moment", "escort"):
+            problems.setdefault(
+                "path_kind",
+                "moment and escort need closed-form endpoint moments; "
+                "smc supports geometric and qpath",
+            )
     # grid-q's per-q reports go next to the output, so one check covers them
     for key, target in (("output", config.output), ("trace_csv", config.extras.get("trace_csv"))):
         if target is not None and not Path(target).parent.is_dir():
             problems.setdefault(key, f"directory does not exist: {target}")
-    return errors + [f"{key}: {message}" for key, message in problems.items()]
+    return [f"{key}: {message}" for key, message in problems.items()]
 
 
 def _toy_params(extras: dict) -> dict:
@@ -318,7 +310,10 @@ def _drive_grid(config: RunConfig) -> dict:
         path = QPath(base=base, target=target, q=np.repeat(group, chains))
         bodies += _bdmc_bodies(config, path, group.size)
     sweep_s = time.perf_counter() - start
-    bdmc = replace(config, command="bdmc", path_kind="qpath", output=None)
+    # each order echoes the bdmc config that reruns it alone
+    read = COMMANDS["bdmc"].settings
+    extras = {key: value for key, value in config.extras.items() if key in read}
+    bdmc = replace(config, command="bdmc", path_kind="qpath", output=None, extras=extras)
     width = max(2, len(str(len(qs) - 1)))
     attachments = [
         (f".q{i:0{width}d}", RunReport(wallclock_s=sweep_s, config_echo=replace(bdmc, q=float(q)), **body))
@@ -342,10 +337,10 @@ def _drive_grid(config: RunConfig) -> dict:
 
 class _Command(NamedTuple):
     """One subcommand: its help; the settings it reads besides the particle
-    count, the seed and the output that every command takes; its driver,
-    from a config to the report body; its summary line, a format over the
-    report's fields, its extras and ``steps``; its defaults that differ from
-    RunConfig's."""
+    count, the seed and the output that every command takes (every other
+    setting keeps its default); its driver, from a config to the report
+    body; its summary line, a format over the report's fields, its extras
+    and ``steps``; its defaults that differ from RunConfig's."""
 
     help: str
     settings: tuple
@@ -420,7 +415,7 @@ def _build_parser() -> argparse.ArgumentParser:
         # an unset flag is left out of the namespace, so RunConfig's default holds
         sub = commands.add_parser(command, help=row.help, argument_default=argparse.SUPPRESS)
         for key in ("particles", "seed", "output", *row.settings):
-            kind = _FLAG_TYPES[key]
+            kind = _SETTINGS[key][0]
             names = ["--" + key.lower().replace("_", "-")]
             if key == "particles":
                 names.append("--chains")
@@ -431,7 +426,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    given = {key: value for key, value in vars(args).items() if key in _FLAG_TYPES}
+    given = {key: value for key, value in vars(args).items() if key in _SETTINGS}
     extras = {key: given.pop(key) for key in _EXTRAS if key in given}
     return RunConfig(command=args.command, **given, extras=extras)
 

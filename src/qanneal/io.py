@@ -36,7 +36,9 @@ class RunConfig:
     ``particles`` doubles as the chain count for the AIS-style commands and
     as the prior sample count for the heuristic.  Driver-specific knobs (toy
     endpoint parameters, escort nu, grid size, heuristic settings, HMC
-    step-size tuning, the trace CSV) ride in ``extras``.
+    step-size tuning, the trace CSV) ride in ``extras``.  The command's row
+    of ``qanneal.cli.COMMANDS`` decides which fields may leave their defaults
+    and which extras may be given.
     """
 
     command: str

@@ -168,16 +168,23 @@ def _next_beta_by_ess(incr_fn, beta_now, ess_target, tol):
 
     ``incr_fn(b)`` returns per-particle log incremental weights from beta_now
     to b.  Returns (beta, converged); when the cap at 1 already satisfies the
-    target the cap is returned converged.
+    target the cap is returned converged.  An increment with no finite entry
+    has ESS 0, so a run whose every chain dies bisects down to beta_now and
+    collapses there.
     """
     if not beta_now < 1.0:
         raise ValueError("beta_now must be below 1")
-    if ess_of_log_weights(incr_fn(1.0)) >= ess_target:
+
+    def ess_at(b):
+        incr = incr_fn(b)
+        return ess_of_log_weights(incr) if np.any(np.isfinite(incr)) else 0.0
+
+    if ess_at(1.0) >= ess_target:
         return 1.0, True
     lo, hi = beta_now, 1.0
     for _ in range(_BISECTIONS):
         mid = 0.5 * (lo + hi)
-        ess = ess_of_log_weights(incr_fn(mid))
+        ess = ess_at(mid)
         if abs(ess - ess_target) <= tol:
             return mid, True
         if ess > ess_target:

@@ -111,19 +111,22 @@ class TestValidation:
     @pytest.mark.parametrize(
         "overrides,message",
         [
-            ({"command": "grid-q", "path_kind": "moment"},
-             "path_kind: grid-q sweeps qpath orders; set path_kind to qpath"),
+            pytest.param({"command": "grid-q", "path_kind": "moment"},
+                         "path_kind: grid-q does not read it; leave it at 'qpath'",
+                         id="grid-q-unread-path_kind"),
             ({"path_kind": "qpath", "q": math.inf}, "q: must be finite"),
             ({"command": "smc", "path_kind": "moment", "extras": {}},
              "path_kind: moment and escort need closed-form endpoint moments; "
              "smc supports geometric and qpath"),
             ({"extras": {**IDENTICAL, "var0": 0.0}}, "var0: must be positive"),
             ({"extras": {**IDENTICAL, "var1": -1.0}}, "var1: must be positive"),
-            ({"command": "heuristic-q", "extras": {"restarts": 0}},
+            # heuristic-q does not read K, so these keep it at RunConfig's default
+            ({"command": "heuristic-q", "K": 16, "extras": {"restarts": 0}},
              "restarts: need at least one restart"),
-            ({"command": "heuristic-q", "extras": {"ess_target_fraction": 1.5}},
+            ({"command": "heuristic-q", "K": 16, "extras": {"ess_target_fraction": 1.5}},
              "ess_target_fraction: must lie in (0, 1]"),
-            ({"command": "heuristic-q", "extras": {"log10_sd": 0.0}}, "log10_sd: must be positive"),
+            ({"command": "heuristic-q", "K": 16, "extras": {"log10_sd": 0.0}},
+             "log10_sd: must be positive"),
             ({"command": "grid-q", "path_kind": "qpath", "extras": {"grid_count": 0}},
              "grid_count: need at least one grid point"),
             ({"extras": {**IDENTICAL, "adapt_steps": -1}}, "adapt_steps: must be nonnegative"),
@@ -144,19 +147,34 @@ class TestValidation:
         assert not trace.exists()
 
     @pytest.mark.parametrize(
-        "extras, messages",
+        "config, messages",
         [
-            ({"grid_count": 5}, ["grid_count: heuristic-q does not read it"]),
-            ({"mu7": 1.0}, ["mu7: unknown setting"]),
-            ({"grid_count": 5, "mu7": 1.0, "adapt_steps": 3, "K": 3},
+            (RunConfig(command="heuristic-q", extras={"grid_count": 5}),
+             ["grid_count: heuristic-q does not read it"]),
+            (RunConfig(command="heuristic-q", extras={"mu7": 1.0}), ["mu7: unknown setting"]),
+            (RunConfig(command="heuristic-q",
+                       extras={"grid_count": 5, "mu7": 1.0, "adapt_steps": 3, "K": 3}),
              ["grid_count: heuristic-q does not read it", "mu7: unknown setting",
               "adapt_steps: heuristic-q does not read it", "K: unknown setting"]),
+            (RunConfig(command="heuristic-q", K=0),
+             ["K: heuristic-q does not read it; leave it at 16"]),
+            (RunConfig(command="heuristic-q", path_kind="escort"),
+             ["path_kind: heuristic-q does not read it; leave it at 'geometric'"]),
+            (RunConfig(command="heuristic-q", K=7, moves=3),
+             ["K: heuristic-q does not read it; leave it at 16",
+              "moves: heuristic-q does not read it; leave it at 1"]),
+            (RunConfig(command="heuristic-q", schedule="adaptive"),
+             ["schedule: heuristic-q does not read it; leave it at 'linear'"]),
+            (RunConfig(command="grid-q"),
+             ["path_kind: grid-q does not read it; leave it at 'qpath'"]),
         ],
     )
-    def test_extras_the_command_does_not_read_are_rejected(self, extras, messages):
-        # K is a RunConfig field, so no command reads it from the extras
+    def test_unread_settings_are_rejected(self, config, messages):
+        # a field the command's row does not list must keep the command's
+        # default, and an extra it does not list must be left out; K is a
+        # RunConfig field, so no command reads it from the extras
         with pytest.raises(ConfigError) as err:
-            run(RunConfig(command="heuristic-q", extras=extras))
+            run(config)
         assert err.value.errors == messages
 
     def test_unknown_names_rejected(self):
@@ -344,8 +362,13 @@ class TestGridQ:
         per_q = sorted(p for p in tmp_path.iterdir() if p.name != "grid.json")
         assert len(per_q) == grid_count
         for q, sub_path in zip(report.extras["qs"], per_q):
-            sub = report_from_json(sub_path.read_text()).to_dict()
-            alone = run(replace(config, command="bdmc", q=q, output=None)).to_dict()
+            sub = report_from_json(sub_path.read_text())
+            # the echo is a bdmc config of this order, free of grid-q's own settings
+            echo = sub.config_echo
+            assert (echo.command, echo.q) == ("bdmc", q)
+            assert "grid_count" not in echo.extras
+            alone = run(echo).to_dict()
+            sub = sub.to_dict()
             # every per-q report carries the whole sweep's wallclock
             assert sub.pop("wallclock_s") <= report.wallclock_s
             alone.pop("wallclock_s")

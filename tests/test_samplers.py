@@ -508,6 +508,25 @@ class TestSmc:
                     rng=np.random.default_rng(47), adapt_steps=0)
         assert "beta_trace" in excinfo.value.diagnostics
 
+    @pytest.mark.parametrize("schedule", [np.linspace(0.0, 1.0, 5), "adaptive"])
+    def test_dead_target_collapses_on_either_schedule(self, schedule):
+        # N(0,1) draws never reach z > 50, so every chain dies at the first
+        # step: the adaptive bisection reads that as ESS 0, not a bad input
+        base = gaussian(np.array([0.0]), np.array([[1.0]]))
+
+        def far_lp(z):
+            z = np.asarray(z, dtype=float)
+            return np.where(z[..., 0] > 50.0, 0.0, -np.inf)
+
+        target = UnnormalizedDensity(dim=1, log_density=far_lp, gradient=np.zeros_like)
+        path = QPath(base, target, q=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(WeightCollapseError) as excinfo:
+                smc_run(path, schedule, 16, moves_per_step=1, cfg=small_cfg(), rng=5)
+        trace = excinfo.value.diagnostics["beta_trace"]
+        assert trace[0] == 0.0 and len(trace) == 2
+
     def test_never_resampling_is_forward_ais(self):
         # the default toy pair at q = 0.9 with default tuning: AIS is SMC
         # with ess_fraction 0, step for step
