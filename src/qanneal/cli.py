@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import numbers
 import os
 import sys
 import time
@@ -79,12 +80,30 @@ _SETTINGS = {
     "grid_count": (int, (lambda v: v >= 1, "need at least one grid point")),
     "adapt_steps": (int, _NONNEGATIVE), "trace_csv": (str,),
 }
+# the class a set value of each setting type must be an instance of, checked
+# ahead of the setting's checks; a bool counts as neither number
+_TYPE_CHECKS = {
+    int: (numbers.Integral, "must be an integer"),
+    float: (numbers.Real, "must be a real number"),
+    str: (str, "must be a string"),
+}
 # RunConfig's defaults of the settings that are its fields; the rest are extras
 _FIELD_DEFAULTS = {f.name: f.default for f in fields(RunConfig) if f.name in _SETTINGS}
 _EXTRAS = tuple(key for key in _SETTINGS if key not in _FIELD_DEFAULTS)
 _TOY = ("mu0", "var0", "mu1", "var1", "target_log_scale")
 _AIS = ("path_kind", "q", "K", "moves", *_TOY, "nu", "adapt_steps", "trace_csv")
 _SMC_COMMANDS = ("anneal-toy", "smc")
+
+
+def _fault(key: str, value) -> str | None:
+    """The message of the first check that ``value`` fails as ``key``, its
+    type's ahead of those in ``_SETTINGS``; None when it meets them all."""
+    kind, *checks = _SETTINGS[key]
+    if kind in _TYPE_CHECKS:
+        cls, message = _TYPE_CHECKS[kind]
+        if isinstance(value, bool) or not isinstance(value, cls):
+            return message
+    return next((message for ok, message in checks if not ok(value)), None)
 
 
 def _validate(config: RunConfig) -> list[str]:
@@ -103,8 +122,10 @@ def _validate(config: RunConfig) -> list[str]:
     if reads_path and (config.q is None) == (config.path_kind == "qpath"):
         need = "required" if config.q is None else "only meaningful"
         problems.setdefault("q", f"{need} when path_kind is qpath")
+    # a wrongly typed setting gets its type's message below, and no rule
+    # here or after the checks compares it
     min_particles = 2 if config.command in _SMC_COMMANDS else 1
-    if config.particles < min_particles:
+    if _fault("particles", config.particles) is None and config.particles < min_particles:
         problems.setdefault("particles", f"need at least {min_particles}")
     # (key, value, known): the fields off the command's default, then every extra
     given = [
@@ -120,19 +141,19 @@ def _validate(config: RunConfig) -> list[str]:
             keep = f"; leave it at {defaults[key]!r}" if key in defaults else ""
             fault = f"{config.command} {unread}{keep}"
         else:
-            fault = next((message for ok, message in _SETTINGS[key][1:] if not ok(value)), None)
+            fault = _fault(key, value)
         if fault is not None:
             problems.setdefault(key, fault)
     nu = config.extras.get("nu")
-    if reads_path and config.path_kind == "escort":
-        if nu is None or nu <= 0.0:
-            problems.setdefault("nu", "escort path needs a positive nu")
-    elif reads_path and nu is not None:
-        problems.setdefault("nu", "only the escort path takes nu")
+    if reads_path and "nu" not in problems:
+        if config.path_kind == "escort" and (nu is None or nu <= 0.0):
+            problems["nu"] = "escort path needs a positive nu"
+        elif config.path_kind != "escort" and nu is not None:
+            problems["nu"] = "only the escort path takes nu"
     if config.command == "smc":
         if config.dataset is None:
             problems.setdefault("dataset", "required for smc")
-        elif not os.path.exists(config.dataset):
+        elif "dataset" not in problems and not os.path.exists(config.dataset):
             problems.setdefault("dataset", f"file not found: {config.dataset}")
         if config.path_kind in ("moment", "escort"):
             problems.setdefault(
@@ -142,7 +163,7 @@ def _validate(config: RunConfig) -> list[str]:
             )
     # grid-q's per-q reports go next to the output, so one check covers them
     for key, target in (("output", config.output), ("trace_csv", config.extras.get("trace_csv"))):
-        if target is not None and not Path(target).parent.is_dir():
+        if target is not None and key not in problems and not Path(target).parent.is_dir():
             problems.setdefault(key, f"directory does not exist: {target}")
     return [f"{key}: {message}" for key, message in problems.items()]
 

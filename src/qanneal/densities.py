@@ -111,6 +111,19 @@ def sigmoid(x):
         return 1.0 / (1.0 + np.exp(-x))
 
 
+def _as_matrix(cov, d: int, name: str) -> np.ndarray:
+    """A covariance or scale argument as its (d, d) matrix: a scalar is that
+    multiple of the identity, a vector the diagonal, a matrix itself."""
+    cov = np.asarray(cov, dtype=float)
+    if cov.ndim == 0:
+        cov = np.eye(d) * cov
+    elif cov.ndim == 1:
+        cov = np.diag(cov)
+    if cov.shape != (d, d):
+        raise ValueError(f"{name} shape must match the mean")
+    return cov
+
+
 def gaussian(mean, cov) -> UnnormalizedDensity:
     """Normalized multivariate Gaussian; scalars are accepted in one dimension.
 
@@ -118,14 +131,7 @@ def gaussian(mean, cov) -> UnnormalizedDensity:
     """
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     d = mean.shape[0]
-    cov = np.asarray(cov, dtype=float)
-    if cov.ndim == 0:
-        cov = np.eye(d) * cov
-    elif cov.ndim == 1:
-        cov = np.diag(cov)
-    if cov.shape != (d, d):
-        raise ValueError("covariance shape must match the mean")
-    chol = np.linalg.cholesky(cov)
+    chol = np.linalg.cholesky(_as_matrix(cov, d, "covariance"))
     # whitening is (z - mean) @ inv_chol.T; the precision is inv_chol.T @ inv_chol
     inv_chol = np.linalg.inv(chol)
     log_norm = -0.5 * d * math.log(2.0 * math.pi) - np.sum(np.log(np.diag(chol)))
@@ -151,14 +157,7 @@ def student_t(mean, scale, nu: float) -> UnnormalizedDensity:
         raise ValueError("nu must be positive")
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     d = mean.shape[0]
-    scale = np.asarray(scale, dtype=float)
-    if scale.ndim == 0:
-        scale = np.eye(d) * scale
-    elif scale.ndim == 1:
-        scale = np.diag(scale)
-    if scale.shape != (d, d):
-        raise ValueError("scale shape must match the mean")
-    chol = np.linalg.cholesky(scale)
+    chol = np.linalg.cholesky(_as_matrix(scale, d, "scale"))
     inv_chol = np.linalg.inv(chol)
     log_norm = (
         math.lgamma(0.5 * (nu + d))

@@ -16,6 +16,7 @@ import numpy as np
 from qanneal.deformed import is_geometric_order
 from qanneal.densities import (
     UnnormalizedDensity,
+    _as_matrix,
     gaussian,
     q_from_nu,
     sigmoid,
@@ -32,8 +33,13 @@ def _check_beta(beta: float) -> float:
 
 
 def _deform(lp0, lp1, q):
-    """The beta-free terms of ``_blend`` off the geometric order.
+    """The beta-free terms, off the geometric order, of the blend
+    (1/(1-q)) * log((1-beta) * p0^(1-q) + beta * p1^(1-q)) in log space,
+    which ``_blend_at`` takes at an interior beta.
 
+    No row may have both endpoints at -inf, nor either one at q >= 1;
+    ``QPath`` masks such rows first.  ``q`` and beta may be arrays that
+    broadcast against the endpoints, one value per row.
     Returns ``(d, x, swap, em, anchor)``: d = 1 - q, the deformed gap
     x = d * (lp1 - lp0), the rows ``swap`` = x > 0 where the target
     dominates in the deformed scale, em = expm1(-|x|) and the log-density of
@@ -47,7 +53,7 @@ def _deform(lp0, lp1, q):
 
 
 def _blend_at(terms, beta):
-    """``_blend`` at ``beta`` from the ``_deform`` terms: one log1p per element,
+    """The blend at ``beta`` from the ``_deform`` terms: one log1p per element,
     on the side each element takes, and a logaddexp at a small scalar beta."""
     d, x, swap, em, anchor = terms
     if isinstance(beta, float) and 0.0 < beta < 1e-2:
@@ -59,21 +65,6 @@ def _blend_at(terms, beta):
         near = np.log1p(np.where(swap, 1.0 - beta, beta) * np.where(far, 0.0, em))
         return anchor + np.where(far, np.logaddexp(math.log(beta), math.log1p(-beta) - x), near) / d
     return anchor + np.log1p(np.where(swap, 1.0 - beta, beta) * em) / d
-
-
-def _blend(lp0, lp1, beta, q):
-    """(1/(1-q)) * log((1-beta) * p0^(1-q) + beta * p1^(1-q)) in log space,
-    from endpoint log-densities at an interior beta.
-
-    No row may have both endpoints at -inf, nor either one at q >= 1;
-    ``QPath`` masks such rows first.  ``beta`` and ``q`` may
-    be arrays that broadcast against the endpoints, one value per row; an
-    array ``q`` must stay off the geometric order.
-    """
-    if np.ndim(q) == 0 and is_geometric_order(q):
-        # difference form keeps equal endpoints bit-exact at every beta
-        return lp0 + beta * (lp1 - lp0)
-    return _blend_at(_deform(lp0, lp1, q), beta)
 
 
 def blend_log_ratio(log_ratios, beta: float, q: float):
@@ -90,7 +81,11 @@ def blend_log_ratio(log_ratios, beta: float, q: float):
         return np.zeros_like(lr)
     if beta == 1.0:
         return lr.copy()
-    return _blend(0.0, lr, beta, q)
+    if np.ndim(q) == 0 and is_geometric_order(q):
+        # QPath's difference form lp0 + beta * (lp1 - lp0) at lp0 = 0, which
+        # reads +0.0 where the product is -0.0
+        return beta * lr + 0.0
+    return _blend_at(_deform(0.0, lr, q), beta)
 
 
 def _as_float(a, ndim: int) -> np.ndarray:
@@ -114,16 +109,15 @@ class PathBatch:
     ``batch(beta)`` is the path log-density (n,) and
     ``batch.value_and_grad(beta)`` the (logp, grad) pair.  Each endpoint is
     evaluated at most once, value and gradient in one call, when a beta
-    first needs it, and that pair then serves every beta.  ``terms`` holds
-    what the path computes once per batch for every beta, such as a
-    ``QPath``'s deformed gap.
+    first needs it, and that pair then serves every beta.  ``terms`` is the
+    path's one slot on the batch: a ``QPath``'s beta-free blend terms, a
+    ``MomentPath``'s latest interior waypoint.
     """
 
     def __init__(self, path: "AnnealingPath", z):
         self.path = path
         self.z = _as_float(z, 2)
         self._ends = [None, None]
-        self._waypoint = (None, None)
         self.terms = None
 
     def end(self, i: int):
@@ -132,13 +126,6 @@ class PathBatch:
         if self._ends[i] is None:
             self._ends[i] = _evaluate(self.path.target if i else self.path.base, self.z)
         return self._ends[i]
-
-    def waypoint(self, density: UnnormalizedDensity):
-        """The pair of ``end`` for any other density on the batch, such as a
-        ``MomentPath`` waypoint; only the most recent one's is kept."""
-        if self._waypoint[0] is not density:
-            self._waypoint = (density, _evaluate(density, self.z))
-        return self._waypoint[1]
 
     def __call__(self, beta: float) -> np.ndarray:
         return self.path._log_density(self, _check_beta(beta))
@@ -222,39 +209,37 @@ class QPath(AnnealingPath):
         # the power mean vanishes where both endpoints do or, on the geometric
         # order and above it (a soft minimum), where either does; the rule is
         # one ufunc when every row takes the same, else the "either" rows
-        either = q > 1.0 if np.ndim(q) else is_geometric_order(q) or q > 1.0
+        geometric = np.ndim(q) == 0 and is_geometric_order(q)
+        either = q > 1.0 if np.ndim(q) else geometric or q > 1.0
         if np.all(either) or not np.any(either):
-            either = np.logical_or if np.all(either) else np.logical_and
-        object.__setattr__(self, "_dead_rule", either)
-
-    @property
-    def _geometric(self) -> bool:
-        return np.ndim(self.q) == 0 and is_geometric_order(self.q)
+            rule = np.logical_or if np.all(either) else np.logical_and
+        else:
+            def rule(dead0, dead1):
+                return np.where(either, dead0 | dead1, dead0 & dead1)
+        object.__setattr__(self, "_geometric", geometric)
+        object.__setattr__(self, "_dead_rule", rule)
 
     def _terms(self, batch: PathBatch):
         """The rows of ``batch`` where the path density vanishes (None when
         none does) and the beta-free terms of the blend on the others, kept
-        on the batch: the endpoints on the geometric order, else
-        ``_deform``'s terms, whose deformed gap the gradient reuses."""
+        on the batch: the base and the gap lp1 - lp0 on the geometric order,
+        else ``_deform``'s terms, whose deformed gap the gradient reuses."""
         if batch.terms is None:
             lp0, lp1 = batch.end(0)[0], batch.end(1)[0]
-            rule, dead0, dead1 = self._dead_rule, lp0 == -np.inf, lp1 == -np.inf
-            if callable(rule):
-                dead = rule(dead0, dead1)
-            else:
-                dead = np.where(rule, dead0 | dead1, dead0 & dead1)
+            dead = self._dead_rule(lp0 == -np.inf, lp1 == -np.inf)
             if dead.any():
                 lp0, lp1 = np.where(dead, 0.0, lp0), np.where(dead, 0.0, lp1)
             else:
                 dead = None
-            batch.terms = dead, ((lp0, lp1) if self._geometric else _deform(lp0, lp1, self.q))
+            batch.terms = dead, ((lp0, lp1 - lp0) if self._geometric else _deform(lp0, lp1, self.q))
         return batch.terms
 
     def _log_density(self, batch: PathBatch, beta: float):
         if beta == 0.0 or beta == 1.0:
             return batch.end(int(beta))[0]
         dead, terms = self._terms(batch)
-        out = _blend(*terms, beta, self.q) if self._geometric else _blend_at(terms, beta)
+        # the geometric order's difference form keeps equal endpoints bit-exact
+        out = terms[0] + beta * terms[1] if self._geometric else _blend_at(terms, beta)
         return out if dead is None else np.where(dead, -np.inf, out)
 
     def _gradient(self, batch: PathBatch, beta: float, live):
@@ -352,12 +337,8 @@ def moment_path_params(mu0, cov0, mu1, cov1, beta: float, nu: float | None = Non
     beta = _check_beta(beta)
     mu0 = np.atleast_1d(np.asarray(mu0, dtype=float))
     mu1 = np.atleast_1d(np.asarray(mu1, dtype=float))
-    cov0 = np.asarray(cov0, dtype=float)
-    cov1 = np.asarray(cov1, dtype=float)
-    if cov0.ndim == 0:
-        cov0 = np.eye(mu0.size) * cov0
-    if cov1.ndim == 0:
-        cov1 = np.eye(mu1.size) * cov1
+    cov0 = _as_matrix(cov0, mu0.size, "cov0")
+    cov1 = _as_matrix(cov1, mu1.size, "cov1")
     if nu is not None and not nu > 0.0:
         raise ValueError("nu must be positive when given")
     factor = 1.0 if nu is None else (nu + 2.0) / nu
@@ -373,7 +354,8 @@ class MomentPath(AnnealingPath):
     ``nu=None`` gives the Gaussian moment path; a finite ``nu`` gives the
     Student-t path whose escort expectations mix linearly. The target's log
     scale factor ``log_scale1`` enters log-linearly in beta, so unnormalized
-    targets fit; the base is normalized.
+    targets fit; the base is normalized.  ``base`` and ``target``, the
+    waypoints at 0 and 1, are a ``PathBatch``'s endpoints like any path's.
     """
 
     def __init__(self, mu0, cov0, mu1, cov1, nu: float | None = None, log_scale1: float = 0.0):
@@ -381,37 +363,35 @@ class MomentPath(AnnealingPath):
         self.mu1 = np.atleast_1d(np.asarray(mu1, dtype=float))
         if self.mu0.shape != self.mu1.shape:
             raise ValueError("endpoint dimensions differ")
-        self.cov0 = np.asarray(cov0, dtype=float)
-        self.cov1 = np.asarray(cov1, dtype=float)
+        self.cov0 = _as_matrix(cov0, self.mu0.size, "cov0")
+        self.cov1 = _as_matrix(cov1, self.mu1.size, "cov1")
         self.nu = nu
         self.log_scale1 = float(log_scale1)
-        # the endpoints stay built; of the interior waypoints only the most
-        # recent is kept, which serves every evaluation at a fixed beta
-        self._ends = (self._build_waypoint(0.0), self._build_waypoint(1.0))
-        self._waypoints: dict[float, UnnormalizedDensity] = {}
-        self.base = self._ends[0]
-        self.target = with_log_scale(self._ends[1], self.log_scale1)
+        self.base = self._build_waypoint(0.0)
+        self.target = with_log_scale(self._build_waypoint(1.0), self.log_scale1)
+        # (beta, density) of the latest interior waypoint, which serves every
+        # evaluation at a fixed beta; a batch keeps its pair in ``terms``
+        self._latest = (None, None)
 
     def _build_waypoint(self, beta: float) -> UnnormalizedDensity:
-        mu_b, cov_b = moment_path_params(
-            self.mu0, self.cov0, self.mu1, self.cov1, beta, nu=self.nu
-        )
-        if self.nu is None:
-            return gaussian(mu_b, cov_b)
-        return student_t(mu_b, cov_b, nu=self.nu)
+        mu_b, cov_b = moment_path_params(self.mu0, self.cov0, self.mu1, self.cov1, beta, nu=self.nu)
+        return gaussian(mu_b, cov_b) if self.nu is None else student_t(mu_b, cov_b, nu=self.nu)
 
-    def _waypoint(self, beta: float) -> UnnormalizedDensity:
+    def _pair(self, batch: PathBatch, beta: float):
+        """(logp, grad) of ``batch`` at ``beta``: an endpoint's from the
+        batch, an interior waypoint's kept in ``batch.terms`` as
+        (beta, pair), the target's log scale entering as beta times it."""
         if beta == 0.0 or beta == 1.0:
-            return self._ends[int(beta)]
-        if beta not in self._waypoints:
-            self._waypoints = {beta: self._build_waypoint(beta)}
-        return self._waypoints[beta]
-
-    def _offset(self, beta: float) -> float:
-        return beta * self.log_scale1
+            return batch.end(int(beta))
+        if batch.terms is None or batch.terms[0] != beta:
+            if self._latest[0] != beta:
+                self._latest = (beta, self._build_waypoint(beta))
+            lp, g = _evaluate(self._latest[1], batch.z)
+            batch.terms = beta, (lp + beta * self.log_scale1, g)
+        return batch.terms[1]
 
     def _log_density(self, batch: PathBatch, beta: float):
-        return batch.waypoint(self._waypoint(beta))[0] + self._offset(beta)
+        return self._pair(batch, beta)[0]
 
     def _gradient(self, batch: PathBatch, beta: float, live):
-        return batch.waypoint(self._waypoint(beta))[1][live]
+        return self._pair(batch, beta)[1][live]

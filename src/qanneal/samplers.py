@@ -121,14 +121,13 @@ class AisResult:
 
 @dataclass
 class SmcDiagnostics:
-    """Per-step traces and the final weighted particles of an SMC run."""
+    """Per-step traces and the final particles of an SMC run."""
 
     beta_trace: np.ndarray
     ess_trace: np.ndarray
     acceptance_trace: np.ndarray
     resample_count: int
     positions: np.ndarray
-    log_weights: np.ndarray
 
 
 def _betas_of(schedule) -> np.ndarray:
@@ -238,6 +237,7 @@ def _anneal(
     beta_trace, ess_trace, acc_trace, resamples = [beta], [], [], 0
     batch = path.log_density_of(z)
     lp_old = batch(beta)
+    converged = True
     while beta < 1.0 if betas is None else len(beta_trace) < betas.size:
         if betas is not None:
             beta = betas[len(beta_trace)]
@@ -249,11 +249,6 @@ def _anneal(
             beta, converged = _next_beta_by_ess(
                 lambda b: _masked_increment(batch(b), lp_old), beta, ess_target, tol
             )
-            if not converged:
-                warnings.warn(
-                    f"incremental ESS bisection did not converge at beta {beta_trace[-1]:.6f}",
-                    RuntimeWarning,
-                )
         beta_trace.append(beta)
         state = batch.value_and_grad(beta)
         log_w = _accumulate(log_w, _masked_increment(state[0], lp_old).reshape(log_w.shape))
@@ -261,6 +256,12 @@ def _anneal(
             raise WeightCollapseError(
                 "every chain of a block carries a -inf weight",
                 {"beta_trace": np.asarray(beta_trace), "ess_trace": np.asarray(ess_trace).T},
+            )
+        # a dead run raises above, so the warning names only a live one
+        if not converged:
+            warnings.warn(
+                f"incremental ESS bisection did not converge at beta {beta_trace[-2]:.6f}",
+                RuntimeWarning,
             )
         ess_trace.append(_ess_rows(log_w))
         if ess_trace[-1][0] < resample_below:
@@ -398,9 +399,7 @@ def smc_run(
     ess_target = ess_fraction * particles
     resample_below = math.inf if adaptive else ess_target
     run = _anneal(path, z, cfg, moves_per_step, gen, adapt_steps, betas, ess_target, resample_below)
-    log_w = run.log_w[0]
     diagnostics = SmcDiagnostics(
-        run.beta_trace, run.ess_trace[0], run.acceptance_trace[0], run.resample_count,
-        run.positions, log_w - _log_sum_exp(log_w),
+        run.beta_trace, run.ess_trace[0], run.acceptance_trace[0], run.resample_count, run.positions
     )
     return float(run.log_Z[0]), diagnostics

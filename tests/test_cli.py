@@ -177,6 +177,36 @@ class TestValidation:
             run(config)
         assert err.value.errors == messages
 
+    @pytest.mark.parametrize(
+        "config, messages",
+        [
+            (RunConfig(command="ais", K="3"), ["K: must be an integer"]),
+            (RunConfig(command="ais", particles="8"), ["particles: must be an integer"]),
+            (RunConfig(command="anneal-toy", particles="8"), ["particles: must be an integer"]),
+            (RunConfig(command="ais", extras={"mu0": "1"}), ["mu0: must be a real number"]),
+            (RunConfig(command="ais", path_kind="qpath", q="0.5"), ["q: must be a real number"]),
+            (RunConfig(command="ais", path_kind="escort", extras={"nu": "3"}),
+             ["nu: must be a real number"]),
+            (RunConfig(command="ais", K=True), ["K: must be an integer"]),
+            (RunConfig(command="ais", extras={"var0": False}), ["var0: must be a real number"]),
+            (RunConfig(command="ais", seed=1.0), ["seed: must be an integer"]),
+            (RunConfig(command="ais", output=5), ["output: must be a string"]),
+            (RunConfig(command="smc", dataset=5.0), ["dataset: must be a string"]),
+            (RunConfig(command="ais", extras={"trace_csv": 3}), ["trace_csv: must be a string"]),
+        ],
+    )
+    def test_wrongly_typed_setting_is_one_config_error(self, config, messages):
+        # the type check runs ahead of every bound and rule that compares
+        with pytest.raises(ConfigError) as err:
+            run(config)
+        assert err.value.errors == messages
+
+    def test_numpy_scalars_are_settings(self):
+        got = run(RunConfig(command="ais", K=np.int64(3), particles=np.int32(8),
+                            extras={"mu0": np.float64(-3.5), "var0": 3}))
+        want = run(RunConfig(command="ais", K=3, particles=8, extras={"mu0": -3.5, "var0": 3.0}))
+        assert got.log_Z == want.log_Z and list(got.beta_trace) == list(want.beta_trace)
+
     def test_unknown_names_rejected(self):
         config = RunConfig(command="warp", path_kind="spline", schedule="cubic")
         with pytest.raises(ConfigError) as err:

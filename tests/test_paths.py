@@ -18,7 +18,8 @@ from qanneal.hmc import HmcConfig
 from qanneal.paths import (
     MomentPath,
     QPath,
-    _blend,
+    _blend_at,
+    _deform,
     blend_log_ratio,
     gaussian_natural_params,
     moment_path_params,
@@ -292,7 +293,8 @@ class TestOnePassBlend:
             for beta in betas:
                 # no log1p meets -1, even where 1 - beta rounds to 1
                 with np.errstate(divide="raise", invalid="raise"):
-                    got, want = _blend(lp0, lp1, beta, q), two_branch_blend(lp0, lp1, beta, q)
+                    got = _blend_at(_deform(lp0, lp1, q), beta)
+                    want = two_branch_blend(lp0, lp1, beta, q)
                 assert_same_bits(got, want)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -308,7 +310,8 @@ class TestOnePassBlend:
         for qq in (q, 2.0 - q):
             # at beta = 1, the ratio -1e300 takes log1p to -1
             with np.errstate(divide="ignore"):
-                got, want = _blend(0.0, ratios, beta, qq), two_branch_blend(0.0, ratios, beta, qq)
+                got = _blend_at(_deform(0.0, ratios, qq), beta)
+                want = two_branch_blend(0.0, ratios, beta, qq)
             assert_same_bits(got, want)
 
 
@@ -427,19 +430,27 @@ class TestValueAndGrad:
 
 class TestPathBatch:
     def test_each_endpoint_evaluated_once_when_first_needed(self):
-        calls = {}
         base, target = toy_gaussian_pair()
-        path = QPath(counted(base, calls, "base"), counted(target, calls, "target"), q=0.5)
-        zs = np.linspace(-5.0, 5.0, 7)[:, None]
-        batch = path.log_density_of(zs)
-        assert np.array_equal(batch(1.0), target.log_density(zs))
-        assert calls == {"base": 0, "target": 1}
-        batch(0.0)
-        batch(0.3)
-        lp, g = batch.value_and_grad(0.7)
-        assert calls == {"base": 1, "target": 1}
-        assert np.array_equal(lp, path.log_density(zs, 0.7))
-        assert np.array_equal(g, path.gradient(zs, 0.7))
+        moment = MomentPath([-4.0], 3.0, [4.0], 1.0, log_scale1=2.0)
+        for path in (QPath(base, target, q=0.5), moment):
+            calls = {}
+            ends = path.base, path.target
+            counted_ends = counted(ends[0], calls, "base"), counted(ends[1], calls, "target")
+            if isinstance(path, QPath):
+                path = QPath(*counted_ends, q=path.q)
+            else:
+                path.base, path.target = counted_ends
+            zs = np.linspace(-5.0, 5.0, 7)[:, None]
+            batch = path.log_density_of(zs)
+            assert np.array_equal(batch(1.0), ends[1].log_density(zs))
+            assert calls == {"base": 0, "target": 1}
+            batch(0.0)
+            batch(0.4)
+            batch(0.0)
+            lp, g = batch.value_and_grad(0.7)
+            assert calls == {"base": 1, "target": 1}
+            assert np.array_equal(lp, path.log_density(zs, 0.7))
+            assert np.array_equal(g, path.gradient(zs, 0.7))
 
 
 class TestArrayQ:
@@ -572,11 +583,49 @@ class TestMomentPath:
     @pytest.mark.parametrize("nu", [None, 3.0])
     def test_waypoint_cache_stays_bounded(self, nu):
         path = MomentPath([-4.0], 3.0, [4.0], 1.0, nu=nu)
+        builds, build = [], path._build_waypoint
+        path._build_waypoint = lambda beta: builds.append(beta) or build(beta)
         cfg = HmcConfig(step_size=0.5, n_leapfrog=5)
         _, diag = smc_run(path, "adaptive", particles=64, moves_per_step=1, cfg=cfg,
                           rng=3, ess_fraction=0.9, adapt_steps=2)
         assert len(diag.beta_trace) > 10
-        assert len(path._waypoints) <= 1
+        # the path keeps one waypoint, which serves every evaluation at its
+        # beta: no beta is built twice in a row, and every step's is built
+        assert all(a != b for a, b in zip(builds, builds[1:]))
+        assert set(diag.beta_trace[1:-1]) <= set(builds)
+        beta, density = path._latest
+        assert beta == builds[-1] and isinstance(density, UnnormalizedDensity)
+
+    @pytest.mark.parametrize("nu", [None, 3.0])
+    def test_variance_vectors_are_diagonal_covariances(self, nu):
+        mu0, var0, mu1, var1 = [0.0, 0.0], [1.0, 2.0], [1.0, 1.0], [1.0, 2.0]
+        for beta in (0.0, 0.3, 1.0):
+            got = moment_path_params(mu0, var0, mu1, var1, beta, nu=nu)
+            want = moment_path_params(mu0, np.diag(var0), mu1, np.diag(var1), beta, nu=nu)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        zs = np.array([[0.5, -0.3], [1.0, 2.0]])
+        vec = MomentPath(mu0, var0, mu1, var1, nu=nu, log_scale1=0.5)
+        mat = MomentPath(mu0, np.diag(var0), mu1, np.diag(var1), nu=nu, log_scale1=0.5)
+        for beta in (0.0, 0.3, 1.0):
+            for got, want in zip(vec.value_and_grad(zs, beta), mat.value_and_grad(zs, beta)):
+                assert np.array_equal(got, want)
+        family = gaussian if nu is None else (lambda mu, var: student_t(mu, var, nu=nu))
+        assert np.array_equal(vec.base.log_density(zs), family(mu0, var0).log_density(zs))
+        assert np.array_equal(vec.target.log_density(zs), family(mu1, var1).log_density(zs) + 0.5)
+        if nu is None:
+            np.testing.assert_allclose(vec.base.log_density(zs), [-2.332, -3.684], atol=1e-3)
+
+    def test_wrongly_shaped_covariance_rejected(self):
+        calls = [
+            lambda: moment_path_params([0.0, 0.0], [1.0, 2.0, 3.0], [1.0, 1.0], 1.0, 0.5),
+            lambda: moment_path_params([0.0, 0.0], 1.0, [1.0, 1.0], np.ones((2, 3)), 0.5),
+            lambda: MomentPath([0.0, 0.0], np.ones((3, 3)), [1.0, 1.0], 1.0),
+            lambda: gaussian([0.0, 0.0], [1.0]),
+            lambda: student_t([0.0], np.ones((2, 2)), nu=3.0),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="shape must match the mean"):
+                call()
 
     def test_beta_validation(self):
         path = MomentPath([-4.0], 3.0, [4.0], 1.0)

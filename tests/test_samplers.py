@@ -511,7 +511,8 @@ class TestSmc:
     @pytest.mark.parametrize("schedule", [np.linspace(0.0, 1.0, 5), "adaptive"])
     def test_dead_target_collapses_on_either_schedule(self, schedule):
         # N(0,1) draws never reach z > 50, so every chain dies at the first
-        # step: the adaptive bisection reads that as ESS 0, not a bad input
+        # step: the adaptive bisection reads that as ESS 0, not a bad input,
+        # and the collapse raises with no warning ahead of it
         base = gaussian(np.array([0.0]), np.array([[1.0]]))
 
         def far_lp(z):
@@ -521,7 +522,7 @@ class TestSmc:
         target = UnnormalizedDensity(dim=1, log_density=far_lp, gradient=np.zeros_like)
         path = QPath(base, target, q=1.0)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error")
             with pytest.raises(WeightCollapseError) as excinfo:
                 smc_run(path, schedule, 16, moves_per_step=1, cfg=small_cfg(), rng=5)
         trace = excinfo.value.diagnostics["beta_trace"]
