@@ -127,10 +127,13 @@ def _validate(config: RunConfig) -> list[str]:
     min_particles = 2 if config.command in _SMC_COMMANDS else 1
     if _fault("particles", config.particles) is None and config.particles < min_particles:
         problems.setdefault("particles", f"need at least {min_particles}")
-    # (key, value, known): the fields off the command's default, then every extra
+    # (key, value, known): the listed fields that are set and the fields off
+    # the command's default, then every extra; a float equal to an integer
+    # default is still checked as the integer it must be
+    values = {key: getattr(config, key) for key in defaults}
     given = [
-        (key, getattr(config, key), True) for key, default in defaults.items()
-        if getattr(config, key) != default
+        (key, value, True) for key, value in values.items()
+        if value != defaults[key] or (key in listed and value is not None)
     ]
     given += [(key, value, key in _EXTRAS) for key, value in config.extras.items()]
     for key, value, known in given:
@@ -208,16 +211,6 @@ def _truth(config: RunConfig) -> dict:
     return {} if config.dataset else {"true_log_Z": _toy_params(config.extras)["target_log_scale"]}
 
 
-def _traces(betas, ess, acceptance) -> dict:
-    """A run's per-step traces as report fields: the betas it reached (its
-    start left out), with the carried-weight ESS and the mean acceptance."""
-    return {
-        "beta_trace": tuple(float(x) for x in betas[1:]),
-        "ess_trace": tuple(float(x) for x in ess),
-        "acceptance_trace": tuple(float(x) for x in acceptance),
-    }
-
-
 def _stderr(ess_trace, n: int) -> float:
     """sqrt(sum(n / ESS - 1) / n) over ``ess_trace``.  On a final ESS alone
     it is the delta-method SE of log Z, CV(w) / sqrt(n) of the final weights,
@@ -226,10 +219,24 @@ def _stderr(ess_trace, n: int) -> float:
     return math.sqrt(total / n)
 
 
+def _body(config: RunConfig, run, stderr_ess, **extras) -> dict:
+    """The report body of ``run``, one block of ``config.particles`` chains:
+    its traces in run order (its start left out), the stderr over
+    ``stderr_ess``, and ``extras`` ahead of the true log Z."""
+    return {
+        "log_Z": float(run.log_Z_estimate),
+        "stderr_estimate": _stderr(stderr_ess, config.particles),
+        "beta_trace": tuple(float(x) for x in run.beta_trace[1:]),
+        "ess_trace": tuple(float(x) for x in run.ess_trace),
+        "acceptance_trace": tuple(float(x) for x in run.acceptance_trace),
+        "extras": {**extras, **_truth(config)},
+    }
+
+
 def _drive_smc(config: RunConfig) -> dict:
     path = _dataset_path(config) if config.dataset else _toy_path(config)
     schedule = "adaptive" if config.schedule == "adaptive" else linear_schedule(config.K)
-    log_z, diag = smc_run(
+    _, run = smc_run(
         path,
         schedule,
         particles=config.particles,
@@ -238,25 +245,7 @@ def _drive_smc(config: RunConfig) -> dict:
         rng=int(config.seed),
         **_given(config, "adapt_steps"),
     )
-    traces = _traces(diag.beta_trace, diag.ess_trace, diag.acceptance_trace)
-    return {
-        "log_Z": float(log_z),
-        "stderr_estimate": _stderr(traces["ess_trace"], config.particles),
-        **traces,
-        "extras": {"resample_count": diag.resample_count, **_truth(config)},
-    }
-
-
-def _ais_body(config: RunConfig, fwd, **extras) -> dict:
-    """The report body of ``fwd``, a forward AIS result of one block of
-    ``config.particles`` chains, with ``extras`` ahead of the true log Z."""
-    traces = _traces(fwd.schedule_used, fwd.ess_trace, fwd.acceptance_trace)
-    return {
-        "log_Z": fwd.log_Z_estimate,
-        "stderr_estimate": _stderr(traces["ess_trace"][-1:], config.particles),
-        **traces,
-        "extras": {**extras, **_truth(config)},
-    }
+    return _body(config, run, run.ess_trace, resample_count=run.resample_count)
 
 
 def _drive_ais(config: RunConfig) -> dict:
@@ -264,7 +253,7 @@ def _drive_ais(config: RunConfig) -> dict:
         _toy_path(config), linear_schedule(config.K), config.particles, _HMC,
         config.moves, np.random.default_rng(config.seed), **_given(config, "adapt_steps"),
     )
-    return _ais_body(config, result, n_dropped=result.n_dropped)
+    return _body(config, result, result.ess_trace[-1:], n_dropped=result.n_dropped)
 
 
 def _bdmc_bodies(config: RunConfig, path, blocks: int) -> list[dict]:
@@ -281,9 +270,9 @@ def _bdmc_bodies(config: RunConfig, path, blocks: int) -> list[dict]:
     target_draws = np.tile(path.target.exact_sampler(rng, chains), (blocks, 1))
     rev = ais_reverse(path, schedule, target_draws, cfg, moves, rng, **adapt)
     return [
-        _ais_body(
-            config, f, upper_bound=float(-r.log_Z_estimate), bdmc_gap=bdmc_gap(f, r),
-            n_dropped_forward=f.n_dropped, n_dropped_reverse=r.n_dropped,
+        _body(
+            config, f, f.ess_trace[-1:], upper_bound=float(-r.log_Z_estimate),
+            bdmc_gap=bdmc_gap(f, r), n_dropped_forward=f.n_dropped, n_dropped_reverse=r.n_dropped,
         )
         for f, r in zip(fwd.blocks(), rev.blocks())
     ]
@@ -299,7 +288,7 @@ def _drive_heuristic(config: RunConfig) -> dict:
     return {
         "log_Z": math.nan,
         "stderr_estimate": math.nan,
-        **_traces((), (), ()),
+        "beta_trace": (), "ess_trace": (), "acceptance_trace": (),
         "extras": {
             "q": float(out.q),
             "beta1": float(out.beta1),

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -81,53 +81,56 @@ def systematic_resample(log_weights, rng: Generator) -> np.ndarray:
     return np.minimum(indices, n - 1)
 
 
-@dataclass(frozen=True)
-class AisResult:
-    """Outcome of one annealed importance sampling run.
+@dataclass(frozen=True, eq=False)
+class AnnealRun:
+    """Outcome of one annealing run: AIS, either way, or SMC.
 
-    ``log_Z_estimate`` is the log-mean-exp of the per-chain weights in
-    ``per_chain_log_w``.  A chain that hit a -inf weight stays in that mean
-    as a zero weight, which keeps the forward estimate of Z unbiased;
-    ``n_dropped`` counts such chains.
+    ``log_Z_estimate`` adds, at each resampling and at the end, the
+    log-mean-exp of the weights carried since the last resampling; the last
+    of those are ``per_chain_log_w``.  A chain whose weight hit -inf stays
+    in that mean as a zero weight, which keeps the estimate of Z unbiased.
+    ``beta_trace`` holds the betas in run order, its start included, and
+    each later beta has one entry of ``ess_trace`` (the carried-weight ESS
+    after its increment) and of ``acceptance_trace`` (the mean acceptance
+    of its moves).  ``positions`` are the final chains.
 
     A run over several blocks of chains (a per-block step size) holds every
-    block at once: each field but ``schedule_used`` gains a leading block
-    axis, and ``blocks()`` splits it into one result per block.
+    block at once: each field but ``beta_trace`` and ``resample_count``
+    gains a leading block axis (``positions`` stacks the blocks' rows), and
+    ``blocks()`` splits it into one run per block.
     """
 
     log_Z_estimate: float | np.ndarray
     per_chain_log_w: np.ndarray
-    schedule_used: np.ndarray
-    acceptance_trace: np.ndarray
-    n_dropped: int | np.ndarray = 0
-    ess_trace: np.ndarray = field(default_factory=lambda: np.empty(0))
-
-    def blocks(self) -> list["AisResult"]:
-        """One result per block; a run of a shared step size is its own."""
-        if np.ndim(self.log_Z_estimate) == 0:
-            return [self]
-        return [
-            AisResult(
-                log_Z_estimate=float(self.log_Z_estimate[b]),
-                per_chain_log_w=self.per_chain_log_w[b],
-                schedule_used=self.schedule_used,
-                acceptance_trace=self.acceptance_trace[b],
-                n_dropped=int(self.n_dropped[b]),
-                ess_trace=self.ess_trace[b],
-            )
-            for b in range(self.log_Z_estimate.size)
-        ]
-
-
-@dataclass
-class SmcDiagnostics:
-    """Per-step traces and the final particles of an SMC run."""
-
+    positions: np.ndarray
     beta_trace: np.ndarray
     ess_trace: np.ndarray
     acceptance_trace: np.ndarray
     resample_count: int
-    positions: np.ndarray
+
+    @property
+    def n_dropped(self) -> int | np.ndarray:
+        """The count of chains whose weight is -inf, per block."""
+        dropped = np.sum(~np.isfinite(self.per_chain_log_w), axis=-1)
+        return int(dropped) if dropped.ndim == 0 else dropped
+
+    @property
+    def schedule_used(self) -> np.ndarray:
+        """The betas of the run in increasing order."""
+        return np.sort(self.beta_trace)
+
+    def blocks(self) -> list["AnnealRun"]:
+        """One run per block; a run of a shared step size is its own."""
+        if np.ndim(self.log_Z_estimate) == 0:
+            return [self]
+        rows = np.split(self.positions, self.log_Z_estimate.size)
+        return [
+            AnnealRun(
+                float(self.log_Z_estimate[b]), self.per_chain_log_w[b], rows[b], self.beta_trace,
+                self.ess_trace[b], self.acceptance_trace[b], self.resample_count,
+            )
+            for b in range(self.log_Z_estimate.size)
+        ]
 
 
 def _betas_of(schedule) -> np.ndarray:
@@ -195,23 +198,9 @@ def _next_beta_by_ess(incr_fn, beta_now, ess_target, tol):
     return 0.5 * (lo + hi), False
 
 
-@dataclass
-class _Run:
-    """One annealing run: log Z and the weights carried since the last
-    resampling per block of chains (rows), and traces per step (columns)."""
-
-    log_Z: np.ndarray
-    positions: np.ndarray
-    log_w: np.ndarray
-    beta_trace: np.ndarray
-    ess_trace: np.ndarray
-    acceptance_trace: np.ndarray
-    resample_count: int
-
-
 def _anneal(
     path, z, cfg, moves_per_step, rng, adapt_steps, betas, ess_target, resample_below
-) -> _Run:
+) -> AnnealRun:
     """Weight and move the chains ``z`` along the path: the one annealing loop.
 
     Betas follow the grid ``betas`` in run order or, if it is None, the ESS
@@ -280,8 +269,8 @@ def _anneal(
         lp_old = state[0]
         batch = path.log_density_of(z)
     log_Z += np.array([_log_sum_exp(row) for row in log_w]) - math.log(n)
-    return _Run(
-        log_Z, z, log_w, np.asarray(beta_trace), np.stack(ess_trace, axis=1),
+    return AnnealRun(
+        log_Z, log_w, z, np.asarray(beta_trace), np.stack(ess_trace, axis=1),
         np.stack(acc_trace, axis=1), resamples,
     )
 
@@ -294,7 +283,7 @@ def ais_forward(
     moves_per_step: int,
     rng: Generator,
     adapt_steps: int = _ADAPT_STEPS,
-) -> AisResult:
+) -> AnnealRun:
     """Forward AIS estimate of log(Z_target / Z_base).
 
     Per-chain weights telescope the path energy along the schedule, each
@@ -312,7 +301,7 @@ def ais_forward(
         raise ValueError("chains must be positive")
     z = np.tile(path.base.exact_sampler(rng, chains), (np.size(cfg.step_size), 1))
     run = _anneal(path, z, cfg, moves_per_step, rng, adapt_steps, betas, None, 0.0)
-    return _ais_result(run, betas, cfg)
+    return _ais_result(run, cfg)
 
 
 def ais_reverse(
@@ -323,7 +312,7 @@ def ais_reverse(
     moves_per_step: int,
     rng: Generator,
     adapt_steps: int = _ADAPT_STEPS,
-) -> AisResult:
+) -> AnnealRun:
     """Reverse AIS from exact target samples down the schedule.
 
     The returned ``log_Z_estimate`` is the log-mean-exp of the run-direction
@@ -339,25 +328,23 @@ def ais_reverse(
     if z.shape[0] < 1:
         raise ValueError("reverse AIS requires at least one target sample")
     run = _anneal(path, z, cfg, moves_per_step, rng, adapt_steps, betas[::-1], None, 0.0)
-    return _ais_result(run, betas, cfg)
+    return _ais_result(run, cfg)
 
 
-def _ais_result(run: _Run, betas: np.ndarray, cfg: HmcConfig) -> AisResult:
-    """The AIS record of ``run``, with a warning for each block of dead chains."""
-    n_dropped = np.sum(~np.isfinite(run.log_w), axis=1)
-    for dropped in n_dropped[n_dropped > 0]:
+def _ais_result(run: AnnealRun, cfg: HmcConfig) -> AnnealRun:
+    """``run``, one block under a shared step size; warns of each block of dead chains."""
+    for dropped in run.n_dropped[run.n_dropped > 0]:
         warnings.warn(
-            f"{dropped} of {run.log_w.shape[1]} chains hit -inf weights and count "
+            f"{dropped} of {run.per_chain_log_w.shape[1]} chains hit -inf weights and count "
             "as zero weights in the estimate",
             RuntimeWarning,
         )
-    result = AisResult(run.log_Z, run.log_w, betas, run.acceptance_trace, n_dropped, run.ess_trace)
-    return result if np.ndim(cfg.step_size) else result.blocks()[0]
+    return run if np.ndim(cfg.step_size) else run.blocks()[0]
 
 
-def bdmc_gap(fwd: AisResult, rev: AisResult) -> float:
-    """Width of the sandwich: reverse upper bound minus forward lower bound."""
-    return float(-rev.log_Z_estimate - fwd.log_Z_estimate)
+def bdmc_gap(fwd: AnnealRun, rev: AnnealRun) -> float | np.ndarray:
+    """Width of the sandwich, reverse upper bound minus forward lower bound, per block."""
+    return -rev.log_Z_estimate - fwd.log_Z_estimate
 
 
 def smc_run(
@@ -369,7 +356,7 @@ def smc_run(
     rng: Generator | int,
     ess_fraction: float = 0.5,
     adapt_steps: int = _ADAPT_STEPS,
-) -> tuple[float, SmcDiagnostics]:
+) -> tuple[float, AnnealRun]:
     """Sequential Monte Carlo estimate of log(Z_target / Z_base).
 
     ``schedule`` is either a fixed beta grid (resampling triggers when the
@@ -399,7 +386,5 @@ def smc_run(
     ess_target = ess_fraction * particles
     resample_below = math.inf if adaptive else ess_target
     run = _anneal(path, z, cfg, moves_per_step, gen, adapt_steps, betas, ess_target, resample_below)
-    diagnostics = SmcDiagnostics(
-        run.beta_trace, run.ess_trace[0], run.acceptance_trace[0], run.resample_count, run.positions
-    )
-    return float(run.log_Z[0]), diagnostics
+    run = run.blocks()[0]
+    return run.log_Z_estimate, run

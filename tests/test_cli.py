@@ -193,6 +193,11 @@ class TestValidation:
             (RunConfig(command="ais", output=5), ["output: must be a string"]),
             (RunConfig(command="smc", dataset=5.0), ["dataset: must be a string"]),
             (RunConfig(command="ais", extras={"trace_csv": 3}), ["trace_csv: must be a string"]),
+            # a float equal to the integer default is no integer either
+            (RunConfig(command="ais", particles=64.0), ["particles: must be an integer"]),
+            (RunConfig(command="ais", K=16.0), ["K: must be an integer"]),
+            (RunConfig(command="anneal-toy", moves=1.0), ["moves: must be an integer"]),
+            (RunConfig(command="ais", seed=0.0), ["seed: must be an integer"]),
         ],
     )
     def test_wrongly_typed_setting_is_one_config_error(self, config, messages):

@@ -11,7 +11,7 @@ from qanneal.densities import UnnormalizedDensity, gaussian, with_log_scale
 from qanneal.hmc import HmcConfig
 from qanneal.paths import QPath
 from qanneal.samplers import (
-    AisResult,
+    AnnealRun,
     WeightCollapseError,
     _anneal,
     _log_sum_exp,
@@ -304,6 +304,18 @@ class TestAisReverseAndGap:
                           cfg=small_cfg(), moves_per_step=1, rng=rng, adapt_steps=0)
         assert bdmc_gap(fwd, rev) == 0.0
 
+    def test_reverse_traces_run_down_their_betas(self):
+        # the traces follow the run from 1 down to 0, one entry per later beta
+        path = log_z_two_problem()
+        schedule = np.array([0.0, 0.2, 0.5, 1.0])
+        rng = np.random.default_rng(37)
+        rev = ais_reverse(path, schedule, path.target.exact_sampler(rng, 8), cfg=small_cfg(),
+                          moves_per_step=1, rng=rng, adapt_steps=0)
+        assert np.array_equal(rev.beta_trace, schedule[::-1])
+        assert rev.ess_trace.shape == rev.acceptance_trace.shape == (3,)
+        assert np.array_equal(rev.schedule_used, schedule)
+        assert rev.positions.shape == (8, 1)
+
     def test_sandwich_brackets_truth_in_median(self):
         # Wide-apart endpoints keep the gap at a few tenths of a nat, far
         # above the seed-to-seed noise, so a 10-seed median is stable.
@@ -340,10 +352,12 @@ class TestAisBlocks:
     SEED = 4
     CHAINS = 24
 
-    def assert_same(self, got: AisResult, want: AisResult):
+    def assert_same(self, got: AnnealRun, want: AnnealRun):
         assert got.log_Z_estimate == want.log_Z_estimate
         assert got.n_dropped == want.n_dropped
         assert np.array_equal(got.per_chain_log_w, want.per_chain_log_w)
+        assert np.array_equal(got.positions, want.positions)
+        assert np.array_equal(got.beta_trace, want.beta_trace)
         assert np.array_equal(got.schedule_used, want.schedule_used)
         assert np.array_equal(got.acceptance_trace, want.acceptance_trace, equal_nan=True)
         assert np.array_equal(got.ess_trace, want.ess_trace, equal_nan=True)
@@ -375,6 +389,16 @@ class TestAisBlocks:
                 self.assert_same(rev.blocks()[b], want_rev)
         assert fwd.log_Z_estimate.shape == (3,)
         assert fwd.n_dropped[0] > 0
+
+    def test_blocked_gaps_are_the_gaps_of_the_blocks(self):
+        base, target = gaussian([0.0], 1.0), gaussian([1.0], 0.5)
+        path = QPath(base, target, q=np.repeat(self.QS, self.CHAINS))
+        cfg = replace(small_cfg(), step_size=np.array(self.STEPS))
+        fwd, rev = self.sandwich(path, target, cfg, np.random.default_rng(self.SEED), 3)
+        gaps = bdmc_gap(fwd, rev)
+        assert gaps.shape == (3,)
+        assert list(gaps) == [bdmc_gap(f, r) for f, r in zip(fwd.blocks(), rev.blocks())]
+        assert all(type(bdmc_gap(f, r)) is float for f, r in zip(fwd.blocks(), rev.blocks()))
 
     def test_blocks_draw_one_stream_once(self):
         # the whole sandwich leaves the generator where one serial block does
@@ -590,11 +614,14 @@ class TestNegativeCounts:
 
 class TestAisResultType:
     def test_fields_round_trip(self):
-        res = AisResult(
+        res = AnnealRun(
             log_Z_estimate=0.5,
             per_chain_log_w=np.array([0.4, 0.6]),
-            schedule_used=np.array([0.0, 1.0]),
+            positions=np.zeros((2, 1)),
+            beta_trace=np.array([0.0, 1.0]),
+            ess_trace=np.array([2.0]),
             acceptance_trace=np.array([0.9]),
+            resample_count=0,
         )
         assert res.n_dropped == 0
         assert res.schedule_used[-1] == 1.0
