@@ -221,14 +221,14 @@ def _stderr(ess_trace, n: int) -> float:
 
 def _body(config: RunConfig, run, stderr_ess, **extras) -> dict:
     """The report body of ``run``, one block of ``config.particles`` chains:
-    its traces in run order (its start left out), the stderr over
-    ``stderr_ess``, and ``extras`` ahead of the true log Z."""
+    its beta trace (its start left out) and each of its step columns, in run
+    order, the stderr over ``stderr_ess``, and ``extras`` ahead of the true
+    log Z."""
+    traces = {"beta_trace": run.beta_trace[1:], **run.steps}
     return {
         "log_Z": float(run.log_Z_estimate),
         "stderr_estimate": _stderr(stderr_ess, config.particles),
-        "beta_trace": tuple(float(x) for x in run.beta_trace[1:]),
-        "ess_trace": tuple(float(x) for x in run.ess_trace),
-        "acceptance_trace": tuple(float(x) for x in run.acceptance_trace),
+        **{key: tuple(float(x) for x in trace) for key, trace in traces.items()},
         "extras": {**extras, **_truth(config)},
     }
 
@@ -245,7 +245,7 @@ def _drive_smc(config: RunConfig) -> dict:
         rng=int(config.seed),
         **_given(config, "adapt_steps"),
     )
-    return _body(config, run, run.ess_trace, resample_count=run.resample_count)
+    return _body(config, run, run.steps["ess_trace"], resample_count=run.resample_count)
 
 
 def _drive_ais(config: RunConfig) -> dict:
@@ -253,7 +253,7 @@ def _drive_ais(config: RunConfig) -> dict:
         _toy_path(config), linear_schedule(config.K), config.particles, _HMC,
         config.moves, np.random.default_rng(config.seed), **_given(config, "adapt_steps"),
     )
-    return _body(config, result, result.ess_trace[-1:], n_dropped=result.n_dropped)
+    return _body(config, result, result.steps["ess_trace"][-1:], n_dropped=result.n_dropped)
 
 
 def _bdmc_bodies(config: RunConfig, path, blocks: int) -> list[dict]:
@@ -271,7 +271,7 @@ def _bdmc_bodies(config: RunConfig, path, blocks: int) -> list[dict]:
     rev = ais_reverse(path, schedule, target_draws, cfg, moves, rng, **adapt)
     return [
         _body(
-            config, f, f.ess_trace[-1:], upper_bound=float(-r.log_Z_estimate),
+            config, f, f.steps["ess_trace"][-1:], upper_bound=float(-r.log_Z_estimate),
             bdmc_gap=bdmc_gap(f, r), n_dropped_forward=f.n_dropped, n_dropped_reverse=r.n_dropped,
         )
         for f, r in zip(fwd.blocks(), rev.blocks())
@@ -288,7 +288,6 @@ def _drive_heuristic(config: RunConfig) -> dict:
     return {
         "log_Z": math.nan,
         "stderr_estimate": math.nan,
-        "beta_trace": (), "ess_trace": (), "acceptance_trace": (),
         "extras": {
             "q": float(out.q),
             "beta1": float(out.beta1),

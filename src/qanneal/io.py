@@ -61,24 +61,29 @@ class RunConfig:
         return cls(**_checked_fields(cls, d))
 
 
-@dataclass(frozen=True, eq=False)
+# the per-step traces of a report, in the order of the trace CSV's columns
+TRACES = ("beta_trace", "ess_trace", "acceptance_trace")
+
+
+@dataclass(frozen=True, eq=False, kw_only=True)
 class RunReport:
     """Machine-readable outcome of one run.
 
-    Traces are aligned by annealing step: ``beta_trace[i]`` is the beta
-    reached at step i, with the matching carried-weight ESS and mean HMC
-    acceptance.  ``stderr_estimate`` is sqrt(sum(n / ESS - 1) / n) over n
-    chains.  AIS takes the final ESS alone, so its value is exactly the
-    delta-method SE of log Z, CV(w) / sqrt(n) of the per-chain weights (a
-    population variance).  SMC sums over every step's ESS, a proxy under an
+    The ``TRACES`` are aligned by annealing step: ``beta_trace[i]`` is the
+    beta reached at step i, with the matching carried-weight ESS and mean
+    HMC acceptance; a run with no annealing steps leaves them empty.
+    ``stderr_estimate`` is sqrt(sum(n / ESS - 1) / n) over n chains.  AIS
+    takes the final ESS alone, so its value is exactly the delta-method SE
+    of log Z, CV(w) / sqrt(n) of the per-chain weights (a population
+    variance).  SMC sums over every step's ESS, a proxy under an
     independence approximation.  Command-specific outputs live in ``extras``.
     """
 
     log_Z: float
     stderr_estimate: float
-    ess_trace: tuple
-    beta_trace: tuple
-    acceptance_trace: tuple
+    ess_trace: tuple = ()
+    beta_trace: tuple = ()
+    acceptance_trace: tuple = ()
     wallclock_s: float
     config_echo: RunConfig
     library_version: str = __version__
@@ -90,7 +95,7 @@ class RunReport:
     @classmethod
     def from_dict(cls, d: dict) -> "RunReport":
         d = _checked_fields(cls, d)
-        traces = {key: tuple(d[key]) for key in ("ess_trace", "beta_trace", "acceptance_trace")}
+        traces = {key: tuple(d[key]) for key in TRACES}
         return cls(**{**d, **traces, "config_echo": RunConfig.from_dict(d["config_echo"])})
 
     def __eq__(self, other) -> bool:
@@ -179,11 +184,11 @@ def write_report_json(report: RunReport, path) -> None:
 
 
 def write_trace_csv(report: RunReport, path) -> None:
-    """Step-aligned traces as CSV for plotting."""
-    lines = ["step,beta,ess,acceptance"]
-    rows = zip(report.beta_trace, report.ess_trace, report.acceptance_trace)
-    for i, (beta, ess, acc) in enumerate(rows, start=1):
-        lines.append(f"{i},{beta!r},{ess!r},{acc!r}")
+    """Step-aligned traces as CSV for plotting: the step number, then one
+    column per entry of ``TRACES``, named without its ``_trace``."""
+    lines = [",".join(["step", *(key.removesuffix("_trace") for key in TRACES)])]
+    rows = zip(*(getattr(report, key) for key in TRACES))
+    lines += [",".join([str(i), *map(repr, row)]) for i, row in enumerate(rows, start=1)]
     _atomic_write_text("\n".join(lines) + "\n", path)
 
 

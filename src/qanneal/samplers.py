@@ -28,7 +28,8 @@ class WeightCollapseError(RuntimeError):
     """Raised at the step where every chain of a block carries a -inf
     weight, or where an adaptive run gives up before beta = 1.
 
-    ``diagnostics`` holds the trace data that existed then.
+    ``diagnostics`` holds ``beta_trace`` and the ``AnnealRun.steps`` columns
+    of every step completed by then, each with its block axis.
     """
 
     def __init__(self, message: str, diagnostics: dict | None = None):
@@ -90,22 +91,22 @@ class AnnealRun:
     of those are ``per_chain_log_w``.  A chain whose weight hit -inf stays
     in that mean as a zero weight, which keeps the estimate of Z unbiased.
     ``beta_trace`` holds the betas in run order, its start included, and
-    each later beta has one entry of ``ess_trace`` (the carried-weight ESS
-    after its increment) and of ``acceptance_trace`` (the mean acceptance
-    of its moves).  ``positions`` are the final chains.
+    ``steps`` maps the report name of each per-step column to one entry per
+    later beta: ``ess_trace`` (the carried-weight ESS after its increment)
+    and ``acceptance_trace`` (the mean acceptance of its moves).
+    ``positions`` are the final chains.
 
     A run over several blocks of chains (a per-block step size) holds every
-    block at once: each field but ``beta_trace`` and ``resample_count``
-    gains a leading block axis (``positions`` stacks the blocks' rows), and
-    ``blocks()`` splits it into one run per block.
+    block at once: each field but ``beta_trace`` and ``resample_count``, and
+    each column, gains a leading block axis (``positions`` stacks the
+    blocks' rows), and ``blocks()`` splits it into one run per block.
     """
 
     log_Z_estimate: float | np.ndarray
     per_chain_log_w: np.ndarray
     positions: np.ndarray
     beta_trace: np.ndarray
-    ess_trace: np.ndarray
-    acceptance_trace: np.ndarray
+    steps: dict
     resample_count: int
 
     @property
@@ -127,7 +128,7 @@ class AnnealRun:
         return [
             AnnealRun(
                 float(self.log_Z_estimate[b]), self.per_chain_log_w[b], rows[b], self.beta_trace,
-                self.ess_trace[b], self.acceptance_trace[b], self.resample_count,
+                {name: column[b] for name, column in self.steps.items()}, self.resample_count,
             )
             for b in range(self.log_Z_estimate.size)
         ]
@@ -198,6 +199,11 @@ def _next_beta_by_ess(incr_fn, beta_now, ess_target, tol):
     return 0.5 * (lo + hi), False
 
 
+def _columns(steps: list[dict]) -> dict:
+    """The step records as one column per name, the block axis first."""
+    return {name: np.stack([s[name] for s in steps], axis=1) for name in steps[0]} if steps else {}
+
+
 def _anneal(
     path, z, cfg, moves_per_step, rng, adapt_steps, betas, ess_target, resample_below
 ) -> AnnealRun:
@@ -223,7 +229,9 @@ def _anneal(
     tol = _ESS_TOL_FRACTION * n
     log_w, log_Z = np.zeros((blocks, n)), np.zeros(blocks)
     beta = 0.0 if betas is None else betas[0]
-    beta_trace, ess_trace, acc_trace, resamples = [beta], [], [], 0
+    beta_trace, steps, resamples = [beta], [], 0  # steps: one record of columns per step
+    def collapse(message: str) -> WeightCollapseError:  # with the trace so far
+        return WeightCollapseError(message, {"beta_trace": np.asarray(beta_trace), **_columns(steps)})
     batch = path.log_density_of(z)
     lp_old = batch(beta)
     converged = True
@@ -231,9 +239,7 @@ def _anneal(
         if betas is not None:
             beta = betas[len(beta_trace)]
         elif len(beta_trace) > _MAX_STEPS:
-            raise WeightCollapseError(
-                "adaptive schedule failed to reach beta = 1", {"beta_trace": np.asarray(beta_trace)}
-            )
+            raise collapse("adaptive schedule failed to reach beta = 1")
         else:
             beta, converged = _next_beta_by_ess(
                 lambda b: _masked_increment(batch(b), lp_old), beta, ess_target, tol
@@ -242,18 +248,15 @@ def _anneal(
         state = batch.value_and_grad(beta)
         log_w = _accumulate(log_w, _masked_increment(state[0], lp_old).reshape(log_w.shape))
         if not np.all(np.any(np.isfinite(log_w), axis=1)):
-            raise WeightCollapseError(
-                "every chain of a block carries a -inf weight",
-                {"beta_trace": np.asarray(beta_trace), "ess_trace": np.asarray(ess_trace).T},
-            )
+            raise collapse("every chain of a block carries a -inf weight")
         # a dead run raises above, so the warning names only a live one
         if not converged:
             warnings.warn(
                 f"incremental ESS bisection did not converge at beta {beta_trace[-2]:.6f}",
                 RuntimeWarning,
             )
-        ess_trace.append(_ess_rows(log_w))
-        if ess_trace[-1][0] < resample_below:
+        ess = _ess_rows(log_w)
+        if ess[0] < resample_below:
             log_Z += _log_sum_exp(log_w) - math.log(n)
             idx = systematic_resample(log_w[0], rng)
             z, state, log_w = z[idx], (state[0][idx], state[1][idx]), np.zeros_like(log_w)
@@ -265,14 +268,11 @@ def _anneal(
             z, accepted, state = hmc_step(z, energy, cfg, rng, state=state)
             rates.append(_block_means(accepted, blocks))
         acc = np.mean(np.stack(rates, axis=1), axis=1) if rates else np.full(blocks, math.nan)
-        acc_trace.append(acc)
+        steps.append({"ess_trace": ess, "acceptance_trace": acc})
         lp_old = state[0]
         batch = path.log_density_of(z)
     log_Z += np.array([_log_sum_exp(row) for row in log_w]) - math.log(n)
-    return AnnealRun(
-        log_Z, log_w, z, np.asarray(beta_trace), np.stack(ess_trace, axis=1),
-        np.stack(acc_trace, axis=1), resamples,
-    )
+    return AnnealRun(log_Z, log_w, z, np.asarray(beta_trace), _columns(steps), resamples)
 
 
 def ais_forward(

@@ -26,17 +26,16 @@ def linear_schedule(K: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, K + 1)
 
 
-def q_grid(count: int = 20, delta_min: float = 1e-5, delta_max: float = 1e-1) -> np.ndarray:
-    """Log-spaced grid of orders q = 1 - delta, descending in q."""
+# the range of delta = 1 - q that q_grid spans
+_DELTA_MIN, _DELTA_MAX = 1e-5, 0.1
+
+
+def q_grid(count: int = 20) -> np.ndarray:
+    """Log-spaced grid of ``count`` orders q = 1 - delta, delta from 1e-5 to
+    0.1, descending in q; a grid of one order holds 1 - 1e-5 alone."""
     if count < 1:
         raise ValueError("count must be at least 1")
-    if not 0.0 < delta_min < 1.0:
-        raise ValueError("need 0 < delta_min < 1")
-    if count == 1:
-        return np.array([1.0 - delta_min])
-    if not delta_min < delta_max < 1.0:
-        raise ValueError("need delta_min < delta_max < 1")
-    return 1.0 - np.geomspace(delta_min, delta_max, count)
+    return 1.0 - np.geomspace(_DELTA_MIN, _DELTA_MAX, count)
 
 
 @dataclass(frozen=True)

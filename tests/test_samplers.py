@@ -7,9 +7,11 @@ import pytest
 from scipy.special import logsumexp, ndtr
 
 from conftest import counted, pareto, piecewise_density
+from qanneal import samplers
 from qanneal.densities import UnnormalizedDensity, gaussian, with_log_scale
 from qanneal.hmc import HmcConfig
-from qanneal.paths import QPath
+from qanneal.io import TRACES
+from qanneal.paths import AnnealingPath, QPath
 from qanneal.samplers import (
     AnnealRun,
     WeightCollapseError,
@@ -212,7 +214,7 @@ class TestAisForward:
         recomputed = m + math.log(np.mean(np.exp(w - m)))
         assert res.log_Z_estimate == pytest.approx(recomputed, abs=1e-12)
         assert res.n_dropped == 0
-        assert res.acceptance_trace.shape == (5,)
+        assert res.steps["acceptance_trace"].shape == (5,)
 
     def test_lower_bound_direction_over_seeds(self):
         path = log_z_two_problem()
@@ -312,7 +314,7 @@ class TestAisReverseAndGap:
         rev = ais_reverse(path, schedule, path.target.exact_sampler(rng, 8), cfg=small_cfg(),
                           moves_per_step=1, rng=rng, adapt_steps=0)
         assert np.array_equal(rev.beta_trace, schedule[::-1])
-        assert rev.ess_trace.shape == rev.acceptance_trace.shape == (3,)
+        assert rev.steps["ess_trace"].shape == rev.steps["acceptance_trace"].shape == (3,)
         assert np.array_equal(rev.schedule_used, schedule)
         assert rev.positions.shape == (8, 1)
 
@@ -359,8 +361,9 @@ class TestAisBlocks:
         assert np.array_equal(got.positions, want.positions)
         assert np.array_equal(got.beta_trace, want.beta_trace)
         assert np.array_equal(got.schedule_used, want.schedule_used)
-        assert np.array_equal(got.acceptance_trace, want.acceptance_trace, equal_nan=True)
-        assert np.array_equal(got.ess_trace, want.ess_trace, equal_nan=True)
+        assert got.steps.keys() == want.steps.keys()
+        for name, column in want.steps.items():
+            assert np.array_equal(got.steps[name], column, equal_nan=True), name
 
     def sandwich(self, path, target, cfg, rng, adapt_steps):
         """Forward AIS, then reverse AIS from target draws, each block's
@@ -473,7 +476,7 @@ class TestSmc:
                                   rng=123, adapt_steps=4)
             out.append((log_z, diag))
         assert out[0][0] == out[1][0]
-        assert np.array_equal(out[0][1].ess_trace, out[1][1].ess_trace)
+        assert np.array_equal(out[0][1].steps["ess_trace"], out[1][1].steps["ess_trace"])
         assert np.array_equal(out[0][1].positions, out[1][1].positions)
 
     def test_recovers_constructed_log_z(self):
@@ -566,9 +569,9 @@ class TestSmc:
             ais = ais_forward(path, grid, 64, cfg, 1, np.random.default_rng(seed))
             assert diag.resample_count == 0
             assert np.array_equal(diag.beta_trace, grid)
-            assert np.array_equal(diag.acceptance_trace, ais.acceptance_trace)
+            assert np.array_equal(diag.steps["acceptance_trace"], ais.steps["acceptance_trace"])
             assert log_z == pytest.approx(ais.log_Z_estimate, abs=1e-12, rel=0.0)
-            assert np.allclose(diag.ess_trace, ais.ess_trace, rtol=0.0, atol=1e-12)
+            assert np.allclose(diag.steps["ess_trace"], ais.steps["ess_trace"], rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("ess_fraction", [1.5, 0.0, -0.5, math.nan])
     def test_adaptive_rejects_unreachable_ess_fraction_at_once(self, ess_fraction):
@@ -619,9 +622,84 @@ class TestAisResultType:
             per_chain_log_w=np.array([0.4, 0.6]),
             positions=np.zeros((2, 1)),
             beta_trace=np.array([0.0, 1.0]),
-            ess_trace=np.array([2.0]),
-            acceptance_trace=np.array([0.9]),
+            steps={"ess_trace": np.array([2.0]), "acceptance_trace": np.array([0.9])},
             resample_count=0,
         )
         assert res.n_dropped == 0
         assert res.schedule_used[-1] == 1.0
+
+
+class FadingPath(AnnealingPath):
+    """N(0, 1) at every beta below 0.5, and no density from 0.5 on."""
+
+    base = gaussian(np.array([0.0]), np.array([[1.0]]))
+
+    def _log_density(self, batch, beta):
+        lp = batch.end(0)[0]
+        return lp if beta < 0.5 else np.full_like(lp, -np.inf)
+
+    def _gradient(self, batch, beta, live):
+        return batch.end(0)[1][live]
+
+
+class TestStepRecord:
+    """The loop's per-step columns travel by name: into the run, through
+    ``blocks()``, into collapse diagnostics, and onto the report's traces."""
+
+    def test_blocks_split_every_column_row_by_row(self):
+        dummy = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        run = AnnealRun(
+            log_Z_estimate=np.array([0.1, 0.2]),
+            per_chain_log_w=np.zeros((2, 2)),
+            positions=np.zeros((4, 1)),
+            beta_trace=np.array([0.0, 0.5, 0.8, 1.0]),
+            steps={"ess_trace": np.ones((2, 3)), "dummy": dummy},
+            resample_count=0,
+        )
+        blocks = run.blocks()
+        assert len(blocks) == 2
+        for row, block in zip(dummy, blocks):
+            assert block.steps.keys() == run.steps.keys()
+            assert np.array_equal(block.steps["dummy"], row)
+            assert block.beta_trace is run.beta_trace
+
+    def test_columns_are_the_report_traces(self):
+        path, grid = log_z_two_problem(), np.linspace(0.0, 1.0, 4)
+        ais = ais_forward(path, grid, 8, small_cfg(), 1, np.random.default_rng(0))
+        _, smc = smc_run(path, "adaptive", particles=8, moves_per_step=1, cfg=small_cfg(), rng=0)
+        for run in (ais, smc):
+            assert {"beta_trace", *run.steps} == set(TRACES)
+            for column in run.steps.values():
+                assert column.shape == (run.beta_trace.size - 1,)
+
+    @pytest.mark.parametrize("entry", ["ais_forward", "smc_run"])
+    def test_mid_run_collapse_carries_every_completed_column(self, entry):
+        # the first step, to 0.25, completes; the second kills every chain
+        grid, rng = np.linspace(0.0, 1.0, 5), np.random.default_rng(3)
+        runs = {
+            # two blocks, one per step size, so the block axis shows
+            "ais_forward": lambda: ais_forward(
+                FadingPath(), grid, 6, small_cfg(step=np.array([0.4, 0.3])), 1, rng, adapt_steps=0
+            ),
+            "smc_run": lambda: smc_run(FadingPath(), grid, 6, 1, small_cfg(), rng, adapt_steps=0),
+        }
+        with pytest.raises(WeightCollapseError, match="-inf weight") as excinfo:
+            runs[entry]()
+        diag = excinfo.value.diagnostics
+        assert np.array_equal(diag["beta_trace"], [0.0, 0.25, 0.5])
+        blocks = 2 if entry == "ais_forward" else 1
+        assert diag.keys() == set(TRACES)
+        assert diag["ess_trace"].shape == diag["acceptance_trace"].shape == (blocks, 1)
+        # the chains all live at 0.25, so the carried weights are even
+        assert np.all(diag["ess_trace"] == 6.0)
+
+    def test_step_cap_carries_every_completed_column(self, monkeypatch):
+        monkeypatch.setattr(samplers, "_MAX_STEPS", 2)
+        path = log_z_two_problem()
+        with pytest.raises(WeightCollapseError, match="failed to reach") as excinfo:
+            smc_run(path, "adaptive", particles=16, moves_per_step=1, cfg=small_cfg(), rng=1,
+                    ess_fraction=0.99)
+        diag = excinfo.value.diagnostics
+        assert len(diag["beta_trace"]) == 3
+        assert diag.keys() == set(TRACES)
+        assert diag["ess_trace"].shape == diag["acceptance_trace"].shape == (1, 2)

@@ -84,31 +84,25 @@ class TestQGrid:
         assert qs[-1] == pytest.approx(0.9, abs=1e-15)
 
     def test_descending_in_q(self):
-        qs = q_grid(7, 1e-4, 0.5)
+        qs = q_grid(7)
         assert np.all(np.diff(qs) < 0.0)
 
     def test_log_spacing_of_deltas(self):
-        qs = q_grid(5, 1e-4, 1e-2)
+        qs = q_grid(5)
         deltas = 1.0 - qs
         steps = np.diff(np.log(deltas))
         assert np.allclose(steps, steps[0], atol=1e-12)
 
     def test_two_points_are_the_bounds(self):
-        qs = q_grid(2, 1e-3, 1e-1)
-        assert np.allclose(qs, [1.0 - 1e-3, 1.0 - 1e-1], atol=1e-15)
+        qs = q_grid(2)
+        assert np.allclose(qs, [1.0 - 1e-5, 1.0 - 1e-1], atol=1e-15)
 
     def test_single_point_uses_delta_min(self):
-        assert np.array_equal(q_grid(1, 1e-3, 1e-1), [1.0 - 1e-3])
+        assert np.array_equal(q_grid(1), [1.0 - 1e-5])
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             q_grid(0)
-        with pytest.raises(ValueError):
-            q_grid(3, 0.0, 0.1)
-        with pytest.raises(ValueError):
-            q_grid(3, 0.2, 0.1)
-        with pytest.raises(ValueError):
-            q_grid(3, 0.2, 1.0)
 
 
 class TestAdaptiveNextBeta:
