@@ -90,7 +90,7 @@ _TYPE_CHECKS = {
 # RunConfig's defaults of the settings that are its fields; the rest are extras
 _FIELD_DEFAULTS = {f.name: f.default for f in fields(RunConfig) if f.name in _SETTINGS}
 _EXTRAS = tuple(key for key in _SETTINGS if key not in _FIELD_DEFAULTS)
-_TOY = ("mu0", "var0", "mu1", "var1", "target_log_scale")
+_TOY = tuple(_TOY_DEFAULTS)
 _AIS = ("path_kind", "q", "K", "moves", *_TOY, "nu", "adapt_steps", "trace_csv")
 _SMC_COMMANDS = ("anneal-toy", "smc")
 
@@ -175,29 +175,27 @@ def _toy_params(extras: dict) -> dict:
     return {key: float(extras.get(key, default)) for key, default in _TOY_DEFAULTS.items()}
 
 
-def _toy_endpoints(extras: dict):
-    p = _toy_params(extras)
-    base = gaussian([p["mu0"]], [[p["var0"]]])
-    target = with_log_scale(gaussian([p["mu1"]], [[p["var1"]]]), p["target_log_scale"])
-    return base, target
-
-
-def _toy_path(config: RunConfig):
-    if config.path_kind in ("geometric", "qpath"):
-        q = 1.0 if config.path_kind == "geometric" else config.q
-        return QPath(*_toy_endpoints(config.extras), q=q)
+def _endpoints(config: RunConfig):
+    """A run's base and target: the dataset's logistic prior and posterior,
+    else the toy Gaussians, the target with its log scale."""
+    if config.dataset:
+        model = load_binary_regression_csv(config.dataset)
+        return logistic_prior(model), logistic_posterior(model)
     p = _toy_params(config.extras)
-    nu = float(config.extras["nu"]) if config.path_kind == "escort" else None
-    return MomentPath(
-        [p["mu0"]], [[p["var0"]]], [p["mu1"]], [[p["var1"]]],
-        nu=nu, log_scale1=p["target_log_scale"],
-    )
+    base = gaussian([p["mu0"]], [[p["var0"]]])
+    return base, with_log_scale(gaussian([p["mu1"]], [[p["var1"]]]), p["target_log_scale"])
 
 
-def _dataset_path(config: RunConfig):
-    model = load_binary_regression_csv(config.dataset)
-    q = 1.0 if config.path_kind == "geometric" else config.q
-    return QPath(base=logistic_prior(model), target=logistic_posterior(model), q=q)
+def _path(config: RunConfig):
+    """A run's path: the toy's moment or escort path, else the q-path between its endpoints."""
+    if config.path_kind in ("moment", "escort"):
+        p = _toy_params(config.extras)
+        nu = float(config.extras["nu"]) if config.path_kind == "escort" else None
+        return MomentPath(
+            [p["mu0"]], [[p["var0"]]], [p["mu1"]], [[p["var1"]]],
+            nu=nu, log_scale1=p["target_log_scale"],
+        )
+    return QPath(*_endpoints(config), q=1.0 if config.path_kind == "geometric" else config.q)
 
 
 def _given(config: RunConfig, *keys: str) -> dict:
@@ -234,10 +232,9 @@ def _body(config: RunConfig, run, stderr_ess, **extras) -> dict:
 
 
 def _drive_smc(config: RunConfig) -> dict:
-    path = _dataset_path(config) if config.dataset else _toy_path(config)
     schedule = "adaptive" if config.schedule == "adaptive" else linear_schedule(config.K)
     _, run = smc_run(
-        path,
+        _path(config),
         schedule,
         particles=config.particles,
         moves_per_step=config.moves,
@@ -250,7 +247,7 @@ def _drive_smc(config: RunConfig) -> dict:
 
 def _drive_ais(config: RunConfig) -> dict:
     result = ais_forward(
-        _toy_path(config), linear_schedule(config.K), config.particles, _HMC,
+        _path(config), linear_schedule(config.K), config.particles, _HMC,
         config.moves, np.random.default_rng(config.seed), **_given(config, "adapt_steps"),
     )
     return _body(config, result, result.steps["ess_trace"][-1:], n_dropped=result.n_dropped)
@@ -279,10 +276,10 @@ def _bdmc_bodies(config: RunConfig, path, blocks: int) -> list[dict]:
 
 
 def _drive_heuristic(config: RunConfig) -> dict:
-    base, target = _toy_endpoints(config.extras)
+    base, target = _endpoints(config)
     rng = np.random.default_rng(config.seed)
     draws = base.exact_sampler(rng, config.particles)
-    ratios = np.atleast_1d(target.log_density(draws)) - np.atleast_1d(base.log_density(draws))
+    ratios = target.log_density(draws) - base.log_density(draws)
     heuristic_cfg = HeuristicConfig(**_given(config, "restarts", "log10_sd", "ess_target_fraction"))
     out = ess_heuristic_q(ratios, heuristic_cfg, rng)
     return {
@@ -312,7 +309,7 @@ def _drive_grid(config: RunConfig) -> dict:
     count = config.extras.get("grid_count")
     qs = q_grid() if count is None else q_grid(int(count))
     chains = config.particles
-    base, target = _toy_endpoints(config.extras)
+    base, target = _endpoints(config)
     per_sweep = max(1, _GRID_SWEEP_CHAINS // chains)
     bodies = []
     for group in np.split(qs, range(per_sweep, qs.size, per_sweep)):
@@ -373,7 +370,7 @@ COMMANDS = {
     "ais": _Command("forward AIS on the toy problem", _AIS, _drive_ais, _RUN_LINE),
     "bdmc": _Command(
         "forward plus reverse AIS sandwich on the toy", _AIS,
-        lambda config: _bdmc_bodies(config, _toy_path(config), 1)[0],
+        lambda config: _bdmc_bodies(config, _path(config), 1)[0],
         "log_Z={log_Z:.6g} upper={upper_bound:.6g} gap={bdmc_gap:.6g} wallclock_s={wallclock_s:.3f}",
     ),
     "heuristic-q": _Command(

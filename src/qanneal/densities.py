@@ -28,8 +28,6 @@ class UnnormalizedDensity:
         Gradient of ``log_density`` with matching shapes.
     exact_sampler : callable or None
         ``sampler(rng, n) -> (n, d)`` drawing from the normalized density.
-    known_log_normalizer : float or None
-        log of the integral of the unnormalized density, when analytic.
     fused : callable or None
         ``z -> (log_density(z), gradient(z))`` in one call.  Each built-in
         density is one batch kernel behind ``fused``, and its
@@ -43,12 +41,13 @@ class UnnormalizedDensity:
     log_density: Callable[[np.ndarray], np.ndarray]
     gradient: Callable[[np.ndarray], np.ndarray]
     exact_sampler: Callable[[np.random.Generator, int], np.ndarray] | None = None
-    known_log_normalizer: float | None = None
     fused: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
 
     def value_and_grad(self, z):
         """Log-density and gradient at ``z`` together, with the shapes of
-        ``log_density`` and ``gradient``: the one energy entry point."""
+        ``log_density`` and ``gradient``: the one energy entry point.  A
+        path's batch takes them as returned, so on an (n, d) batch they must
+        be float arrays (n,) and (n, d)."""
         if self.fused is not None:
             return self.fused(z)
         return self.log_density(z), self.gradient(z)
@@ -57,20 +56,15 @@ class UnnormalizedDensity:
 def with_log_scale(density: UnnormalizedDensity, log_c: float) -> UnnormalizedDensity:
     """Multiply an unnormalized density by exp(log_c).
 
-    The normalized shape (and therefore the sampler) is unchanged; the known
+    The normalized shape (and therefore the sampler) is unchanged; the
     normalizer shifts by ``log_c``.
     """
-    known = density.known_log_normalizer
 
     def fused(z):
         lp, g = density.value_and_grad(z)
         return lp + log_c, g
 
-    return replace(
-        density,
-        known_log_normalizer=None if known is None else known + log_c,
-        **_projections(fused),
-    )
+    return replace(density, **_projections(fused))
 
 
 def _projections(fused):
@@ -143,9 +137,7 @@ def gaussian(mean, cov) -> UnnormalizedDensity:
     def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
         return mean + rng.standard_normal((n, d)) @ chol.T
 
-    return UnnormalizedDensity(
-        dim=d, exact_sampler=sampler, known_log_normalizer=0.0, **_from_kernel(d, kernel)
-    )
+    return UnnormalizedDensity(dim=d, exact_sampler=sampler, **_from_kernel(d, kernel))
 
 
 def student_t(mean, scale, nu: float) -> UnnormalizedDensity:
@@ -177,9 +169,7 @@ def student_t(mean, scale, nu: float) -> UnnormalizedDensity:
         u = rng.chisquare(nu, size=n)
         return mean + g * np.sqrt(nu / u)[:, None]
 
-    return UnnormalizedDensity(
-        dim=d, exact_sampler=sampler, known_log_normalizer=0.0, **_from_kernel(d, kernel)
-    )
+    return UnnormalizedDensity(dim=d, exact_sampler=sampler, **_from_kernel(d, kernel))
 
 
 def q_from_nu(nu: float, d: int) -> float:

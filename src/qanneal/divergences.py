@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from qanneal.deformed import is_geometric_order
 from qanneal.densities import GridDensity
 from qanneal.paths import blend_log_ratio
 
@@ -55,6 +56,10 @@ def alpha_divergence(r: GridDensity, p: GridDensity, alpha: float) -> float:
 
     Atoms where both masses vanish contribute zero.  A vanishing mass under
     a negative exponent (|alpha| > 1) yields +inf, the natural extension.
+
+    With a = (1-alpha)/2 <= b = (1+alpha)/2 (else r, a and p, b trade places)
+    an atom's term is ((r - p) - p expm1(a log(r/p)) / a) / b, so no cancelled
+    sum is divided by 1 - alpha^2 and alpha -> -1, 1 reach the KL limits.
     """
     _check_same_support(r, p)
     if alpha == 1.0 or alpha == -1.0:
@@ -62,11 +67,13 @@ def alpha_divergence(r: GridDensity, p: GridDensity, alpha: float) -> float:
     a = 0.5 * (1.0 - alpha)
     b = 0.5 * (1.0 + alpha)
     rm, pm = r.mass, p.mass
-    both_zero = (rm == 0.0) & (pm == 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cross = np.power(rm, a) * np.power(pm, b)
-    per_atom = np.where(both_zero, 0.0, a * rm + b * pm - cross)
-    return float(np.sum(per_atom) * 4.0 / (1.0 - alpha * alpha))
+    if a > b:
+        rm, pm, a, b = pm, rm, b, a
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # a zero p contributes r / b; a zero r, p / a (+inf when a < 0)
+        cross = np.where(pm > 0.0, pm * np.expm1(a * (np.log(rm) - np.log(pm))), 0.0)
+        per_atom = ((rm - pm) - cross / a) / b
+    return float(np.sum(per_atom))
 
 
 def extended_kl(r: GridDensity, p: GridDensity) -> float:
@@ -159,8 +166,8 @@ def certify_argmin(
 
     Checks (a) no multiplicative perturbation r*exp(eps*noise) of the
     candidate attains a lower objective over ``trials`` draws at each
-    perturbation scale, and (b) the per-atom stationarity residual between
-    the candidate and the mixed endpoint masses stays below 1e-10.
+    perturbation scale, and (b) the per-atom stationarity residual, in logs,
+    between the candidate and the mixed endpoint masses stays below 1e-10.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -170,14 +177,17 @@ def certify_argmin(
     w = DivergenceWeights.from_mixing_order(beta, q)
     objective = variational_objective(candidate, pi0, pi1, w)
 
-    # Stationarity r^(1-q) = (1-beta) pi0^(1-q) + beta pi1^(1-q); the q = 1
-    # limit of the same condition is linearity in the logs.
-    if q == 1.0:
-        t0, t1, tc = np.log(pi0.mass), np.log(pi1.mass), np.log(candidate.mass)
+    # Stationarity r^(1-q) = (1-beta) pi0^(1-q) + beta pi1^(1-q) in logs, as
+    # tail powers reach 1e34; at the geometric order it is linearity in logs.
+    t0, t1, tc = np.log(pi0.mass), np.log(pi1.mass), np.log(candidate.mass)
+    if is_geometric_order(q):
+        gap = (1.0 - beta) * t0 + beta * t1 - tc
     else:
         d = 1.0 - q
-        t0, t1, tc = pi0.mass**d, pi1.mass**d, candidate.mass**d
-    residual = float(np.max(np.abs((1.0 - beta) * t0 + beta * t1 - tc)))
+        with np.errstate(divide="ignore"):
+            mixed = np.logaddexp(np.log(1.0 - beta) + d * t0, np.log(beta) + d * t1)
+        gap = mixed - d * tc
+    residual = float(np.max(np.abs(gap)))
 
     min_margin = np.inf
     violation = None

@@ -1,8 +1,8 @@
 """Run configuration, dataset loading, and JSON run reports.
 
-Reports serialize to JSON with non-finite floats encoded as the strings
-"nan", "inf", and "-inf" so files stay standard-compliant; parsing maps the
-strings back, and writes go through a temp file and an atomic rename.
+Reports serialize to JSON with non-finite floats written as "nan", "inf" and
+"-inf" so files stay standard-compliant; parsing maps them back outside the
+config echo, and writes go through a temp file and an atomic rename.
 """
 
 from __future__ import annotations
@@ -99,9 +99,11 @@ class RunReport:
         return cls(**{**d, **traces, "config_echo": RunConfig.from_dict(d["config_echo"])})
 
     def __eq__(self, other) -> bool:
+        """Equal when both write the same file: nan equals nan, -0.0 does not
+        equal 0.0, and extras must hold the same keys in the same order."""
         if not isinstance(other, RunReport):
             return NotImplemented
-        return _values_equal(self.to_dict(), other.to_dict())
+        return report_to_json(self) == report_to_json(other)
 
 
 def _checked_fields(cls, d: dict) -> dict:
@@ -115,17 +117,6 @@ def _checked_fields(cls, d: dict) -> dict:
     return d
 
 
-def _values_equal(a, b) -> bool:
-    """Structural equality where nan compares equal to nan."""
-    if isinstance(a, float) and isinstance(b, float):
-        return a == b or (math.isnan(a) and math.isnan(b))
-    if isinstance(a, dict) and isinstance(b, dict):
-        return a.keys() == b.keys() and all(_values_equal(a[k], b[k]) for k in a)
-    if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
-        return len(a) == len(b) and all(_values_equal(x, y) for x, y in zip(a, b))
-    return a == b
-
-
 _SPECIAL_FLOATS = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
 
 
@@ -136,11 +127,7 @@ def _encode(obj):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
         x = float(obj)
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return x
+        return x if math.isfinite(x) else repr(x)  # "nan", "inf" or "-inf"
     if isinstance(obj, dict):
         return {k: _encode(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, np.ndarray)):
@@ -163,7 +150,10 @@ def report_to_json(report: RunReport) -> str:
 
 
 def report_from_json(text: str) -> RunReport:
-    return RunReport.from_dict(_decode(json.loads(text)))
+    """The report ``text`` holds; the config echo, finite numbers and
+    strings only, keeps its strings as written."""
+    d = json.loads(text)
+    return RunReport.from_dict({k: v if k == "config_echo" else _decode(v) for k, v in d.items()})
 
 
 def _atomic_write_text(text: str, path) -> None:

@@ -88,19 +88,11 @@ def blend_log_ratio(log_ratios, beta: float, q: float):
     return _blend_at(_deform(0.0, lr, q), beta)
 
 
-def _as_float(a, ndim: int) -> np.ndarray:
-    """``a`` as a float array of at least ``ndim`` (1 or 2) dimensions;
-    ``a`` itself when it already is a float array of exactly that many."""
-    if isinstance(a, np.ndarray) and a.dtype == np.float64 and a.ndim == ndim:
-        return a
-    a = np.asarray(a, dtype=float)
-    return np.atleast_1d(a) if ndim == 1 else np.atleast_2d(a)
-
-
-def _evaluate(density: UnnormalizedDensity, z: np.ndarray):
-    """``density.value_and_grad`` of an (n, d) batch as arrays (n,), (n, d)."""
-    lp, g = density.value_and_grad(z)
-    return _as_float(lp, 1), _as_float(g, 2)
+def _as_float(z) -> np.ndarray:
+    """``z`` as a float array of two or more dimensions; ``z`` itself if it is a 2-d one."""
+    if isinstance(z, np.ndarray) and z.dtype == np.float64 and z.ndim == 2:
+        return z
+    return np.atleast_2d(np.asarray(z, dtype=float))
 
 
 class PathBatch:
@@ -116,15 +108,15 @@ class PathBatch:
 
     def __init__(self, path: "AnnealingPath", z):
         self.path = path
-        self.z = _as_float(z, 2)
+        self.z = _as_float(z)
         self._ends = [None, None]
         self.terms = None
 
     def end(self, i: int):
         """Log-density (n,) and gradient (n, d) of the base (``i`` = 0) or
-        the target (1)."""
+        the target (1), as its ``value_and_grad`` returns them."""
         if self._ends[i] is None:
-            self._ends[i] = _evaluate(self.path.target if i else self.path.base, self.z)
+            self._ends[i] = (self.path.target if i else self.path.base).value_and_grad(self.z)
         return self._ends[i]
 
     def __call__(self, beta: float) -> np.ndarray:
@@ -386,7 +378,7 @@ class MomentPath(AnnealingPath):
         if batch.terms is None or batch.terms[0] != beta:
             if self._latest[0] != beta:
                 self._latest = (beta, self._build_waypoint(beta))
-            lp, g = _evaluate(self._latest[1], batch.z)
+            lp, g = self._latest[1].value_and_grad(batch.z)
             batch.terms = beta, (lp + beta * self.log_scale1, g)
         return batch.terms[1]
 

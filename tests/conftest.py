@@ -57,7 +57,6 @@ def piecewise_density(heights) -> UnnormalizedDensity:
         log_density=log_density,
         gradient=gradient,
         exact_sampler=sampler,
-        known_log_normalizer=float(np.log(np.mean(h))),
     )
 
 
@@ -114,7 +113,6 @@ def pareto(x_min: float, sigma: float, xi: float) -> UnnormalizedDensity:
         log_density=log_density,
         gradient=gradient,
         exact_sampler=sampler,
-        known_log_normalizer=0.0,
     )
 
 

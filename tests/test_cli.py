@@ -13,7 +13,9 @@ import pytest
 from conftest import logistic_evidence_quadrature, make_logistic_csv
 from qanneal import cli
 from qanneal.cli import main, run
-from qanneal.io import ConfigError, RunConfig, load_binary_regression_csv, report_from_json
+from qanneal.io import (
+    ConfigError, RunConfig, load_binary_regression_csv, report_from_json, report_to_json,
+)
 from qanneal.samplers import ais_forward
 
 IDENTICAL = {"mu0": 0.0, "var0": 1.0, "mu1": 0.0, "var1": 1.0}
@@ -434,6 +436,30 @@ class TestSmcCommand:
             command="smc", dataset=path, particles=64, K=6, moves=1, seed=3
         )
         assert run(config).log_Z == run(config).log_Z
+
+
+class TestEndpoints:
+    def test_every_built_density_evaluates_a_batch_as_float_arrays(self, dataset):
+        # a path's batch takes value_and_grad's pair as returned
+        scaled = {**IDENTICAL, "mu1": 2.0, "target_log_scale": 1.5}
+        densities = [*cli._endpoints(toy_config(extras=scaled))]
+        densities += cli._endpoints(toy_config(command="smc", dataset=dataset[0], extras={}))
+        for kind, extra in (("moment", {}), ("escort", {"nu": 3.0})):
+            path = cli._path(toy_config(path_kind=kind, extras={**scaled, **extra}))
+            densities += [path.base, path.target, path._build_waypoint(0.3)]
+        for density in densities:
+            z = np.linspace(-1.0, 1.0, 5 * density.dim).reshape(5, density.dim)
+            lp, g = density.value_and_grad(z)
+            assert isinstance(lp, np.ndarray) and lp.dtype == np.float64 and lp.shape == (5,)
+            assert isinstance(g, np.ndarray) and g.dtype == np.float64 and g.shape == z.shape
+
+    def test_config_strings_read_back_as_strings(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["heuristic-q", "--restarts", "2", "--output", "inf"]) == 0
+        text = (tmp_path / "inf").read_text()
+        echo = report_from_json(text).config_echo
+        assert type(echo.output) is str and echo.output == "inf"
+        assert report_to_json(report_from_json(text)) == text
 
 
 class TestMainExitCodes:

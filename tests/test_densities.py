@@ -64,7 +64,6 @@ class TestGaussian:
         assert den.log_density(np.zeros(1)) == pytest.approx(
             -0.5 * math.log(2.0 * math.pi)
         )
-        assert den.known_log_normalizer == 0.0
 
 
 class TestStudentT:
@@ -442,4 +441,3 @@ class TestLogScale:
         base = gaussian([0.0], 1.0)
         z = np.array([0.3])
         assert den.log_density(z) == pytest.approx(base.log_density(z) + 2.0)
-        assert den.known_log_normalizer == pytest.approx(2.0)

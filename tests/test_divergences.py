@@ -21,6 +21,14 @@ def random_grid(rng, n_atoms):
     return GridDensity(mass=rng.uniform(0.1, 3.0, size=n_atoms))
 
 
+def density_grids():
+    """N(-1, 1) and N(1.5, 0.5) on 41 atoms of [-6, 6], whose tail masses
+    fall to 9e-12 and 2e-25."""
+    atoms = np.linspace(-6.0, 6.0, 41)
+    return (grid_from_density(gaussian([-1.0], [[1.0]]), atoms),
+            grid_from_density(gaussian([1.5], [[0.5]]), atoms))
+
+
 class TestAlphaDivergence:
     def test_self_divergence_zero_for_many_alphas(self):
         rng = np.random.default_rng(7)
@@ -134,6 +142,18 @@ class TestKlLimits:
         ]
         assert all(abs(g2) < abs(g1) for g1, g2 in zip(gaps, gaps[1:]))
         assert abs(gaps[-1]) < 1e-5
+
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_distance_to_the_limit_shrinks_with_one_minus_alpha(self, sign):
+        # alpha -> -1 reaches KL(r, p) and alpha -> +1 KL(p, r), at a distance
+        # proportional to 1 -+ alpha down to 1e-12: no cancelled sum is left
+        r, p = density_grids()
+        limit = extended_kl(r, p) if sign < 0.0 else extended_kl(p, r)
+        slopes = [
+            (alpha_divergence(r, p, sign * (1.0 - 10.0**-k)) - limit) / 10.0**-k
+            for k in (4, 8, 12)
+        ]
+        assert slopes[1:] == pytest.approx([slopes[0]] * 2, rel=1e-2)
 
 
 class TestVariationalObjective:
@@ -280,3 +300,13 @@ class TestCertifyArgmin:
         obj_mixture = variational_objective(mixture, pi0, pi1, w)
         obj_moment = variational_objective(moment_avg, pi0, pi1, w)
         assert obj_mixture < obj_moment
+
+    @pytest.mark.parametrize("q", [1e-13, 0.5, 1 - 1e-11, 1 - 1e-13, 1 + 1e-13, 1.5, 2.0, 3.0])
+    def test_density_grid_certified_at_every_order(self, q):
+        # near q = 0 and q = 1 the objective's alpha = 2q - 1 nears -1 and +1,
+        # and above q = 1 the tail masses' powers mass**(1 - q) reach 1e34
+        pi0, pi1 = density_grids()
+        for beta in (0.1, 0.3, 0.9):
+            cert = certify_argmin(pi0, pi1, beta=beta, q=q, trials=20)
+            assert cert.passed, (beta, cert.min_margin, cert.max_stationarity_residual)
+            assert cert.max_stationarity_residual < 1e-12

@@ -120,6 +120,21 @@ class TestReportJson:
         assert small_report() != small_report(log_Z=2.0)
         assert small_report() != small_report(ess_trace=(12.0, 11.0))
 
+    def test_equal_exactly_when_the_files_are(self):
+        # nan equals nan; a signed zero and the order of extras are written
+        assert small_report(log_Z=math.nan) == small_report(log_Z=math.nan)
+        assert small_report(log_Z=-0.0) != small_report(log_Z=0.0)
+        assert small_report(extras={"a": 1, "b": 2}) != small_report(extras={"b": 2, "a": 1})
+
+    def test_config_echo_strings_stay_strings(self):
+        config = RunConfig(command="ais", output="inf", extras={"trace_csv": "nan"})
+        report = small_report(config_echo=config, extras={"bound": math.inf})
+        parsed = report_from_json(report_to_json(report))
+        assert type(parsed.config_echo.output) is str and parsed.config_echo.output == "inf"
+        assert type(parsed.config_echo.extras["trace_csv"]) is str
+        assert parsed.config_echo == config
+        assert parsed.extras["bound"] == math.inf
+
     def test_numpy_values_are_encoded(self):
         report = small_report(
             log_Z=np.float64(2.0), extras={"ids": np.arange(3), "n": np.int64(4)}
