@@ -264,8 +264,7 @@ def _bdmc_bodies(config: RunConfig, path, blocks: int) -> list[dict]:
     schedule = linear_schedule(config.K)
     adapt = _given(config, "adapt_steps")
     fwd = ais_forward(path, schedule, chains, cfg, moves, rng, **adapt)
-    target_draws = np.tile(path.target.exact_sampler(rng, chains), (blocks, 1))
-    rev = ais_reverse(path, schedule, target_draws, cfg, moves, rng, **adapt)
+    rev = ais_reverse(path, schedule, path.target.exact_sampler(rng, chains), cfg, moves, rng, **adapt)
     return [
         _body(
             config, f, f.steps["ess_trace"][-1:], upper_bound=float(-r.log_Z_estimate),

@@ -166,8 +166,8 @@ def certify_argmin(
 
     Checks (a) no multiplicative perturbation r*exp(eps*noise) of the
     candidate attains a lower objective over ``trials`` draws at each
-    perturbation scale, and (b) the per-atom stationarity residual, in logs,
-    between the candidate and the mixed endpoint masses stays below 1e-10.
+    perturbation scale, and (b) the per-atom stationarity residual, in nats
+    of the candidate's log mass, stays below 1e-10.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -177,16 +177,19 @@ def certify_argmin(
     w = DivergenceWeights.from_mixing_order(beta, q)
     objective = variational_objective(candidate, pi0, pi1, w)
 
-    # Stationarity r^(1-q) = (1-beta) pi0^(1-q) + beta pi1^(1-q) in logs, as
-    # tail powers reach 1e34; at the geometric order it is linearity in logs.
+    # Stationarity r^d = (1-beta) pi0^d + beta pi1^d, d = 1 - q, in nats of
+    # t = log mass: anchored at the endpoint a of larger d*t, with weight w_b
+    # on the other, t_c - t_a = log1p(w_b expm1(d (t_b - t_a))) / d, so no
+    # power overflows and the residual keeps its scale as d -> 0.  At the
+    # geometric order, or an endpoint beta, it is linearity in logs.
     t0, t1, tc = np.log(pi0.mass), np.log(pi1.mass), np.log(candidate.mass)
-    if is_geometric_order(q):
+    if is_geometric_order(q) or beta in (0.0, 1.0):
         gap = (1.0 - beta) * t0 + beta * t1 - tc
     else:
         d = 1.0 - q
-        with np.errstate(divide="ignore"):
-            mixed = np.logaddexp(np.log(1.0 - beta) + d * t0, np.log(beta) + d * t1)
-        gap = mixed - d * tc
+        swap = d * t1 > d * t0
+        ta, tb, wb = np.where(swap, t1, t0), np.where(swap, t0, t1), np.where(swap, 1.0 - beta, beta)
+        gap = np.log1p(wb * np.expm1(d * (tb - ta))) / d - (tc - ta)
     residual = float(np.max(np.abs(gap)))
 
     min_margin = np.inf

@@ -60,12 +60,11 @@ def leapfrog(
     momentum: np.ndarray,
     energy: EnergyFn,
     cfg: HmcConfig,
-    grad0: np.ndarray | None = None,
+    grad0: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, State]:
     """Run ``cfg.n_leapfrog`` leapfrog steps along the log-density gradient.
 
-    ``grad0`` is the gradient at ``z`` when the caller already holds it;
-    otherwise it is evaluated first.  ``energy`` is then called exactly once
+    ``grad0`` is the gradient at ``z``.  ``energy`` is called exactly once
     per new position, ``cfg.n_leapfrog`` times, and the (logp, grad) of the
     final position is returned with it as ``(z, p, (logp, grad))``.
 
@@ -79,8 +78,6 @@ def leapfrog(
     if np.ndim(eps):
         eps = np.repeat(eps, z.shape[0] // eps.size)[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        if grad0 is None:
-            grad0 = energy(z)[1]
         p = momentum + 0.5 * eps * grad0
         z = z + eps * p
         logp, grad = energy(z)
@@ -152,19 +149,17 @@ def hmc_step(
     energy: EnergyFn,
     cfg: HmcConfig,
     rng: Generator,
-    state: State | None = None,
+    state: State,
 ) -> tuple[np.ndarray, np.ndarray, State]:
     """Metropolis-corrected HMC transition leaving exp(log-density) invariant.
 
     Takes a (n, d) batch; returns the new positions, the (n,) accepted flags
     and the (logp, grad) of the returned positions.  ``state`` is the
-    (logp, grad) of ``z``, as returned by the previous transition; when
-    omitted it is evaluated once here.  The transition then calls ``energy``
-    exactly ``cfg.n_leapfrog`` times, never on ``z``.  Proposals with -inf
-    energy or nonfinite state are rejected in place.
+    (logp, grad) of ``z``, as returned by the previous transition.  The
+    transition calls ``energy`` exactly ``cfg.n_leapfrog`` times, never on
+    ``z``.  Proposals with -inf energy or nonfinite state are rejected in
+    place.
     """
-    if state is None:
-        state = energy(z)
     out, accepted, _, state = _hmc_core(z, energy, cfg, rng, state)
     return out, accepted, state
 
@@ -175,17 +170,16 @@ def tune_step_size(
     cfg: HmcConfig,
     rng: Generator,
     n_adapt: int,
-    state: State | None = None,
+    state: State,
 ) -> tuple[HmcConfig, np.ndarray, State]:
     """Dual-averaging warm-up of the step size toward a mean acceptance
     probability of ``_TARGET_ACCEPT``.
 
     Returns the tuned config, the warmed-up positions and their (logp, grad).
     ``state`` is the (logp, grad) of ``positions``, carried in from the
-    previous transition; when omitted it is evaluated once here.  Each of
-    the ``n_adapt`` transitions calls ``energy`` ``cfg.n_leapfrog`` times and
-    hands its end state to the next.  ``n_adapt = 0`` is a no-op so callers
-    can disable adaptation entirely.
+    previous transition.  Each of the ``n_adapt`` transitions calls
+    ``energy`` ``cfg.n_leapfrog`` times and hands its end state to the next.
+    ``n_adapt = 0`` is a no-op so callers can disable adaptation entirely.
 
     With a per-block ``cfg.step_size``, each block of rows keeps its own
     dual-averaging state in plain floats, fed by the mean acceptance of its
@@ -193,8 +187,6 @@ def tune_step_size(
     """
     if n_adapt < 0:
         raise ValueError("n_adapt must be nonnegative")
-    if state is None:
-        state = energy(positions)
     if n_adapt == 0:
         return cfg, positions, state
 

@@ -212,20 +212,21 @@ def _anneal(
     Betas follow the grid ``betas`` in run order or, if it is None, the ESS
     bisection toward ``ess_target`` up to 1.  The chains resample when the
     carried ESS falls below ``resample_below``: never at 0 (AIS), always at
-    inf (adaptive SMC).  Weights are unnormalized, one row per block of
-    chains, that is per entry of ``cfg.step_size``; every block draws from
-    the one generator ``rng``.  Each resampling, and the end of the run, adds
-    their log-mean-exp to log Z, so a -inf weight counts as zero.  A row of
-    -inf weights raises ``WeightCollapseError`` at that step.
+    inf (adaptive SMC).  ``z`` is one block of starting chains, copied to
+    every entry of a per-block ``cfg.step_size``; every block draws from the
+    one generator ``rng``.  Weights are unnormalized, one row per block.
+    Each resampling, and the end of the run, adds their log-mean-exp to
+    log Z, so a -inf weight counts as zero, and each block whose final
+    weights hold one warns.  A row of -inf weights raises
+    ``WeightCollapseError`` at that step.  A run of a shared step size
+    returns its one block.
     """
     if moves_per_step < 0:
         raise ValueError("moves_per_step must be nonnegative")
-    blocks = np.size(cfg.step_size)
-    if z.shape[0] % blocks:
-        raise ValueError("the chains must split into equal blocks, one per step size")
+    blocks, n = np.size(cfg.step_size), z.shape[0]
     if blocks > 1 and resample_below > 0.0:
         raise ValueError("a resampling run takes one block of chains")
-    n = z.shape[0] // blocks
+    z = np.tile(z, (blocks, 1))
     tol = _ESS_TOL_FRACTION * n
     log_w, log_Z = np.zeros((blocks, n)), np.zeros(blocks)
     beta = 0.0 if betas is None else betas[0]
@@ -272,7 +273,14 @@ def _anneal(
         lp_old = state[0]
         batch = path.log_density_of(z)
     log_Z += np.array([_log_sum_exp(row) for row in log_w]) - math.log(n)
-    return AnnealRun(log_Z, log_w, z, np.asarray(beta_trace), _columns(steps), resamples)
+    run = AnnealRun(log_Z, log_w, z, np.asarray(beta_trace), _columns(steps), resamples)
+    if not np.all(np.isfinite(log_w)):  # all live: skip the count, whose kernels add peak RSS
+        for dropped in run.n_dropped[run.n_dropped > 0]:
+            warnings.warn(
+                f"{dropped} of {n} chains hit -inf weights and count as zero weights in the estimate",
+                RuntimeWarning,
+            )
+    return run if np.ndim(cfg.step_size) else run.blocks()[0]
 
 
 def ais_forward(
@@ -291,17 +299,17 @@ def ais_forward(
     of the weights is a stochastic lower bound in expectation.
 
     With a per-block ``cfg.step_size``, ``chains`` chains run per block,
-    every block drawing the same base samples and moves from ``rng``
-    (common random numbers), and the result holds one estimate per block.
+    every block starting from the same base samples and drawing the same
+    moves from ``rng`` (common random numbers), and the result holds one
+    estimate per block.
     """
     betas = _betas_of(schedule)
     if path.base.exact_sampler is None:
         raise ValueError("forward AIS requires an exact sampler for the base")
     if chains < 1:
         raise ValueError("chains must be positive")
-    z = np.tile(path.base.exact_sampler(rng, chains), (np.size(cfg.step_size), 1))
-    run = _anneal(path, z, cfg, moves_per_step, rng, adapt_steps, betas, None, 0.0)
-    return _ais_result(run, cfg)
+    z = path.base.exact_sampler(rng, chains)
+    return _anneal(path, z, cfg, moves_per_step, rng, adapt_steps, betas, None, 0.0)
 
 
 def ais_reverse(
@@ -318,8 +326,8 @@ def ais_reverse(
     The returned ``log_Z_estimate`` is the log-mean-exp of the run-direction
     weights and so estimates log(Z_base / Z_target); negating it gives the
     stochastic upper bound on log(Z_target / Z_base) that ``bdmc_gap`` pairs
-    with a forward run.  With a per-block ``cfg.step_size`` the samples
-    split into equal blocks, one per step, as in ``ais_forward``.
+    with a forward run.  The samples are one block's: with a per-block
+    ``cfg.step_size`` every block starts from them, as in ``ais_forward``.
     """
     betas = _betas_of(schedule)
     z = np.asarray(exact_target_samples, dtype=float)
@@ -327,19 +335,7 @@ def ais_reverse(
         z = z[:, None]
     if z.shape[0] < 1:
         raise ValueError("reverse AIS requires at least one target sample")
-    run = _anneal(path, z, cfg, moves_per_step, rng, adapt_steps, betas[::-1], None, 0.0)
-    return _ais_result(run, cfg)
-
-
-def _ais_result(run: AnnealRun, cfg: HmcConfig) -> AnnealRun:
-    """``run``, one block under a shared step size; warns of each block of dead chains."""
-    for dropped in run.n_dropped[run.n_dropped > 0]:
-        warnings.warn(
-            f"{dropped} of {run.per_chain_log_w.shape[1]} chains hit -inf weights and count "
-            "as zero weights in the estimate",
-            RuntimeWarning,
-        )
-    return run if np.ndim(cfg.step_size) else run.blocks()[0]
+    return _anneal(path, z, cfg, moves_per_step, rng, adapt_steps, betas[::-1], None, 0.0)
 
 
 def bdmc_gap(fwd: AnnealRun, rev: AnnealRun) -> float | np.ndarray:
@@ -386,5 +382,4 @@ def smc_run(
     ess_target = ess_fraction * particles
     resample_below = math.inf if adaptive else ess_target
     run = _anneal(path, z, cfg, moves_per_step, gen, adapt_steps, betas, ess_target, resample_below)
-    run = run.blocks()[0]
     return run.log_Z_estimate, run

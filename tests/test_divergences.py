@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qanneal import divergences
 from qanneal.densities import GridDensity, gaussian, grid_from_density
 from qanneal.divergences import (
     ArgminCertificate,
@@ -306,7 +307,19 @@ class TestCertifyArgmin:
         # near q = 0 and q = 1 the objective's alpha = 2q - 1 nears -1 and +1,
         # and above q = 1 the tail masses' powers mass**(1 - q) reach 1e34
         pi0, pi1 = density_grids()
-        for beta in (0.1, 0.3, 0.9):
+        for beta in (0.0, 0.1, 0.3, 0.9, 1.0):
             cert = certify_argmin(pi0, pi1, beta=beta, q=q, trials=20)
             assert cert.passed, (beta, cert.min_margin, cert.max_stationarity_residual)
             assert cert.max_stationarity_residual < 1e-12
+
+    @pytest.mark.parametrize("q", [0.5, 1 - 1e-11, 2.0])
+    def test_residual_reads_a_one_nat_error_in_nats(self, q, monkeypatch):
+        # a candidate off by one nat at every atom reads about 1 at every
+        # order, near the geometric one too, not a residual scaled by 1 - q
+        pi0, pi1 = density_grids()
+        power_mean = divergences.grid_power_mean
+        monkeypatch.setattr(divergences, "grid_power_mean",
+                            lambda *args: GridDensity(mass=power_mean(*args).mass * E, atoms=pi0.atoms))
+        cert = certify_argmin(pi0, pi1, beta=0.3, q=q, trials=1)
+        assert cert.max_stationarity_residual >= 0.5
+        assert not cert.passed

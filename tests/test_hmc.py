@@ -36,7 +36,7 @@ class TestLeapfrog:
         cfg = HmcConfig(step_size=0.3, n_leapfrog=7)
         z = np.array([[1.5, -0.25], [0.0, 2.0]])
         p = np.zeros_like(z)
-        z1, p1, _ = leapfrog(z, p, lambda x: (np.zeros(len(x)), np.zeros_like(x)), cfg)
+        z1, p1, _ = leapfrog(z, p, lambda x: (np.zeros(len(x)), np.zeros_like(x)), cfg, np.zeros_like(z))
         assert np.array_equal(z1, z)
         assert np.array_equal(p1, p)
 
@@ -46,8 +46,8 @@ class TestLeapfrog:
         energy = fused(*standard_normal_energy())
         z0 = rng.normal(size=(6, 2))
         p0 = rng.normal(size=(6, 2))
-        z1, p1, _ = leapfrog(z0, p0, energy, cfg)
-        z2, p2, _ = leapfrog(z1, -p1, energy, cfg)
+        z1, p1, _ = leapfrog(z0, p0, energy, cfg, energy(z0)[1])
+        z2, p2, _ = leapfrog(z1, -p1, energy, cfg, energy(z1)[1])
         np.testing.assert_allclose(z2, z0, atol=1e-8)
         np.testing.assert_allclose(-p2, p0, atol=1e-8)
 
@@ -59,7 +59,7 @@ class TestLeapfrog:
 
         def max_energy_error(eps):
             cfg = HmcConfig(step_size=eps, n_leapfrog=int(round(2.0 / eps)))
-            z1, p1, _ = leapfrog(z0, p0, fused(logp, grad), cfg)
+            z1, p1, _ = leapfrog(z0, p0, fused(logp, grad), cfg, grad(z0))
             h0 = -logp(z0) + 0.5 * np.sum(p0**2, axis=1)
             h1 = -logp(z1) + 0.5 * np.sum(p1**2, axis=1)
             return float(np.max(np.abs(h1 - h0)))
@@ -78,7 +78,8 @@ class TestHmcStep:
         cfg = HmcConfig(step_size=0.5, n_leapfrog=4)
         rng = np.random.default_rng(2)
         z = np.zeros((64, 1))
-        z1, accepted, _ = hmc_step(z, fused(logp, lambda x: np.zeros_like(x)), cfg, rng)
+        z1, accepted, _ = hmc_step(z, fused(logp, lambda x: np.zeros_like(x)), cfg, rng,
+                                   (logp(z), np.zeros_like(z)))
         assert accepted.all()
         assert not np.allclose(z1, z)
 
@@ -90,7 +91,8 @@ class TestHmcStep:
         cfg = HmcConfig(step_size=50.0, n_leapfrog=1)
         rng = np.random.default_rng(3)
         z = np.zeros((16, 1))
-        z1, accepted, _ = hmc_step(z, fused(logp, lambda x: np.zeros_like(x)), cfg, rng)
+        z1, accepted, _ = hmc_step(z, fused(logp, lambda x: np.zeros_like(x)), cfg, rng,
+                                   (logp(z), np.zeros_like(z)))
         assert not accepted.any()
         assert np.array_equal(z1, z)
 
@@ -104,7 +106,7 @@ class TestHmcStep:
         sq_sums = np.zeros(chains)
         steps = 1500
         for _ in range(steps):
-            z, _, _ = hmc_step(z, fused(logp, grad), cfg, rng)
+            z, _, _ = hmc_step(z, fused(logp, grad), cfg, rng, (logp(z), grad(z)))
             sums += z[:, 0]
             sq_sums += z[:, 0] ** 2
         chain_means = sums / steps
@@ -122,7 +124,7 @@ class TestHmcStep:
             rng = np.random.default_rng(99)
             z = np.zeros((8, 2))
             for _ in range(5):
-                z, _, _ = hmc_step(z, fused(logp, grad), cfg, rng)
+                z, _, _ = hmc_step(z, fused(logp, grad), cfg, rng, (logp(z), grad(z)))
             runs.append(z)
         assert np.array_equal(runs[0], runs[1])
 
@@ -138,7 +140,7 @@ class TestHmcStep:
         z = np.random.default_rng(0).normal(size=(8, 2))
         bad = z.copy()
         bad[3] = 1.7e308
-        runs = [hmc_step(start, energy, cfg, np.random.default_rng(7)) for start in (z, bad)]
+        runs = [hmc_step(start, energy, cfg, np.random.default_rng(7), energy(start)) for start in (z, bad)]
         (z1, acc, (lp, g)), (bad1, bad_acc, (bad_lp, bad_g)) = runs
         assert not bad_acc[3] and np.array_equal(bad1[3], bad[3])
         assert bad_lp[3] == 0.0 and np.array_equal(bad_g[3], bad[3])
@@ -155,10 +157,10 @@ class TestTuneStepSize:
         cfg = HmcConfig(step_size=eps0, n_leapfrog=8)
         rng = np.random.default_rng(6)
         z = rng.normal(size=(64, 1))
-        tuned, z, _ = tune_step_size(z, fused(logp, grad), cfg, rng, n_adapt=80)
+        tuned, z, _ = tune_step_size(z, fused(logp, grad), cfg, rng, n_adapt=80, state=(logp(z), grad(z)))
         rates = []
         for _ in range(30):
-            z, accepted, _ = hmc_step(z, fused(logp, grad), tuned, rng)
+            z, accepted, _ = hmc_step(z, fused(logp, grad), tuned, rng, (logp(z), grad(z)))
             rates.append(accepted.mean())
         assert 0.4 < np.mean(rates) < 0.95
 
@@ -167,7 +169,7 @@ class TestTuneStepSize:
         cfg = HmcConfig(step_size=0.2, n_leapfrog=3)
         rng = np.random.default_rng(7)
         z = np.zeros((4, 1))
-        tuned, z_out, _ = tune_step_size(z, fused(logp, grad), cfg, rng, n_adapt=0)
+        tuned, z_out, _ = tune_step_size(z, fused(logp, grad), cfg, rng, n_adapt=0, state=(logp(z), grad(z)))
         assert tuned is cfg
         assert z_out is z
 
@@ -175,7 +177,7 @@ class TestTuneStepSize:
         logp, grad = standard_normal_energy()
         with pytest.raises(ValueError, match="n_adapt"):
             tune_step_size(np.zeros((4, 1)), fused(logp, grad), HmcConfig(step_size=0.2, n_leapfrog=3),
-                           np.random.default_rng(7), n_adapt=-1)
+                           np.random.default_rng(7), n_adapt=-1, state=(np.zeros(4), np.zeros((4, 1))))
 
 
 class TestBlocks:
@@ -205,12 +207,12 @@ class TestBlocks:
         z = self.start()
         cfg = HmcConfig(step_size=np.array(self.STEPS), n_leapfrog=4)
         rng = np.random.default_rng(self.SEED)
-        tuned, z_out, (lp, g) = tune_step_size(z, self.energy(), cfg, rng, n_adapt=25)
+        tuned, z_out, (lp, g) = tune_step_size(z, self.energy(), cfg, rng, n_adapt=25, state=self.energy()(z))
         for b, step in enumerate(self.STEPS):
             rows = slice(b * self.CHAINS, (b + 1) * self.CHAINS)
             alone, z_b, (lp_b, g_b) = tune_step_size(
                 z[rows], self.block_energy(b), replace(cfg, step_size=step),
-                np.random.default_rng(self.SEED), n_adapt=25,
+                np.random.default_rng(self.SEED), n_adapt=25, state=self.block_energy(b)(z[rows]),
             )
             assert tuned.step_size[b] == alone.step_size
             assert np.array_equal(z_out[rows], z_b)
@@ -222,11 +224,12 @@ class TestBlocks:
         z = self.start()
         cfg = HmcConfig(step_size=np.array(self.STEPS), n_leapfrog=3)
         rng = np.random.default_rng(self.SEED)
-        z_out, accepted, _ = hmc_step(z, self.energy(), cfg, rng)
+        z_out, accepted, _ = hmc_step(z, self.energy(), cfg, rng, self.energy()(z))
         for b, step in enumerate(self.STEPS):
             rows = slice(b * self.CHAINS, (b + 1) * self.CHAINS)
             alone = np.random.default_rng(self.SEED)
-            z_b, acc_b, _ = hmc_step(z[rows], self.block_energy(b), replace(cfg, step_size=step), alone)
+            z_b, acc_b, _ = hmc_step(z[rows], self.block_energy(b), replace(cfg, step_size=step), alone,
+                                     self.block_energy(b)(z[rows]))
             assert np.array_equal(z_out[rows], z_b)
             assert np.array_equal(accepted[rows], acc_b)
             # the blocks drew one block's numbers, not one set per block

@@ -368,9 +368,9 @@ class TestAisBlocks:
     def sandwich(self, path, target, cfg, rng, adapt_steps):
         """Forward AIS, then reverse AIS from target draws, each block's
         draws the same: what ``grid-q`` runs."""
-        schedule, blocks = np.linspace(0.0, 1.0, 5), np.size(cfg.step_size)
+        schedule = np.linspace(0.0, 1.0, 5)
         fwd = ais_forward(path, schedule, self.CHAINS, cfg, 2, rng, adapt_steps=adapt_steps)
-        draws = np.tile(target.exact_sampler(rng, self.CHAINS), (blocks, 1))
+        draws = target.exact_sampler(rng, self.CHAINS)
         rev = ais_reverse(path, schedule, draws, cfg, 2, rng, adapt_steps=adapt_steps)
         return fwd, rev
 
@@ -414,13 +414,6 @@ class TestAisBlocks:
                       alone, 3)
         assert rng.bit_generator.state == alone.bit_generator.state
         assert rng.bit_generator.state != np.random.default_rng(self.SEED).bit_generator.state
-
-    def test_chains_must_split_into_the_blocks(self):
-        g = gaussian([0.0], 1.0)
-        cfg = replace(small_cfg(), step_size=np.array([0.4, 0.4]))
-        with pytest.raises(ValueError, match="equal blocks"):
-            ais_reverse(QPath(g, g, q=0.5), [0.0, 1.0], np.zeros((5, 1)), cfg, 1,
-                        np.random.default_rng(0))
 
     def test_resampling_takes_one_generator(self):
         # one generator and one block: resampling across blocks is undefined
@@ -573,6 +566,32 @@ class TestSmc:
             assert log_z == pytest.approx(ais.log_Z_estimate, abs=1e-12, rel=0.0)
             assert np.allclose(diag.steps["ess_trace"], ais.steps["ess_trace"], rtol=0.0, atol=1e-12)
 
+    def test_never_resampling_warns_of_dead_chains_as_ais_does(self):
+        # the loop warns of a block's dead chains, whichever estimator runs it
+        grid, cfg = np.linspace(0.0, 1.0, 4), small_cfg()
+        with pytest.warns(RuntimeWarning, match="-inf weights") as ais_warnings:
+            ais = ais_forward(truncated_path(), grid, 50, cfg, 1, np.random.default_rng(17), adapt_steps=0)
+        with pytest.warns(RuntimeWarning, match="-inf weights") as smc_warnings:
+            log_z, smc = smc_run(truncated_path(), grid, 50, 1, cfg, 17, ess_fraction=0.0, adapt_steps=0)
+        assert [str(w.message) for w in smc_warnings] == [str(w.message) for w in ais_warnings]
+        assert len(ais_warnings) == 1 and smc.n_dropped == ais.n_dropped == 27
+        assert log_z == ais.log_Z_estimate
+
+    def test_unconverged_bisection_warns_once_and_finishes(self):
+        # the 31 of 64 draws below 0 die at any beta above 0, so the
+        # incremental ESS falls from 64 to 33 at once, the first bisection
+        # cannot meet the target of 48, and only the warning records that
+        path = QPath(gaussian([0.0], 1.0), pareto(0.0, 1.0, 0.0), q=1.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            log_z, run = smc_run(path, "adaptive", particles=64, moves_per_step=1,
+                                 cfg=HmcConfig(0.5, 5), rng=0, ess_fraction=0.75)
+        bisection = [w for w in caught if "bisection did not converge" in str(w.message)]
+        assert [(w.category, str(w.message)) for w in bisection] == [
+            (RuntimeWarning, "incremental ESS bisection did not converge at beta 0.000000")
+        ]
+        assert run.beta_trace[-1] == 1.0 and math.isfinite(log_z)
+
     @pytest.mark.parametrize("ess_fraction", [1.5, 0.0, -0.5, math.nan])
     def test_adaptive_rejects_unreachable_ess_fraction_at_once(self, ess_fraction):
         # the ESS never exceeds N, so a target above it could never be met;
@@ -662,6 +681,12 @@ class TestStepRecord:
             assert block.steps.keys() == run.steps.keys()
             assert np.array_equal(block.steps["dummy"], row)
             assert block.beta_trace is run.beta_trace
+
+    def test_a_shared_step_run_is_its_own_block(self):
+        run = ais_forward(log_z_two_problem(), np.linspace(0.0, 1.0, 4), 8, small_cfg(), 1,
+                          np.random.default_rng(0))
+        assert run.blocks() == [run]
+        assert type(run.log_Z_estimate) is float and run.per_chain_log_w.shape == (8,)
 
     def test_columns_are_the_report_traces(self):
         path, grid = log_z_two_problem(), np.linspace(0.0, 1.0, 4)
