@@ -42,8 +42,7 @@ _TOY_DEFAULTS = {
     "var1": 1.0,
     "target_log_scale": 0.0,
 }
-_STEP_SIZE = 0.5
-_HMC = HmcConfig(step_size=_STEP_SIZE, n_leapfrog=5)
+_HMC = HmcConfig(step_size=0.5, n_leapfrog=5)
 # grid-q batches its orders into sweeps of at most this many chains, so
 # memory stays bounded at large chain counts (one order per sweep above
 # 8,192 chains); the default grids run as a single sweep
@@ -117,11 +116,13 @@ def _validate(config: RunConfig) -> list[str]:
     problems = {} if row else {"command": f"unknown command {config.command!r}"}
     listed = ("particles", "seed", "output", *row.settings) if row else _SETTINGS
     defaults = {**_FIELD_DEFAULTS, **(row.defaults if row else {})}
-    # q off the qpath is not read, so that rule goes ahead of its checks
+    # an unread q (off the qpath) or K (off the linear schedule) gets its rule ahead of its checks
     reads_path = "path_kind" in listed
     if reads_path and (config.q is None) == (config.path_kind == "qpath"):
         need = "required" if config.q is None else "only meaningful"
         problems.setdefault("q", f"{need} when path_kind is qpath")
+    if "schedule" in listed and config.schedule == "adaptive" and config.K != defaults["K"]:
+        problems.setdefault("K", f"the adaptive schedule does not read it; leave it at {defaults['K']!r}")
     # a wrongly typed setting gets its type's message below, and no rule
     # here or after the checks compares it
     min_particles = 2 if config.command in _SMC_COMMANDS else 1
@@ -260,7 +261,7 @@ def _bdmc_bodies(config: RunConfig, path, blocks: int) -> list[dict]:
     run of that block's path gives."""
     chains, moves = config.particles, config.moves
     rng = np.random.default_rng(config.seed)
-    cfg = replace(_HMC, step_size=np.full(blocks, _STEP_SIZE))
+    cfg = replace(_HMC, step_size=np.repeat(_HMC.step_size, blocks))
     schedule = linear_schedule(config.K)
     adapt = _given(config, "adapt_steps")
     fwd = ais_forward(path, schedule, chains, cfg, moves, rng, **adapt)

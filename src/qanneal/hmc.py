@@ -5,13 +5,13 @@ and every chain draws its own momentum and accept threshold from the one
 generator of the run, in a fixed order, so results are reproducible given a
 seed.
 
-A batch can also hold several runs side by side, one per block of equal,
-consecutive rows: give ``HmcConfig.step_size`` as an array with one step per
-block.  The blocks then share one stream of common random numbers: the
-generator draws one block's momenta and thresholds and every block uses
-them, and ``tune_step_size`` adapts each block's step from that block's
-acceptance.  So every block reproduces bit for bit the run it would make
-alone on a generator in the same state.
+A batch holds one run per block of equal, consecutive rows, one step size
+per block in ``HmcConfig.step_size``; a batch of one run is one block.  The
+blocks share one stream of common random numbers: the generator draws one
+block's momenta and thresholds and every block uses them, and
+``tune_step_size`` adapts each block's step from that block's acceptance.
+So every block reproduces bit for bit the run it would make alone on a
+generator in the same state.
 
 The energy is one callable, ``energy(z) -> (logp, grad)``, returning the
 log-density (n,) and its gradient (n, d) together.  The kernel calls it once
@@ -28,6 +28,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
+# numpy loads numpy.random lazily: importing it here keeps that cost in setup, out of a solve
 from numpy.random import Generator
 
 EnergyFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
@@ -37,20 +38,23 @@ State = tuple[np.ndarray, np.ndarray]
 _TARGET_ACCEPT = 0.65
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HmcConfig:
     """Leapfrog step size and trajectory length, with an identity metric.
 
-    ``step_size`` is one float, or a (B,) array with one step per block of
-    equal, consecutive rows of the batch it is used on.
+    ``step_size`` is a (B,) array with one step per block of equal,
+    consecutive rows of the batch it is used on; a float given for it is
+    read as one block.  An array field makes value equality ambiguous, so
+    configs compare by identity.
     """
 
-    step_size: float | np.ndarray
+    step_size: np.ndarray
     n_leapfrog: int
 
     def __post_init__(self):
-        if not np.all(np.asarray(self.step_size) > 0.0):
-            raise ValueError("step_size must be positive")
+        object.__setattr__(self, "step_size", np.array(self.step_size, dtype=float, ndmin=1))
+        if self.step_size.ndim != 1 or not np.all(self.step_size > 0.0):
+            raise ValueError("step_size must be positive, one float or one per block")
         if self.n_leapfrog < 1:
             raise ValueError("n_leapfrog must be at least 1")
 
@@ -71,12 +75,9 @@ def leapfrog(
     The update is volume preserving and time reversible: negating the returned
     momentum and integrating again retraces the trajectory.  Nonfinite
     gradients propagate into the outputs; callers detect divergence there.
-    A per-block ``cfg.step_size`` steps each block of rows of ``z`` by its
-    own value.
+    Each block of rows of ``z`` steps by its own entry of ``cfg.step_size``.
     """
-    eps = cfg.step_size
-    if np.ndim(eps):
-        eps = np.repeat(eps, z.shape[0] // eps.size)[:, None]
+    eps = np.repeat(cfg.step_size, z.shape[0] // cfg.step_size.size)[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
         p = momentum + 0.5 * eps * grad0
         z = z + eps * p
@@ -114,7 +115,7 @@ def _hmc_core(
     state or energy) are auto-rejected.
     """
     n, d = positions.shape
-    blocks = np.size(cfg.step_size)
+    blocks = cfg.step_size.size
     lp0, g0 = state
     # one block's draws, tiled: every block shares the same random numbers
     p0 = np.tile(rng.standard_normal((n // blocks, d)), (blocks, 1))
@@ -181,19 +182,16 @@ def tune_step_size(
     ``energy`` ``cfg.n_leapfrog`` times and hands its end state to the next.
     ``n_adapt = 0`` is a no-op so callers can disable adaptation entirely.
 
-    With a per-block ``cfg.step_size``, each block of rows keeps its own
-    dual-averaging state in plain floats, fed by the mean acceptance of its
-    own rows, and the tuned config carries one step per block.
+    Each block of rows keeps its own dual-averaging state in plain floats,
+    fed by the mean acceptance of its own rows, and the tuned config carries
+    one step per block.
     """
     if n_adapt < 0:
         raise ValueError("n_adapt must be nonnegative")
     if n_adapt == 0:
         return cfg, positions, state
 
-    def steps(values):
-        return np.array(values) if np.ndim(cfg.step_size) else values[0]
-
-    eps = [float(s) for s in np.atleast_1d(cfg.step_size)]
+    eps = [float(s) for s in cfg.step_size]
     blocks = len(eps)
     mu = [math.log(10.0 * e) for e in eps]
     log_eps_bar = [math.log(e) for e in eps]
@@ -201,7 +199,7 @@ def tune_step_size(
     gamma, t0, kappa = 0.05, 10.0, 0.75
     for m in range(1, n_adapt + 1):
         positions, _, accept_prob, state = _hmc_core(
-            positions, energy, replace(cfg, step_size=steps(eps)), rng, state
+            positions, energy, replace(cfg, step_size=eps), rng, state
         )
         rates = _block_means(accept_prob, blocks)
         eta = m**-kappa
@@ -212,5 +210,5 @@ def tune_step_size(
             log_eps_bar[b] = eta * log_eps + (1.0 - eta) * log_eps_bar[b]
             eps[b] = math.exp(log_eps)
 
-    tuned = replace(cfg, step_size=steps([math.exp(x) for x in log_eps_bar]))
+    tuned = replace(cfg, step_size=[math.exp(x) for x in log_eps_bar])
     return tuned, positions, state

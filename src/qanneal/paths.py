@@ -133,11 +133,10 @@ class PathBatch:
         lp = self.path._log_density(self, beta)
         live = np.isfinite(lp)
         if np.all(live):
-            return lp, self.path._gradient(self, beta, slice(None))
-        g = np.zeros_like(self.z)
-        if np.any(live):
-            g[live] = self.path._gradient(self, beta, live)
-        return lp, g
+            return lp, self.path._gradient(self, beta)
+        # a dead row's endpoint gradients may be nonfinite; its blend is discarded
+        with np.errstate(over="ignore", invalid="ignore"):
+            return lp, np.where(live[:, None], self.path._gradient(self, beta), 0.0)
 
 
 class AnnealingPath:
@@ -145,9 +144,9 @@ class AnnealingPath:
     at 1, evaluated through ``PathBatch``.
 
     A path supplies two hooks: ``_log_density(batch, beta)``, the log-density
-    (n,) of a ``PathBatch`` at a checked beta, and ``_gradient(batch, beta,
-    live)``, the gradient on the rows ``live`` of the batch, where that
-    log-density is finite.
+    (n,) of a ``PathBatch`` at a checked beta, and ``_gradient(batch, beta)``,
+    its gradient (n, d); ``PathBatch.value_and_grad`` zeroes the rows where
+    that log-density is not finite.
     """
 
     def log_density_of(self, z) -> PathBatch:
@@ -234,16 +233,16 @@ class QPath(AnnealingPath):
         out = terms[0] + beta * terms[1] if self._geometric else _blend_at(terms, beta)
         return out if dead is None else np.where(dead, -np.inf, out)
 
-    def _gradient(self, batch: PathBatch, beta: float, live):
+    def _gradient(self, batch: PathBatch, beta: float):
         if beta == 0.0 or beta == 1.0:
-            return batch.end(int(beta))[1][live]
-        g0, g1 = batch.end(0)[1][live], batch.end(1)[1][live]
+            return batch.end(int(beta))[1]
+        g0, g1 = batch.end(0)[1], batch.end(1)[1]
         if self._geometric:
             return (1.0 - beta) * g0 + beta * g1
         _, (_, gap, *_) = self._terms(batch)
         # responsibility of the target endpoint in the power mean, which
         # rounds to exactly 0 or 1 on rows far from the crossover
-        col = sigmoid(math.log(beta) - math.log1p(-beta) + gap[live])[:, None]
+        col = sigmoid(math.log(beta) - math.log1p(-beta) + gap)[:, None]
         return np.where(col == 1.0, g1, np.where(col == 0.0, g0, (1.0 - col) * g0 + col * g1))
 
 
@@ -385,5 +384,5 @@ class MomentPath(AnnealingPath):
     def _log_density(self, batch: PathBatch, beta: float):
         return self._pair(batch, beta)[0]
 
-    def _gradient(self, batch: PathBatch, beta: float, live):
-        return self._pair(batch, beta)[1][live]
+    def _gradient(self, batch: PathBatch, beta: float):
+        return self._pair(batch, beta)[1]

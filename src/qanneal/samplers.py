@@ -96,9 +96,9 @@ class AnnealRun:
     and ``acceptance_trace`` (the mean acceptance of its moves).
     ``positions`` are the final chains.
 
-    A run over several blocks of chains (a per-block step size) holds every
-    block at once: each field but ``beta_trace`` and ``resample_count``, and
-    each column, gains a leading block axis (``positions`` stacks the
+    A run over several blocks of chains, one step size each, holds every
+    block at once: each field but ``beta_trace`` and ``resample_count``,
+    and each column, gains a leading block axis (``positions`` stacks the
     blocks' rows), and ``blocks()`` splits it into one run per block.
     """
 
@@ -121,7 +121,7 @@ class AnnealRun:
         return np.sort(self.beta_trace)
 
     def blocks(self) -> list["AnnealRun"]:
-        """One run per block; a run of a shared step size is its own."""
+        """One run per block; a run of one block is its own."""
         if np.ndim(self.log_Z_estimate) == 0:
             return [self]
         rows = np.split(self.positions, self.log_Z_estimate.size)
@@ -213,17 +213,17 @@ def _anneal(
     bisection toward ``ess_target`` up to 1.  The chains resample when the
     carried ESS falls below ``resample_below``: never at 0 (AIS), always at
     inf (adaptive SMC).  ``z`` is one block of starting chains, copied to
-    every entry of a per-block ``cfg.step_size``; every block draws from the
-    one generator ``rng``.  Weights are unnormalized, one row per block.
-    Each resampling, and the end of the run, adds their log-mean-exp to
-    log Z, so a -inf weight counts as zero, and each block whose final
-    weights hold one warns.  A row of -inf weights raises
-    ``WeightCollapseError`` at that step.  A run of a shared step size
-    returns its one block.
+    every entry of ``cfg.step_size``; every block draws from the one
+    generator ``rng``.  Weights are unnormalized, one row per block.  Each
+    resampling, and the end of the run, adds their log-mean-exp to log Z,
+    so a -inf weight counts as zero, and each block whose final weights
+    hold one warns.  A row of -inf weights raises ``WeightCollapseError``
+    at that step.  A run of one block returns that block, without its
+    block axis.
     """
     if moves_per_step < 0:
         raise ValueError("moves_per_step must be nonnegative")
-    blocks, n = np.size(cfg.step_size), z.shape[0]
+    blocks, n = cfg.step_size.size, z.shape[0]
     if blocks > 1 and resample_below > 0.0:
         raise ValueError("a resampling run takes one block of chains")
     z = np.tile(z, (blocks, 1))
@@ -280,7 +280,7 @@ def _anneal(
                 f"{dropped} of {n} chains hit -inf weights and count as zero weights in the estimate",
                 RuntimeWarning,
             )
-    return run if np.ndim(cfg.step_size) else run.blocks()[0]
+    return run if blocks > 1 else run.blocks()[0]
 
 
 def ais_forward(
@@ -298,10 +298,10 @@ def ais_forward(
     increment evaluated before the HMC moves for that step.  The log-mean-exp
     of the weights is a stochastic lower bound in expectation.
 
-    With a per-block ``cfg.step_size``, ``chains`` chains run per block,
-    every block starting from the same base samples and drawing the same
-    moves from ``rng`` (common random numbers), and the result holds one
-    estimate per block.
+    ``chains`` chains run per entry of ``cfg.step_size``, every block
+    starting from the same base samples and drawing the same moves from
+    ``rng`` (common random numbers).  The result holds one estimate per
+    block, or the one block's run when there is one.
     """
     betas = _betas_of(schedule)
     if path.base.exact_sampler is None:
@@ -326,15 +326,13 @@ def ais_reverse(
     The returned ``log_Z_estimate`` is the log-mean-exp of the run-direction
     weights and so estimates log(Z_base / Z_target); negating it gives the
     stochastic upper bound on log(Z_target / Z_base) that ``bdmc_gap`` pairs
-    with a forward run.  The samples are one block's: with a per-block
-    ``cfg.step_size`` every block starts from them, as in ``ais_forward``.
+    with a forward run.  The samples, an (n, d) batch, start every block,
+    as in ``ais_forward``.
     """
     betas = _betas_of(schedule)
     z = np.asarray(exact_target_samples, dtype=float)
-    if z.ndim == 1:
-        z = z[:, None]
-    if z.shape[0] < 1:
-        raise ValueError("reverse AIS requires at least one target sample")
+    if z.ndim != 2 or z.shape[0] < 1:
+        raise ValueError("reverse AIS requires an (n, d) batch of at least one target sample")
     return _anneal(path, z, cfg, moves_per_step, rng, adapt_steps, betas[::-1], None, 0.0)
 
 

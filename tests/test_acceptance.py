@@ -395,19 +395,19 @@ def test_desk_scale_study(tmp_path):
 
         def median_err(**overrides):
             errs = [
-                abs(quiet_run(RunConfig(command="smc", dataset=csv, K=10,
+                abs(quiet_run(RunConfig(command="smc", dataset=csv,
                                         particles=256, seed=s, **overrides)).log_Z - truth)
                 for s in seeds
             ]
             return float(np.median(errs))
 
-        linear = median_err(schedule="linear", moves=1)
+        linear = median_err(schedule="linear", K=10, moves=1)
         adaptive = median_err(schedule="adaptive", moves=1)
         assert adaptive < linear
         # step-size tuning sweeps also move particles, so the move-count
         # contrast is run with tuning off
-        one_move = median_err(schedule="linear", moves=1, extras={"adapt_steps": 0})
-        six_moves = median_err(schedule="linear", moves=6, extras={"adapt_steps": 0})
+        one_move = median_err(schedule="linear", K=10, moves=1, extras={"adapt_steps": 0})
+        six_moves = median_err(schedule="linear", K=10, moves=6, extras={"adapt_steps": 0})
         assert six_moves < one_move
         assert adaptive < 0.5
 

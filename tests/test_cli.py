@@ -141,6 +141,15 @@ class TestValidation:
             run(toy_config(**overrides))
         assert err.value.errors == [message]
 
+    @pytest.mark.parametrize("command", ["anneal-toy", "smc"])
+    def test_k_rejected_under_the_adaptive_schedule(self, command, dataset):
+        # only the linear schedule reads K, so K=0 gets this message and not its bound's
+        data = {"dataset": dataset[0], "extras": {}} if command == "smc" else {}
+        for K in (3, 500, 0):
+            with pytest.raises(ConfigError) as err:
+                run(toy_config(command=command, schedule="adaptive", K=K, **data))
+            assert err.value.errors == ["K: the adaptive schedule does not read it; leave it at 16"]
+
     def test_heuristic_q_rejects_a_trace_csv(self, tmp_path):
         trace = tmp_path / "h.csv"
         with pytest.raises(ConfigError) as err:
@@ -242,7 +251,7 @@ class TestToyRuns:
         config = toy_config(
             schedule="adaptive",
             particles=256,
-            K=10,
+            K=16,
             moves=2,
             seed=5,
             extras={"target_log_scale": 1.5},
@@ -424,7 +433,7 @@ class TestSmcCommand:
     def test_matches_quadrature_within_half_nat(self, capsys, dataset):
         path, truth = dataset
         config = RunConfig(
-            command="smc", dataset=path, particles=256, K=10,
+            command="smc", dataset=path, particles=256,
             schedule="adaptive", moves=2, seed=11,
         )
         report = run(config)

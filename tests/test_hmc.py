@@ -30,6 +30,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             HmcConfig(step_size=0.1, n_leapfrog=0)
 
+    def test_a_float_step_is_one_block(self):
+        step_size = HmcConfig(0.5, 5).step_size
+        assert isinstance(step_size, np.ndarray)
+        assert np.array_equal(step_size, np.array([0.5]))
+
 
 class TestLeapfrog:
     def test_zero_momentum_zero_gradient_is_identity(self):

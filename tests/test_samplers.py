@@ -295,6 +295,12 @@ class TestAisReverseAndGap:
         assert res.log_Z_estimate == 0.0
         assert np.array_equal(res.per_chain_log_w, np.zeros(16))
 
+    def test_samples_must_be_a_batch(self):
+        path = log_z_two_problem()
+        with pytest.raises(ValueError, match=r"\(n, d\) batch"):
+            ais_reverse(path, np.linspace(0.0, 1.0, 3), np.zeros(8), cfg=small_cfg(),
+                        moves_per_step=1, rng=np.random.default_rng(0))
+
     def test_gap_zero_for_identical_endpoints(self):
         g = gaussian(np.array([0.0]), np.array([[1.0]]))
         path = QPath(g, g, q=1.0)
@@ -657,8 +663,8 @@ class FadingPath(AnnealingPath):
         lp = batch.end(0)[0]
         return lp if beta < 0.5 else np.full_like(lp, -np.inf)
 
-    def _gradient(self, batch, beta, live):
-        return batch.end(0)[1][live]
+    def _gradient(self, batch, beta):
+        return batch.end(0)[1]
 
 
 class TestStepRecord:
@@ -687,6 +693,18 @@ class TestStepRecord:
                           np.random.default_rng(0))
         assert run.blocks() == [run]
         assert type(run.log_Z_estimate) is float and run.per_chain_log_w.shape == (8,)
+
+    def test_a_float_step_and_a_one_step_array_run_alike(self):
+        path, grid = log_z_two_problem(), np.linspace(0.0, 1.0, 4)
+        runs = [ais_forward(path, grid, 8, HmcConfig(step, 8), 1, np.random.default_rng(0))
+                for step in (0.4, np.array([0.4]))]
+        for run in runs:
+            assert type(run.log_Z_estimate) is float
+        assert runs[0].log_Z_estimate == runs[1].log_Z_estimate
+        assert np.array_equal(runs[0].per_chain_log_w, runs[1].per_chain_log_w)
+        assert runs[0].steps.keys() == runs[1].steps.keys()
+        for name, column in runs[0].steps.items():
+            assert np.array_equal(runs[1].steps[name], column), name
 
     def test_columns_are_the_report_traces(self):
         path, grid = log_z_two_problem(), np.linspace(0.0, 1.0, 4)
