@@ -90,7 +90,7 @@ def _from_kernel(d: int, kernel, finite: bool = True):
             zb = zb[None, :]
         elif zb.ndim != 2 or zb.shape[1] != d:
             raise ValueError(f"batch must have shape (n, {d})")
-        if finite and not np.all(np.isfinite(zb)):
+        if finite and not np.isfinite(zb).all():
             raise ValueError("points must be finite")
         lp, g = kernel(zb)
         return (float(lp[0]), g[0]) if point else (lp, g)
@@ -118,6 +118,17 @@ def _as_matrix(cov, d: int, name: str) -> np.ndarray:
     return cov
 
 
+def _whitening(chol: np.ndarray):
+    """``(op, a, b)`` with ``op(x, a) = x @ inv(chol).T``, ``op(x, b) = x @ inv(chol)``:
+    on a diagonal factor the product by the diagonal, the matmul's bits in fewer
+    calls but for the sign of a zero product, which the matmul's sum reads as +0."""
+    inv_chol = np.linalg.inv(chol)
+    diag = np.diag(inv_chol)
+    if np.array_equal(inv_chol, np.diag(diag)):
+        return np.multiply, diag, diag
+    return np.matmul, inv_chol.T, inv_chol
+
+
 def gaussian(mean, cov) -> UnnormalizedDensity:
     """Normalized multivariate Gaussian; scalars are accepted in one dimension.
 
@@ -126,13 +137,14 @@ def gaussian(mean, cov) -> UnnormalizedDensity:
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     d = mean.shape[0]
     chol = np.linalg.cholesky(_as_matrix(cov, d, "covariance"))
-    # whitening is (z - mean) @ inv_chol.T; the precision is inv_chol.T @ inv_chol
-    inv_chol = np.linalg.inv(chol)
+    op, a, b = _whitening(chol)
     log_norm = -0.5 * d * math.log(2.0 * math.pi) - np.sum(np.log(np.diag(chol)))
 
     def kernel(zb):
-        white = (zb - mean) @ inv_chol.T
-        return log_norm - 0.5 * np.sum(white**2, axis=1), -white @ inv_chol
+        # white is minus the whitened point, so the gradient (the precision
+        # times mean - z) is one more product, +0 at z = mean as with matmuls
+        white = op(mean - zb, a)
+        return log_norm - 0.5 * (white * white).sum(axis=1), op(white, b)
 
     def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
         return mean + rng.standard_normal((n, d)) @ chol.T
@@ -150,7 +162,7 @@ def student_t(mean, scale, nu: float) -> UnnormalizedDensity:
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     d = mean.shape[0]
     chol = np.linalg.cholesky(_as_matrix(scale, d, "scale"))
-    inv_chol = np.linalg.inv(chol)
+    op, a, b = _whitening(chol)
     log_norm = (
         math.lgamma(0.5 * (nu + d))
         - math.lgamma(0.5 * nu)
@@ -159,10 +171,10 @@ def student_t(mean, scale, nu: float) -> UnnormalizedDensity:
     )
 
     def kernel(zb):
-        white = (zb - mean) @ inv_chol.T
-        m = np.sum(white**2, axis=1)
+        white = op(zb - mean, a)
+        m = (white * white).sum(axis=1)
         lp = log_norm - 0.5 * (nu + d) * np.log1p(m / nu)
-        return lp, -(nu + d) * (white @ inv_chol) / (nu + m)[:, None]
+        return lp, -(nu + d) * op(white, b) / (nu + m)[:, None]
 
     def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
         g = rng.standard_normal((n, d)) @ chol.T

@@ -78,26 +78,28 @@ def leapfrog(
     Each block of rows of ``z`` steps by its own entry of ``cfg.step_size``.
     """
     eps = np.repeat(cfg.step_size, z.shape[0] // cfg.step_size.size)[:, None]
+    half = 0.5 * eps
     with np.errstate(over="ignore", invalid="ignore"):
-        p = momentum + 0.5 * eps * grad0
+        # p is updated in place; z is new each step, as the energy may keep it
+        p = momentum + half * grad0
         z = z + eps * p
         logp, grad = energy(z)
         for _ in range(cfg.n_leapfrog - 1):
-            p = p + eps * grad
+            p += eps * grad
             z = z + eps * p
             logp, grad = energy(z)
-        p = p + 0.5 * eps * grad
+        p += half * grad
     return z, p, (logp, grad)
 
 
 def _kinetic(p: np.ndarray) -> np.ndarray:
-    return 0.5 * np.sum(p * p, axis=-1)
+    return 0.5 * (p * p).sum(axis=-1)
 
 
 def _block_means(values: np.ndarray, blocks: int) -> np.ndarray:
     """Mean of each of ``blocks`` equal, consecutive runs of ``values``;
-    each equals ``np.mean`` of that run alone."""
-    return np.mean(np.reshape(values, (blocks, -1)), axis=1)
+    each equals ``np.mean`` of that run alone: a float sum over the count."""
+    return values.reshape(blocks, -1).sum(axis=1, dtype=float) / (values.size // blocks)
 
 
 def _hmc_core(
@@ -117,25 +119,26 @@ def _hmc_core(
     n, d = positions.shape
     blocks = cfg.step_size.size
     lp0, g0 = state
-    # one block's draws, tiled: every block shares the same random numbers
-    p0 = np.tile(rng.standard_normal((n // blocks, d)), (blocks, 1))
+    # one block's draws, copied: every block shares the same random numbers
+    p0 = np.concatenate([rng.standard_normal((n // blocks, d))] * blocks)
     k0 = _kinetic(p0)
 
     proposal, p1, (lp1, g1) = leapfrog(positions, p0, energy, cfg, g0)
-    ok = np.all(np.isfinite(proposal), axis=1) & np.all(np.isfinite(p1), axis=1)
+    ok = np.isfinite(proposal).all(axis=1) & np.isfinite(p1).all(axis=1)
     if not ok.all():
         # -inf log-density rejects a divergent trajectory whatever its
         # kinetic energy, which a zeroed momentum keeps finite
         lp1 = np.where(ok, lp1, -np.inf)
         p1 = np.where(ok[:, None], p1, 0.0)
-    k1 = _kinetic(p1)
 
-    with np.errstate(invalid="ignore"):
+    # a finite momentum's square may overflow; an infinite k1 rejects the proposal
+    with np.errstate(over="ignore", invalid="ignore"):
+        k1 = _kinetic(p1)
         log_ratio = (lp1 - k1) - (lp0 - k0)
     log_ratio = np.where(np.isnan(log_ratio), -np.inf, log_ratio)
 
     with np.errstate(divide="ignore"):
-        log_u = np.log(np.tile(rng.uniform(size=n // blocks), blocks))
+        log_u = np.log(np.concatenate([rng.uniform(size=n // blocks)] * blocks))
     accepted = log_u < log_ratio
     accept_prob = np.exp(np.minimum(log_ratio, 0.0))
 

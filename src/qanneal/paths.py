@@ -132,7 +132,7 @@ class PathBatch:
         beta = _check_beta(beta)
         lp = self.path._log_density(self, beta)
         live = np.isfinite(lp)
-        if np.all(live):
+        if live.all():
             return lp, self.path._gradient(self, beta)
         # a dead row's endpoint gradients may be nonfinite; its blend is discarded
         with np.errstate(over="ignore", invalid="ignore"):

@@ -554,11 +554,14 @@ class TestCommandLine:
         config = cli._config_from_args(cli._build_parser().parse_args([command]))
         assert config == RunConfig(command=command, **own.get(command, {}))
 
-    def test_readme_command_lines_parse(self):
+    def test_readme_command_lines_parse(self, tmp_path, monkeypatch):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         lines = readme.replace("\\\n", " ").splitlines()
         argvs = [shlex.split(line)[1:] for line in lines if line.startswith("qanneal ")]
         assert {argv[0] for argv in argvs} == set(cli.COMMANDS)
+        # validation checks that a dataset exists, so the examples' data.csv does
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "data.csv").write_text("x,y\n0.5,1\n")
         parser = cli._build_parser()
         for argv in argvs:
-            parser.parse_args(argv)
+            assert cli._validate(cli._config_from_args(parser.parse_args(argv))) == [], argv

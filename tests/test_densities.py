@@ -124,6 +124,46 @@ class TestStudentT:
         assert abs(draws.var() - true_var) < 4.0 * se_var
 
 
+def _matmul_kernel(family, mean, cov, nu):
+    """The Gaussian or Student-t kernel in its matmul form: whitening by
+    ``(z - mean) @ inv_chol.T`` and the gradient by one more matmul."""
+    d = mean.size
+    chol = np.linalg.cholesky(cov)
+    inv_chol = np.linalg.inv(chol)
+    log_det = np.sum(np.log(np.diag(chol)))
+
+    def kernel(z):
+        white = (z - mean) @ inv_chol.T
+        m = np.sum(white**2, axis=1)
+        if family == "gaussian":
+            return -0.5 * d * math.log(2.0 * math.pi) - log_det - 0.5 * m, -white @ inv_chol
+        log_norm = (
+            math.lgamma(0.5 * (nu + d)) - math.lgamma(0.5 * nu) - 0.5 * d * math.log(nu * math.pi) - log_det
+        )
+        lp = log_norm - 0.5 * (nu + d) * np.log1p(m / nu)
+        return lp, -(nu + d) * (white @ inv_chol) / (nu + m)[:, None]
+
+    return kernel
+
+
+@pytest.mark.parametrize("form", ["scalar", "vector", "matrix"])
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("family", ["gaussian", "student_t"])
+def test_diagonal_factor_whitens_with_the_matmul_bits(family, d, form):
+    rng = np.random.default_rng(d)
+    for _ in range(20):
+        mean = 3.0 * rng.standard_normal(d)
+        var = rng.uniform(1e-3, 10.0, size=d) if form != "scalar" else rng.uniform(1e-3, 10.0)
+        cov = np.diag(var) if form == "matrix" else var
+        den = gaussian(mean, cov) if family == "gaussian" else student_t(mean, cov, nu=2.5)
+        z = mean + rng.uniform(0.01, 50.0) * rng.standard_normal((int(rng.integers(1, 300)), d))
+        z[0] = mean
+        got = den.value_and_grad(z)
+        want = _matmul_kernel(family, mean, np.diag(np.broadcast_to(var, d)), nu=2.5)(z)
+        for g, w in zip(got, want):
+            assert np.array_equal(g.view(np.int64), w.view(np.int64))
+
+
 _COV2 = [[2.0, 0.3], [0.3, 1.0]]
 
 # name -> one of each built-in density, in two dimensions

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 from functools import partial
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from qanneal.densities import gaussian
-from qanneal.hmc import HmcConfig, hmc_step, leapfrog, tune_step_size
+from qanneal.hmc import HmcConfig, _block_means, hmc_step, leapfrog, tune_step_size
 from qanneal.paths import QPath
 
 
@@ -153,6 +154,31 @@ class TestHmcStep:
         assert acc[others].any() and np.all(np.isfinite(z1))
         for got, want in ((bad1, z1), (bad_acc, acc), (bad_lp, lp), (bad_g, g)):
             assert np.array_equal(got[others], want[others])
+
+    def test_an_overflowing_kinetic_energy_warns_nothing(self):
+        # on N(0, 1e-30) the trajectory's last momentum is finite but its
+        # square overflows: an infinite kinetic energy rejects the proposal
+        den = gaussian(0.0, 1e-30)
+        z = np.random.default_rng(0).normal(size=(8, 1)) * 1e-15
+        state = den.value_and_grad(z)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z1, accepted, (lp, g) = hmc_step(z, den.value_and_grad, HmcConfig(0.5, 5),
+                                             np.random.default_rng(1), state)
+        assert not accepted.any()
+        assert np.array_equal(z1, z)
+        assert np.array_equal(lp, state[0]) and np.array_equal(g, state[1])
+
+
+class TestBlockMeans:
+    @pytest.mark.parametrize("blocks", [1, 3])
+    def test_each_block_is_its_np_mean(self, blocks):
+        rng = np.random.default_rng(4)
+        for values in (rng.uniform(size=blocks * 37), rng.uniform(size=blocks * 37) < 0.65):
+            got = _block_means(values, blocks)
+            want = np.array([np.mean(run) for run in np.split(values, blocks)])
+            assert got.dtype == np.float64
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestTuneStepSize:
