@@ -32,7 +32,7 @@ from qanneal.io import (
     write_trace_csv,
 )
 from qanneal.paths import MomentPath, QPath
-from qanneal.samplers import ais_forward, ais_reverse, bdmc_gap, smc_run
+from qanneal.samplers import ais_forward, bdmc_gap, smc_run
 from qanneal.schedules import HeuristicConfig, ess_heuristic_q, linear_schedule, q_grid
 
 _TOY_DEFAULTS = {
@@ -43,9 +43,9 @@ _TOY_DEFAULTS = {
     "target_log_scale": 0.0,
 }
 _HMC = HmcConfig(step_size=0.5, n_leapfrog=5)
-# grid-q batches its orders into sweeps of at most this many chains, so
-# memory stays bounded at large chain counts (one order per sweep above
-# 8,192 chains); the default grids run as a single sweep
+# grid-q batches its orders into sweeps of at most this many chains, both
+# directions counted, so memory stays bounded at large chain counts (one
+# order per sweep above 4,096 chains); the default grids run as a single sweep
 _GRID_SWEEP_CHAINS = 1 << 14
 
 PATH_KINDS = ("geometric", "qpath", "moment", "escort")
@@ -255,23 +255,22 @@ def _drive_ais(config: RunConfig) -> dict:
 
 
 def _bdmc_bodies(config: RunConfig, path, blocks: int) -> list[dict]:
-    """Forward then reverse AIS of ``blocks`` blocks of chains as one sweep
-    each, every block on the common random numbers of one
-    ``default_rng(seed)``: one bdmc body per block, each the body a single
-    run of that block's path gives."""
-    chains, moves = config.particles, config.moves
-    rng = np.random.default_rng(config.seed)
-    cfg = replace(_HMC, step_size=np.repeat(_HMC.step_size, blocks))
+    """Forward and reverse AIS of ``blocks`` blocks of chains each as one
+    sweep over ``path``'s 2 x ``blocks`` x ``particles`` rows, each direction
+    on the draws it makes in a serial pair on one ``default_rng(seed)``: one
+    bdmc body per block, each the body a single run of that block's path gives."""
     schedule = linear_schedule(config.K)
-    adapt = _given(config, "adapt_steps")
-    fwd = ais_forward(path, schedule, chains, cfg, moves, rng, **adapt)
-    rev = ais_reverse(path, schedule, path.target.exact_sampler(rng, chains), cfg, moves, rng, **adapt)
+    runs = ais_forward(
+        path, np.stack([schedule, schedule[::-1]], axis=1), config.particles,
+        replace(_HMC, step_size=np.repeat(_HMC.step_size, 2 * blocks)), config.moves,
+        np.random.default_rng(config.seed), **_given(config, "adapt_steps"),
+    ).blocks()
     return [
         _body(
             config, f, f.steps["ess_trace"][-1:], upper_bound=float(-r.log_Z_estimate),
             bdmc_gap=bdmc_gap(f, r), n_dropped_forward=f.n_dropped, n_dropped_reverse=r.n_dropped,
         )
-        for f, r in zip(fwd.blocks(), rev.blocks())
+        for f, r in zip(runs[:blocks], runs[blocks:])
     ]
 
 
@@ -310,10 +309,10 @@ def _drive_grid(config: RunConfig) -> dict:
     qs = q_grid() if count is None else q_grid(int(count))
     chains = config.particles
     base, target = _endpoints(config)
-    per_sweep = max(1, _GRID_SWEEP_CHAINS // chains)
+    per_sweep = max(1, _GRID_SWEEP_CHAINS // (2 * chains))
     bodies = []
     for group in np.split(qs, range(per_sweep, qs.size, per_sweep)):
-        path = QPath(base=base, target=target, q=np.repeat(group, chains))
+        path = QPath(base=base, target=target, q=np.tile(np.repeat(group, chains), 2))
         bodies += _bdmc_bodies(config, path, group.size)
     sweep_s = time.perf_counter() - start
     # each order echoes the bdmc config that reruns it alone

@@ -11,7 +11,8 @@ blocks share one stream of common random numbers: the generator draws one
 block's momenta and thresholds and every block uses them, and
 ``tune_step_size`` adapts each block's step from that block's acceptance.
 So every block reproduces bit for bit the run it would make alone on a
-generator in the same state.
+generator in the same state.  ``rng`` may be a tuple of generators, one per
+group of equal, consecutive blocks that share its stream, as in a sandwich.
 
 The energy is one callable, ``energy(z) -> (logp, grad)``, returning the
 log-density (n,) and its gradient (n, d) together.  The kernel calls it once
@@ -102,11 +103,16 @@ def _block_means(values: np.ndarray, blocks: int) -> np.ndarray:
     return values.reshape(blocks, -1).sum(axis=1, dtype=float) / (values.size // blocks)
 
 
+def _noise(rng: Generator, m: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """One transition's draws for m chains: momenta (m, d), then uniforms (m,)."""
+    return rng.standard_normal((m, d)), rng.uniform(size=m)
+
+
 def _hmc_core(
     positions: np.ndarray,
     energy: EnergyFn,
     cfg: HmcConfig,
-    rng: Generator,
+    rng: Generator | tuple,
     state: State,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, State]:
     """One Metropolis-corrected HMC update for a (n, d) batch whose
@@ -119,8 +125,10 @@ def _hmc_core(
     n, d = positions.shape
     blocks = cfg.step_size.size
     lp0, g0 = state
-    # one block's draws, copied: every block shares the same random numbers
-    p0 = np.concatenate([rng.standard_normal((n // blocks, d))] * blocks)
+    # one block's draws per generator, copied: its blocks share the same random numbers
+    rngs = rng if isinstance(rng, tuple) else (rng,)
+    draws = zip(*[_noise(g, n // blocks, d) for g in rngs])
+    p0, u = (np.concatenate([x for x in part for _ in range(blocks // len(rngs))]) for part in draws)
     k0 = _kinetic(p0)
 
     proposal, p1, (lp1, g1) = leapfrog(positions, p0, energy, cfg, g0)
@@ -138,7 +146,7 @@ def _hmc_core(
     log_ratio = np.where(np.isnan(log_ratio), -np.inf, log_ratio)
 
     with np.errstate(divide="ignore"):
-        log_u = np.log(np.concatenate([rng.uniform(size=n // blocks)] * blocks))
+        log_u = np.log(u)
     accepted = log_u < log_ratio
     accept_prob = np.exp(np.minimum(log_ratio, 0.0))
 
@@ -152,7 +160,7 @@ def hmc_step(
     z: np.ndarray,
     energy: EnergyFn,
     cfg: HmcConfig,
-    rng: Generator,
+    rng: Generator | tuple,
     state: State,
 ) -> tuple[np.ndarray, np.ndarray, State]:
     """Metropolis-corrected HMC transition leaving exp(log-density) invariant.
@@ -172,7 +180,7 @@ def tune_step_size(
     positions: np.ndarray,
     energy: EnergyFn,
     cfg: HmcConfig,
-    rng: Generator,
+    rng: Generator | tuple,
     n_adapt: int,
     state: State,
 ) -> tuple[HmcConfig, np.ndarray, State]:

@@ -25,11 +25,47 @@ from qanneal.densities import (
 )
 
 
-def _check_beta(beta: float) -> float:
-    beta = float(beta)
-    if not 0.0 <= beta <= 1.0:
+def _check_beta(beta):
+    """``beta`` as a float, or one per group of equal, consecutive rows as a (G,) array; in [0, 1]."""
+    grouped = isinstance(beta, np.ndarray) and beta.ndim == 1
+    beta = beta if grouped else float(beta)
+    if not (all(0.0 <= b <= 1.0 for b in beta.tolist()) if grouped else 0.0 <= beta <= 1.0):
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
     return beta
+
+
+class _Rows:
+    """The betas ``groups``, one per group of an n-row batch's equal,
+    consecutive rows, row by row: each field a float for one group, else
+    (n,); all interior, or all at an endpoint (``ends``, ``at1`` at 1).
+    ``log``, ``log1m`` and ``logit`` are taken per group by ``math``, so each
+    row gets a one-group run's bits; ``small`` is False where no row is below 1e-2."""
+
+    def __init__(self, groups: list, n: int):
+        self.groups, self.n = groups, n
+        ends = [b in (0.0, 1.0) for b in groups]
+        if any(ends) != all(ends):
+            raise ValueError("a batch's betas must all be interior or all at an endpoint")
+        log, log1m = zip(*[(0.0, 0.0) if e else (math.log(b), math.log1p(-b)) for b, e in zip(groups, ends)])
+        small = [0.0 < b < 1e-2 for b in groups]
+
+        def spread(values):
+            return values[0] if len(values) == 1 else np.repeat(values, n // len(values))
+
+        self.ends, self.at1 = ends[0], spread([b == 1.0 for b in groups])
+        self.beta, self.one_minus = spread(groups), spread([1.0 - b for b in groups])
+        self.log, self.log1m = spread(log), spread(log1m)
+        self.logit = spread([a - b for a, b in zip(log, log1m)])
+        self.small = any(small) and spread(small)
+        # the weights of the endpoint gradients, as columns
+        self.cols = [w if len(groups) == 1 else w[:, None] for w in (self.one_minus, self.beta)]
+
+
+def _at_ends(batch: "PathBatch", rows: _Rows, i: int):
+    """Field ``i`` (0 log-density, 1 gradient) of ``batch``, every row at an endpoint: that endpoint's."""
+    if isinstance(rows.at1, bool):
+        return batch.end(int(rows.at1))[i]
+    return np.where(rows.at1 if i == 0 else rows.at1[:, None], batch.end(1)[i], batch.end(0)[i])
 
 
 def _deform(lp0, lp1, q):
@@ -54,17 +90,22 @@ def _deform(lp0, lp1, q):
 
 def _blend_at(terms, beta):
     """The blend at ``beta`` from the ``_deform`` terms: one log1p per element,
-    on the side each element takes, and a logaddexp at a small scalar beta."""
+    on the side each element takes, and a logaddexp at a small beta: a float
+    or a ``_Rows``'s, not an array's that broadcasts against the terms."""
     d, x, swap, em, anchor = terms
-    if isinstance(beta, float) and 0.0 < beta < 1e-2:
-        # (1 - beta) * em is rounded to about 1e-16, and where em is near -1
-        # its log1p is the log of a number as small as beta: an error of
-        # about 1e-16 / beta, all of beta where 1 - beta rounds to 1.  The
-        # target-side rows with em < -0.5 take log((1 - beta) exp(-x) + beta)
-        far = swap & (em < -0.5)
-        near = np.log1p(np.where(swap, 1.0 - beta, beta) * np.where(far, 0.0, em))
-        return anchor + np.where(far, np.logaddexp(math.log(beta), math.log1p(-beta) - x), near) / d
-    return anchor + np.log1p(np.where(swap, 1.0 - beta, beta) * em) / d
+    rows = _Rows([beta], 1) if isinstance(beta, float) else beta
+    if not isinstance(rows, _Rows):
+        return anchor + np.log1p(np.where(swap, 1.0 - beta, beta) * em) / d
+    side = np.where(swap, rows.one_minus, rows.beta)
+    if rows.small is False:
+        return anchor + np.log1p(side * em) / d
+    # (1 - beta) * em is rounded to about 1e-16, and where em is near -1
+    # its log1p is the log of a number as small as beta: an error of
+    # about 1e-16 / beta, all of beta where 1 - beta rounds to 1.  The
+    # target-side rows with em < -0.5 take log((1 - beta) exp(-x) + beta)
+    far = swap & (em < -0.5) & rows.small
+    near = np.log1p(side * np.where(far, 0.0, em))
+    return anchor + np.where(far, np.logaddexp(rows.log, rows.log1m - x), near) / d
 
 
 def blend_log_ratio(log_ratios, beta: float, q: float):
@@ -96,14 +137,14 @@ def _as_float(z) -> np.ndarray:
 
 
 class PathBatch:
-    """One (n, d) batch ``z`` on a path, evaluated at any beta.
-
-    ``batch(beta)`` is the path log-density (n,) and
+    """One (n, d) batch ``z`` on a path, evaluated at any beta, or at one per
+    group of equal, consecutive rows as a (G,) array.  ``batch(beta)`` is
+    the path log-density (n,) and
     ``batch.value_and_grad(beta)`` the (logp, grad) pair.  Each endpoint is
     evaluated at most once, value and gradient in one call, when a beta
     first needs it, and that pair then serves every beta.  ``terms`` is the
     path's one slot on the batch: a ``QPath``'s beta-free blend terms, a
-    ``MomentPath``'s latest interior waypoint.
+    ``MomentPath``'s latest interior waypoints' pair.
     """
 
     def __init__(self, path: "AnnealingPath", z):
@@ -144,10 +185,21 @@ class AnnealingPath:
     at 1, evaluated through ``PathBatch``.
 
     A path supplies two hooks: ``_log_density(batch, beta)``, the log-density
-    (n,) of a ``PathBatch`` at a checked beta, and ``_gradient(batch, beta)``,
+    (n,) of a ``PathBatch`` at a checked beta (a float, or a (G,) array of
+    one per group of rows), and ``_gradient(batch, beta)``,
     its gradient (n, d); ``PathBatch.value_and_grad`` zeroes the rows where
     that log-density is not finite.
     """
+
+    def _rows(self, beta, n: int) -> _Rows:
+        """The ``_Rows`` of a checked ``beta`` on n rows, kept while the betas
+        stay the same: a run evaluates each step's many times."""
+        groups = [beta] if isinstance(beta, float) else beta.tolist()
+        kept = self.__dict__.get("_kept_rows")
+        if kept is None or kept.groups != groups or kept.n != n:
+            kept = _Rows(groups, n)
+            object.__setattr__(self, "_kept_rows", kept)  # a QPath is frozen
+        return kept
 
     def log_density_of(self, z) -> PathBatch:
         """The evaluator of the fixed batch ``z`` at any beta."""
@@ -225,24 +277,26 @@ class QPath(AnnealingPath):
             batch.terms = dead, ((lp0, lp1 - lp0) if self._geometric else _deform(lp0, lp1, self.q))
         return batch.terms
 
-    def _log_density(self, batch: PathBatch, beta: float):
-        if beta == 0.0 or beta == 1.0:
-            return batch.end(int(beta))[0]
+    def _log_density(self, batch: PathBatch, beta):
+        rows = self._rows(beta, len(batch.z))
+        if rows.ends:
+            return _at_ends(batch, rows, 0)
         dead, terms = self._terms(batch)
         # the geometric order's difference form keeps equal endpoints bit-exact
-        out = terms[0] + beta * terms[1] if self._geometric else _blend_at(terms, beta)
+        out = terms[0] + rows.beta * terms[1] if self._geometric else _blend_at(terms, rows)
         return out if dead is None else np.where(dead, -np.inf, out)
 
-    def _gradient(self, batch: PathBatch, beta: float):
-        if beta == 0.0 or beta == 1.0:
-            return batch.end(int(beta))[1]
+    def _gradient(self, batch: PathBatch, beta):
+        rows = self._rows(beta, len(batch.z))
+        if rows.ends:
+            return _at_ends(batch, rows, 1)
         g0, g1 = batch.end(0)[1], batch.end(1)[1]
         if self._geometric:
-            return (1.0 - beta) * g0 + beta * g1
+            return rows.cols[0] * g0 + rows.cols[1] * g1
         _, (_, gap, *_) = self._terms(batch)
         # responsibility of the target endpoint in the power mean, which
         # rounds to exactly 0 or 1 on rows far from the crossover
-        col = sigmoid(math.log(beta) - math.log1p(-beta) + gap)[:, None]
+        col = sigmoid(rows.logit + gap)[:, None]
         return np.where(col == 1.0, g1, np.where(col == 0.0, g0, (1.0 - col) * g0 + col * g1))
 
 
@@ -360,29 +414,33 @@ class MomentPath(AnnealingPath):
         self.log_scale1 = float(log_scale1)
         self.base = self._build_waypoint(0.0)
         self.target = with_log_scale(self._build_waypoint(1.0), self.log_scale1)
-        # (beta, density) of the latest interior waypoint, which serves every
-        # evaluation at a fixed beta; a batch keeps its pair in ``terms``
-        self._latest = (None, None)
+        # the waypoints of the latest evaluation by beta, one per direction
+        # of a sandwich, serve each step; a batch keeps its pair in ``terms``
+        self._latest = {}
 
     def _build_waypoint(self, beta: float) -> UnnormalizedDensity:
         mu_b, cov_b = moment_path_params(self.mu0, self.cov0, self.mu1, self.cov1, beta, nu=self.nu)
         return gaussian(mu_b, cov_b) if self.nu is None else student_t(mu_b, cov_b, nu=self.nu)
 
-    def _pair(self, batch: PathBatch, beta: float):
-        """(logp, grad) of ``batch`` at ``beta``: an endpoint's from the
-        batch, an interior waypoint's kept in ``batch.terms`` as
-        (beta, pair), the target's log scale entering as beta times it."""
-        if beta == 0.0 or beta == 1.0:
-            return batch.end(int(beta))
-        if batch.terms is None or batch.terms[0] != beta:
-            if self._latest[0] != beta:
-                self._latest = (beta, self._build_waypoint(beta))
-            lp, g = self._latest[1].value_and_grad(batch.z)
-            batch.terms = beta, (lp + beta * self.log_scale1, g)
+    def _pair(self, batch: PathBatch, rows: _Rows):
+        """(logp, grad) of ``batch``, each group of rows at its own beta's
+        waypoint, kept in ``batch.terms`` as (betas, pair), the target's log
+        scale entering as beta times it."""
+        if batch.terms is None or batch.terms[0] != rows.groups:
+            if self._latest.keys() != set(rows.groups):
+                self._latest = {b: self._latest.get(b) or self._build_waypoint(b) for b in rows.groups}
+            pairs = [
+                (lp + b * self.log_scale1, g)
+                for b, z in zip(rows.groups, np.split(batch.z, len(rows.groups)))
+                for lp, g in [self._latest[b].value_and_grad(z)]
+            ]
+            batch.terms = rows.groups, tuple(np.concatenate(part) for part in zip(*pairs))
         return batch.terms[1]
 
-    def _log_density(self, batch: PathBatch, beta: float):
-        return self._pair(batch, beta)[0]
+    def _log_density(self, batch: PathBatch, beta):
+        rows = self._rows(beta, len(batch.z))
+        return _at_ends(batch, rows, 0) if rows.ends else self._pair(batch, rows)[0]
 
-    def _gradient(self, batch: PathBatch, beta: float):
-        return self._pair(batch, beta)[1]
+    def _gradient(self, batch: PathBatch, beta):
+        rows = self._rows(beta, len(batch.z))
+        return _at_ends(batch, rows, 1) if rows.ends else self._pair(batch, rows)[1]

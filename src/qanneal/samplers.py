@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 from numpy.random import Generator
 
-from qanneal.hmc import HmcConfig, _block_means, hmc_step, tune_step_size
+from qanneal.hmc import HmcConfig, _block_means, _noise, hmc_step, tune_step_size
 
 
 # default dual-averaging sweeps that tune the step size at each beta
@@ -99,7 +99,8 @@ class AnnealRun:
     A run over several blocks of chains, one step size each, holds every
     block at once: each field but ``beta_trace`` and ``resample_count``,
     and each column, gains a leading block axis (``positions`` stacks the
-    blocks' rows), and ``blocks()`` splits it into one run per block.
+    blocks' rows), and ``blocks()`` splits it into one run per block.  A
+    sandwich's ``beta_trace`` holds one column per half of its blocks.
     """
 
     log_Z_estimate: float | np.ndarray
@@ -117,30 +118,35 @@ class AnnealRun:
 
     @property
     def schedule_used(self) -> np.ndarray:
-        """The betas of the run in increasing order."""
-        return np.sort(self.beta_trace)
+        """The betas of the run in increasing order, per direction."""
+        return np.sort(self.beta_trace, axis=0)
 
     def blocks(self) -> list["AnnealRun"]:
         """One run per block; a run of one block is its own."""
         if np.ndim(self.log_Z_estimate) == 0:
             return [self]
-        rows = np.split(self.positions, self.log_Z_estimate.size)
+        rows, trace = np.split(self.positions, self.log_Z_estimate.size), self.beta_trace
         return [
             AnnealRun(
-                float(self.log_Z_estimate[b]), self.per_chain_log_w[b], rows[b], self.beta_trace,
+                float(self.log_Z_estimate[b]), self.per_chain_log_w[b], rows[b],
+                trace if trace.ndim == 1 else trace[:, b * trace.shape[1] // len(rows)],
                 {name: column[b] for name, column in self.steps.items()}, self.resample_count,
             )
-            for b in range(self.log_Z_estimate.size)
+            for b in range(len(rows))
         ]
 
 
-def _betas_of(schedule) -> np.ndarray:
+def _betas_of(schedule, sandwich: bool = False) -> np.ndarray:
+    """A grid's betas or, if ``sandwich``, also a (K+1, 2) array of a grid and its reverse."""
     betas = np.asarray(schedule, dtype=float)
-    if betas.ndim != 1 or betas.size < 2:
+    grid = betas[:, 0] if sandwich and betas.ndim == 2 and betas.shape[1] == 2 else betas
+    if grid is not betas and not np.array_equal(betas[::-1, 1], grid):
+        raise ValueError("a two-column schedule holds a grid and its reverse")
+    if grid.ndim != 1 or grid.size < 2:
         raise ValueError("schedule must hold at least the two endpoints")
-    if betas[0] != 0.0 or betas[-1] != 1.0:
+    if grid[0] != 0.0 or grid[-1] != 1.0:
         raise ValueError("schedule must start at 0 and end at 1")
-    if np.any(np.diff(betas) <= 0.0):
+    if np.any(np.diff(grid) <= 0.0):
         raise ValueError("schedule must be strictly increasing")
     return betas
 
@@ -214,7 +220,9 @@ def _anneal(
     carried ESS falls below ``resample_below``: never at 0 (AIS), always at
     inf (adaptive SMC).  ``z`` is one block of starting chains, copied to
     every entry of ``cfg.step_size``; every block draws from the one
-    generator ``rng``.  Weights are unnormalized, one row per block.  Each
+    generator ``rng``.  A (K+1, G) grid runs G groups of blocks, one column
+    each, from G stacked blocks of ``z`` on a tuple of G generators.
+    Weights are unnormalized, one row per block.  Each
     resampling, and the end of the run, adds their log-mean-exp to log Z,
     so a -inf weight counts as zero, and each block whose final weights
     hold one warns.  A row of -inf weights raises ``WeightCollapseError``
@@ -223,10 +231,11 @@ def _anneal(
     """
     if moves_per_step < 0:
         raise ValueError("moves_per_step must be nonnegative")
-    blocks, n = cfg.step_size.size, z.shape[0]
+    blocks, groups = cfg.step_size.size, 1 if betas is None else betas[0].size
+    n = z.shape[0] // groups
     if blocks > 1 and resample_below > 0.0:
         raise ValueError("a resampling run takes one block of chains")
-    z = np.tile(z, (blocks, 1))
+    z = np.repeat(z.reshape(groups, n, -1), blocks // groups, axis=0).reshape(blocks * n, -1)
     tol = _ESS_TOL_FRACTION * n
     log_w, log_Z = np.zeros((blocks, n)), np.zeros(blocks)
     beta = 0.0 if betas is None else betas[0]
@@ -236,7 +245,7 @@ def _anneal(
     batch = path.log_density_of(z)
     lp_old = batch(beta)
     converged = True
-    while beta < 1.0 if betas is None else len(beta_trace) < betas.size:
+    while beta < 1.0 if betas is None else len(beta_trace) < len(betas):
         if betas is not None:
             beta = betas[len(beta_trace)]
         elif len(beta_trace) > _MAX_STEPS:
@@ -302,13 +311,27 @@ def ais_forward(
     starting from the same base samples and drawing the same moves from
     ``rng`` (common random numbers).  The result holds one estimate per
     block, or the one block's run when there is one.
+
+    A (K+1, 2) schedule, a grid and its reverse, runs a BDMC sandwich as one
+    sweep, the first half of the blocks up the grid and the second down it
+    from ``chains`` exact target draws.  Each half gets the bits, and ``rng``
+    ends in the state, that this run on the grid and then ``ais_reverse``
+    from ``path.target.exact_sampler(rng, chains)`` give.
     """
-    betas = _betas_of(schedule)
+    betas = _betas_of(schedule, sandwich=True)
     if path.base.exact_sampler is None:
         raise ValueError("forward AIS requires an exact sampler for the base")
     if chains < 1:
         raise ValueError("chains must be positive")
     z = path.base.exact_sampler(rng, chains)
+    if betas.ndim == 2:
+        # the forward half draws from a copy; rng draws what it does (standard_normal
+        # rejects some draws, so none can be skipped undrawn), then the reverse half's
+        up = Generator(type(rng.bit_generator)(0))
+        up.bit_generator.state = rng.bit_generator.state
+        for _ in range((len(betas) - 1) * (adapt_steps + moves_per_step)):
+            _noise(rng, chains, z.shape[1])
+        z, rng = np.concatenate([z, path.target.exact_sampler(rng, chains)]), (up, rng)
     return _anneal(path, z, cfg, moves_per_step, rng, adapt_steps, betas, None, 0.0)
 
 

@@ -288,7 +288,8 @@ class TestToyRuns:
 
         monkeypatch.setattr(cli, "ais_forward", capture)
         report = run(RunConfig(command=command, particles=64, K=8, seed=2))
-        log_w = forward[0].per_chain_log_w
+        # bdmc's one sweep holds both directions; its first block is the forward's
+        log_w = forward[0].blocks()[0].per_chain_log_w
         w = np.exp(log_w - log_w.max())
         assert w.size == 64
         se = w.std() / (w.mean() * math.sqrt(w.size))
@@ -298,6 +299,11 @@ class TestToyRuns:
         config = toy_config(path_kind="moment", particles=64, K=6, seed=4, extras={})
         report = run(config)
         assert math.isfinite(report.log_Z)
+
+    @pytest.mark.parametrize("argv", [["--path-kind", "moment"], ["--path-kind", "escort", "--nu", "3"]])
+    def test_bdmc_runs_on_the_moment_family(self, capsys, argv):
+        assert main(["bdmc", *argv, "--k", "4", "--chains", "8"]) == 0
+        assert "gap=" in capsys.readouterr().out
 
     def test_heuristic_outputs_selection(self, capsys, tmp_path):
         out = tmp_path / "h.json"
@@ -389,13 +395,14 @@ class TestGridQ:
 
     @pytest.mark.parametrize("grid_count", [1, 5])
     @pytest.mark.parametrize("adapt", [None, 0])
-    @pytest.mark.parametrize("sweep_chains", [None, 24])
+    @pytest.mark.parametrize("sweep_chains", [None, 48])
     def test_every_order_is_its_standalone_bdmc(
         self, capsys, tmp_path, monkeypatch, grid_count, adapt, sweep_chains
     ):
         """The batched sweep gives each order exactly the report a bdmc run
         of that order gives on its own at the same seed, wallclock aside,
-        also when the orders split across sweeps (24 chains: two per sweep)."""
+        also when the orders split across sweeps (48 chains, both directions
+        counted: two per sweep)."""
         if sweep_chains is not None:
             monkeypatch.setattr(cli, "_GRID_SWEEP_CHAINS", sweep_chains)
         extras = {"grid_count": grid_count, "target_log_scale": 3.0}

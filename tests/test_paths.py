@@ -593,7 +593,7 @@ class TestMomentPath:
         # beta: no beta is built twice in a row, and every step's is built
         assert all(a != b for a, b in zip(builds, builds[1:]))
         assert set(diag.beta_trace[1:-1]) <= set(builds)
-        beta, density = path._latest
+        (beta, density), = path._latest.items()
         assert beta == builds[-1] and isinstance(density, UnnormalizedDensity)
 
     @pytest.mark.parametrize("nu", [None, 3.0])

@@ -8,10 +8,10 @@ from scipy.special import logsumexp, ndtr
 
 from conftest import counted, pareto, piecewise_density
 from qanneal import samplers
-from qanneal.densities import UnnormalizedDensity, gaussian, with_log_scale
-from qanneal.hmc import HmcConfig
+from qanneal.densities import UnnormalizedDensity, gaussian, student_t, with_log_scale
+from qanneal.hmc import HmcConfig, _noise
 from qanneal.io import TRACES
-from qanneal.paths import AnnealingPath, QPath
+from qanneal.paths import AnnealingPath, MomentPath, QPath
 from qanneal.samplers import (
     AnnealRun,
     WeightCollapseError,
@@ -24,6 +24,7 @@ from qanneal.samplers import (
     smc_run,
     systematic_resample,
 )
+from qanneal.schedules import linear_schedule
 
 
 def small_cfg(step=0.4, n_leapfrog=8):
@@ -746,3 +747,127 @@ class TestStepRecord:
         assert len(diag["beta_trace"]) == 3
         assert diag.keys() == set(TRACES)
         assert diag["ess_trace"].shape == diag["acceptance_trace"].shape == (1, 2)
+
+
+SANDWICH_CHAINS = 6
+
+
+def toy_ends():
+    return gaussian([-4.0], [[3.0]]), with_log_scale(gaussian([4.0], [[1.0]]), 1.5)
+
+
+def half_dead_base():
+    """N(1, 1) with its first draw moved to -1, where an exponential target
+    has no density: at q = 1.5 that forward chain is dead off beta 0."""
+    base = gaussian([1.0], [[1.0]])
+
+    def sampler(rng, n):
+        z = base.exact_sampler(rng, n)
+        z[0] = -1.0
+        return z
+
+    return replace(base, exact_sampler=sampler)
+
+
+# each path of a sandwich and its blocks per direction, built for the rows
+# of one direction (copies=1) or of both (copies=2)
+SANDWICH_PATHS = {
+    "q-below-1": (lambda copies: QPath(*toy_ends(), q=0.9), 1),
+    "q-1.5-dead-rows": (lambda copies: QPath(half_dead_base(), pareto(0.0, 1.0, 0.0), q=1.5), 1),
+    "geometric": (lambda copies: QPath(*toy_ends(), q=1.0), 1),
+    "array-q": (
+        lambda copies: QPath(*toy_ends(), q=np.tile(np.repeat([0.5, 0.9, 1.5], SANDWICH_CHAINS), copies)),
+        3,
+    ),
+    "moment": (lambda copies: MomentPath([-4.0], 3.0, [4.0], 1.0, log_scale1=1.5), 1),
+    "escort": (lambda copies: MomentPath([-4.0], 3.0, [4.0], 1.0, nu=3.0, log_scale1=1.5), 1),
+}
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def recorded(run):
+    """``run()`` and the messages of the warnings it raised, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = run()
+    return out, [str(w.message) for w in caught]
+
+
+class TestSandwichSweep:
+    """A (K+1, 2) schedule runs forward and reverse AIS as one sweep, and
+    gives each direction the bits of ais_forward then ais_reverse from the
+    target's exact samples on one generator."""
+
+    # 1/150 < 1e-2 takes the small-beta blend; its 150 steps take the time,
+    # so it runs with moves alone and with tuning too
+    @pytest.mark.parametrize("K, adapt, moves", [
+        *[(K, adapt, moves) for K in (1, 4) for adapt in (0, 3) for moves in (0, 2)],
+        (150, 0, 2), (150, 3, 2),
+    ])
+    @pytest.mark.parametrize("name", list(SANDWICH_PATHS))
+    def test_each_half_is_its_serial_run(self, name, K, adapt, moves):
+        make, blocks = SANDWICH_PATHS[name]
+        grid, seed = linear_schedule(K), K + 10 * moves + adapt
+
+        def serial():
+            path, rng, cfg = make(1), np.random.default_rng(seed), HmcConfig(np.full(blocks, 0.5), 1)
+            fwd = ais_forward(path, grid, SANDWICH_CHAINS, cfg, moves, rng, adapt)
+            top = path.target.exact_sampler(rng, SANDWICH_CHAINS)
+            rev = ais_reverse(path, grid, top, cfg, moves, rng, adapt)
+            return fwd.blocks() + rev.blocks(), rng
+
+        def sweep():
+            rng, cfg = np.random.default_rng(seed), HmcConfig(np.full(2 * blocks, 0.5), 1)
+            both = np.stack([grid, grid[::-1]], axis=1)
+            return ais_forward(make(2), both, SANDWICH_CHAINS, cfg, moves, rng, adapt).blocks(), rng
+
+        (want, want_rng), want_warned = recorded(serial)
+        (got, got_rng), got_warned = recorded(sweep)
+        assert got_warned == want_warned
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert len(got) == len(want) == 2 * blocks
+        for g, w in zip(got, want):
+            for field in ("log_Z_estimate", "per_chain_log_w", "positions", "beta_trace"):
+                assert same_bits(getattr(g, field), getattr(w, field)), field
+            assert g.steps.keys() == w.steps.keys() == set(TRACES) - {"beta_trace"}
+            for column in g.steps:
+                assert same_bits(g.steps[column], w.steps[column]), column
+        if name == "q-1.5-dead-rows":
+            assert got[0].per_chain_log_w[0] == -np.inf and got_warned
+
+    def test_the_sweep_counts_one_beta_per_step_and_direction(self):
+        grid = linear_schedule(4)
+        run = ais_forward(QPath(*toy_ends(), q=0.9), np.stack([grid, grid[::-1]], axis=1), 4,
+                          small_cfg(step=np.array([0.4, 0.4])), 1, np.random.default_rng(0))
+        assert run.beta_trace.shape == run.schedule_used.shape == (5, 2)
+        assert np.array_equal(run.schedule_used, np.stack([grid, grid], axis=1))
+        assert [block.beta_trace.tolist() for block in run.blocks()] == [grid.tolist(), grid[::-1].tolist()]
+
+    @pytest.mark.parametrize("make_base", [
+        lambda: gaussian([0.0, 1.0], [1.0, 2.0]),
+        lambda: student_t([0.0, 1.0], [1.0, 2.0], nu=3.0),
+    ], ids=["gaussian", "student-t"])
+    def test_skipping_a_forward_run_draws_what_it_draws(self, make_base):
+        base, (K, adapt, moves, chains) = make_base(), (5, 3, 2, 7)
+        path = QPath(base, gaussian([1.0, -1.0], [2.0, 1.0]), q=0.9)
+        rng, twin = np.random.default_rng(4), np.random.default_rng(4)
+        # three blocks share one block's draws
+        ais_forward(path, linear_schedule(K), chains, small_cfg(step=np.full(3, 0.4)), moves, rng, adapt)
+        base.exact_sampler(twin, chains)
+        for _ in range(K * (adapt + moves)):
+            _noise(twin, chains, 2)
+        assert twin.bit_generator.state == rng.bit_generator.state
+
+    def test_a_two_column_schedule_is_a_grid_and_its_reverse(self):
+        path, grid, rng = QPath(*toy_ends(), q=0.9), linear_schedule(4), np.random.default_rng(0)
+        cfg = small_cfg(step=np.array([0.4, 0.4]))
+        with pytest.raises(ValueError, match="its reverse"):
+            ais_forward(path, np.stack([grid, grid], axis=1), 4, cfg, 1, rng)
+        with pytest.raises(ValueError, match="two endpoints"):
+            ais_reverse(path, np.stack([grid, grid[::-1]], axis=1), np.zeros((4, 1)), cfg, 1, rng)
+        with pytest.raises(ValueError, match="interior or all at an endpoint"):
+            path.log_density_of(np.zeros((4, 1)))(np.array([0.0, 0.5]))
