@@ -27,6 +27,8 @@ from qanneal.densities import (
 
 def _check_beta(beta):
     """``beta`` as a float, or one per group of equal, consecutive rows as a (G,) array; in [0, 1]."""
+    if isinstance(beta, float) and 0.0 <= beta <= 1.0:
+        return float(beta)
     grouped = isinstance(beta, np.ndarray) and beta.ndim == 1
     beta = beta if grouped else float(beta)
     if not (all(0.0 <= b <= 1.0 for b in beta.tolist()) if grouped else 0.0 <= beta <= 1.0):
@@ -38,11 +40,13 @@ class _Rows:
     """The betas ``groups``, one per group of an n-row batch's equal,
     consecutive rows, row by row: each field a float for one group, else
     (n,); all interior, or all at an endpoint (``ends``, ``at1`` at 1).
+    ``key`` is the one group's beta, None for several.
     ``log``, ``log1m`` and ``logit`` are taken per group by ``math``, so each
     row gets a one-group run's bits; ``small`` is False where no row is below 1e-2."""
 
     def __init__(self, groups: list, n: int):
         self.groups, self.n = groups, n
+        self.key = groups[0] if len(groups) == 1 else None
         ends = [b in (0.0, 1.0) for b in groups]
         if any(ends) != all(ends):
             raise ValueError("a batch's betas must all be interior or all at an endpoint")
@@ -68,6 +72,26 @@ def _at_ends(batch: "PathBatch", rows: _Rows, i: int):
     return np.where(rows.at1 if i == 0 else rows.at1[:, None], batch.end(1)[i], batch.end(0)[i])
 
 
+def _few_runs(mask) -> bool:
+    """Whether masked passes over ``mask`` beat selects: it holds 2048
+    elements or more, and at most 1 in 32 of them differ from the rest.  A
+    masked pass walks the mask run by run, so on a mixed mask it runs
+    several times slower than a select, and on a small one its extra calls
+    cost what it saves."""
+    if mask.size < 2048:
+        return False
+    k = np.count_nonzero(mask)
+    return 32 * min(k, mask.size - k) <= mask.size
+
+
+def _fill(shape, b, a, mask):
+    """``np.where(mask, a, b)`` of ``shape``, as ``b`` overwritten by ``a`` under ``mask``."""
+    out = np.empty(shape)
+    np.copyto(out, b)
+    np.copyto(out, a, where=mask)
+    return out
+
+
 def _deform(lp0, lp1, q):
     """The beta-free terms, off the geometric order, of the blend
     (1/(1-q)) * log((1-beta) * p0^(1-q) + beta * p1^(1-q)) in log space,
@@ -85,20 +109,26 @@ def _deform(lp0, lp1, q):
     d = 1.0 - q
     x = d * (lp1 - lp0)
     swap = x > 0.0
-    return d, x, swap, np.expm1(np.where(swap, -x, x)), np.where(swap, lp1, lp0)
+    # -x where x > 0, not -abs(x), which would flip the sign of a zero gap
+    if _few_runs(swap):
+        em, anchor = np.negative(x, out=np.array(x), where=swap), _fill(x.shape, lp0, lp1, swap)
+    else:
+        em, anchor = np.where(swap, -x, x), np.where(swap, lp1, lp0)
+    return d, x, swap, np.expm1(em, out=em), anchor
 
 
 def _blend_at(terms, beta):
     """The blend at ``beta`` from the ``_deform`` terms: one log1p per element,
     on the side each element takes, and a logaddexp at a small beta: a float
-    or a ``_Rows``'s, not an array's that broadcasts against the terms."""
+    or a ``_Rows``'s, not an array's that broadcasts into the terms' shape."""
     d, x, swap, em, anchor = terms
     rows = _Rows([beta], 1) if isinstance(beta, float) else beta
     if not isinstance(rows, _Rows):
-        return anchor + np.log1p(np.where(swap, 1.0 - beta, beta) * em) / d
+        side = _fill(em.shape, beta, 1.0 - beta, swap) if _few_runs(swap) else np.where(swap, 1.0 - beta, beta)
+        return _log1p_pass(side, terms)
     side = np.where(swap, rows.one_minus, rows.beta)
     if rows.small is False:
-        return anchor + np.log1p(side * em) / d
+        return _log1p_pass(side, terms)
     # (1 - beta) * em is rounded to about 1e-16, and where em is near -1
     # its log1p is the log of a number as small as beta: an error of
     # about 1e-16 / beta, all of beta where 1 - beta rounds to 1.  The
@@ -106,6 +136,17 @@ def _blend_at(terms, beta):
     far = swap & (em < -0.5) & rows.small
     near = np.log1p(side * np.where(far, 0.0, em))
     return anchor + np.where(far, np.logaddexp(rows.log, rows.log1m - x), near) / d
+
+
+def _log1p_pass(side, terms):
+    """anchor + log1p(side * em) / d from the ``_deform`` terms, in the
+    buffer of ``side``, a fresh array of the terms' shape."""
+    d, _, _, em, anchor = terms
+    side *= em
+    np.log1p(side, out=side)
+    side /= d
+    side += anchor
+    return side
 
 
 def blend_log_ratio(log_ratios, beta: float, q: float):
@@ -194,8 +235,13 @@ class AnnealingPath:
     def _rows(self, beta, n: int) -> _Rows:
         """The ``_Rows`` of a checked ``beta`` on n rows, kept while the betas
         stay the same: a run evaluates each step's many times."""
-        groups = [beta] if isinstance(beta, float) else beta.tolist()
         kept = self.__dict__.get("_kept_rows")
+        if isinstance(beta, float):
+            if kept is not None and kept.key == beta and kept.n == n:
+                return kept
+            groups = [beta]
+        else:
+            groups = beta.tolist()
         if kept is None or kept.groups != groups or kept.n != n:
             kept = _Rows(groups, n)
             object.__setattr__(self, "_kept_rows", kept)  # a QPath is frozen

@@ -47,10 +47,13 @@ def _log_sum_exp(log_weights) -> float:
 
 
 def _ess_rows(log_weights):
-    """ESS along the last axis; every row needs a finite entry."""
-    w = np.exp(log_weights - np.max(log_weights, axis=-1, keepdims=True))
-    total = np.sum(w, axis=-1)
-    return total * total / np.sum(w * w, axis=-1)
+    """ESS along the last axis of an array; every row needs a finite entry.
+    The shifted weights are exponentiated and squared in their own buffer."""
+    w = log_weights - log_weights.max(axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    total = w.sum(axis=-1)
+    w *= w
+    return total * total / w.sum(axis=-1)
 
 
 def ess_of_log_weights(log_weights) -> float:

@@ -88,17 +88,16 @@ def _golden_rows(f, bounds: tuple[float, float], rows: int):
     a, b = np.full(rows, bounds[0]), np.full(rows, bounds[1])
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
+    # the inner points with their losses, (2, rows) each: c then d
+    lo, hi = np.array([c, f(c)]), np.array([d, f(d)])
     for _ in range(_GOLDEN_ITERS):
-        left = fc < fd  # the minimum lies in [a, d]
-        a = np.where(left, a, c)
-        b = np.where(left, d, b)
-        x = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
-        fx = f(x)
-        c, d = np.where(left, x, d), np.where(left, c, x)
-        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
-    pick = fc < fd
-    return np.where(pick, c, d), np.where(pick, fc, fd)
+        left = lo[1] < hi[1]  # the minimum lies in [a, d]
+        a, b = np.where(left, a, lo[0]), np.where(left, hi[0], b)
+        step = _GOLDEN * (b - a)
+        x = np.where(left, b - step, a + step)
+        new = np.array([x, f(x)])
+        lo, hi = np.where(left, new, hi), np.where(left, lo, new)
+    return tuple(np.where(lo[1] < hi[1], lo, hi))
 
 
 def ess_heuristic_q(
@@ -116,8 +115,8 @@ def ess_heuristic_q(
     as rows of one array, and each search runs on blocks of rows of at most
     ``_LOSS_BLOCK_ELEMENTS`` floats (one row each when n exceeds it; every
     row's search is the same in any block).  A beta search computes the
-    blend's q-only terms once per block and then evaluates only its log1p
-    pass at each beta.  Feasible means the squared ESS error got within
+    blend's q-only terms once per block and then evaluates only the
+    beta-dependent pass at each beta.  Feasible means the squared ESS error got within
     (5% of target)^2; ties across restarts keep the earliest.
     """
     ratios = np.asarray(log_ws, dtype=float)
@@ -146,8 +145,11 @@ def ess_heuristic_q(
     def losses(terms, beta):
         nonlocal evals
         evals += beta.size
-        beta = beta[:, None]
-        err = _ess_rows(np.where(beta == 1.0, ratios, _blend_at(terms, beta))) - target
+        log_w = _blend_at(terms, beta[:, None])
+        at1 = beta == 1.0
+        if at1.any():
+            log_w[at1] = ratios
+        err = _ess_rows(log_w) - target
         return err * err
 
     def beta_search(u):

@@ -20,6 +20,7 @@ from qanneal.paths import (
     QPath,
     _blend_at,
     _deform,
+    _few_runs,
     blend_log_ratio,
     gaussian_natural_params,
     moment_path_params,
@@ -313,6 +314,30 @@ class TestOnePassBlend:
                 got = _blend_at(_deform(0.0, ratios, qq), beta)
                 want = two_branch_blend(0.0, ratios, beta, qq)
             assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_masks_of_few_runs_are_bit_identical(self, seed):
+        # the target dominates at three elements only, so every swap mask is
+        # nearly all False (q < 1) or nearly all True (q > 1), and large
+        # enough that the terms and the blend take their masked passes
+        rng = np.random.default_rng(seed)
+        n = 2048
+        lp0 = rng.normal(0.0, 30.0, n)
+        lp1 = lp0 - rng.exponential(5.0, n)
+        lp1[:3] = lp0[:3] + rng.exponential(5.0, 3)
+        lp1[3:5] = lp0[3:5]  # equal endpoints
+        lp0[5:7], lp1[5:7] = (0.0, -0.0), (-0.0, 0.0)  # gaps of -0.0 and +0.0
+        rows = 6
+        column = rng.uniform(1e-6, 1.0, (rows, 1))
+        for q in [0.5, 1.0 - 1e-9, 1.0 + 1e-9, 3.0, (1.0 - 10.0 ** rng.uniform(-12.0, 0.0, (rows, 1)))]:
+            terms = _deform(lp0, lp1, q)
+            assert _few_runs(terms[2])
+            # an array beta broadcasts into the terms' shape
+            for beta in [1e-300, 1e-6, 0.5, 1.0 - 1e-16, rng.uniform(1e-9, 1.0, n)] + [column] * np.ndim(q):
+                with np.errstate(divide="raise", invalid="raise"):
+                    got = _blend_at(terms, beta)
+                    want = two_branch_blend(lp0, lp1, beta, q)
+                assert_same_bits(got, want)
 
 
 class TestQPathGradient:

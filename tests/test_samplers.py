@@ -120,6 +120,24 @@ class TestEss:
             assert 2.0 <= ess <= 50.0
         assert ess_of_log_weights(np.full(50, -scale)) == 50.0
 
+    @pytest.mark.parametrize("one_finite", [False, True])
+    @pytest.mark.parametrize("shape", [(1,), (7,), (256,), (3, 1), (5, 64), (30, 256)])
+    def test_rows_are_the_plain_formula_to_the_bit(self, shape, one_finite):
+        rng = np.random.default_rng(sum(shape))
+        lw = rng.normal(0.0, 5.0, shape)
+        lw[..., 1:][rng.random(lw[..., 1:].shape) < 0.2] = -np.inf
+        if one_finite:
+            lw.reshape(-1, shape[-1])[0, 1:] = -np.inf  # the first row keeps one finite entry
+        before = lw.copy()
+        got = np.asarray(samplers._ess_rows(lw))
+        w = np.exp(lw - np.max(lw, axis=-1, keepdims=True))
+        total = np.sum(w, axis=-1)
+        want = np.asarray(total * total / np.sum(w * w, axis=-1))
+        assert got.shape == want.shape == shape[:-1]
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        # the weights are squared in a buffer of their own
+        assert np.array_equal(lw, before)
+
 
 class TestLogSumExp:
     def test_matches_scipy(self):

@@ -259,6 +259,27 @@ class TestEssHeuristicQ:
             assert got == want
             assert (got.loss_evals - restarts) % 84 == 0
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_benchmark_shape_is_the_serial_search(self, seed):
+        # heuristic-q as the benchmark runs it: 256 toy base draws, 30
+        # restarts and an ESS target of half the draws
+        cfg = HeuristicConfig(restarts=30, ess_target_fraction=0.5)
+        ratios = target_minus_base_ratios(256, seed=seed)
+        got = ess_heuristic_q(ratios, cfg, np.random.default_rng(100 + seed))
+        assert got == serial_heuristic_q(ratios, cfg, np.random.default_rng(100 + seed))
+
+    def test_optimum_at_the_upper_beta_bound_is_the_serial_search(self):
+        # ratios this close together keep the ESS above the target at beta =
+        # 1, and a lower beta only flattens the weights further: every
+        # restart keeps its start at beta = 1, and the searches end next to
+        # it, with no row at 1 itself
+        ratios = 1e-3 * np.random.default_rng(5).standard_normal(256)
+        cfg = HeuristicConfig(restarts=30, ess_target_fraction=0.5)
+        assert ess_of_log_weights(ratios) > 128.0
+        got = ess_heuristic_q(ratios, cfg, np.random.default_rng(6))
+        assert got == serial_heuristic_q(ratios, cfg, np.random.default_rng(6))
+        assert got.beta1 == 1.0 and not got.feasible
+
     @pytest.mark.parametrize("rows_per_block", [1, 4, 13])
     def test_blocks_of_rows_are_the_serial_search(self, monkeypatch, rows_per_block):
         # 30 restarts of 96 draws span several blocks at these budgets
