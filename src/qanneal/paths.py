@@ -72,26 +72,6 @@ def _at_ends(batch: "PathBatch", rows: _Rows, i: int):
     return np.where(rows.at1 if i == 0 else rows.at1[:, None], batch.end(1)[i], batch.end(0)[i])
 
 
-def _few_runs(mask) -> bool:
-    """Whether masked passes over ``mask`` beat selects: it holds 2048
-    elements or more, and at most 1 in 32 of them differ from the rest.  A
-    masked pass walks the mask run by run, so on a mixed mask it runs
-    several times slower than a select, and on a small one its extra calls
-    cost what it saves."""
-    if mask.size < 2048:
-        return False
-    k = np.count_nonzero(mask)
-    return 32 * min(k, mask.size - k) <= mask.size
-
-
-def _fill(shape, b, a, mask):
-    """``np.where(mask, a, b)`` of ``shape``, as ``b`` overwritten by ``a`` under ``mask``."""
-    out = np.empty(shape)
-    np.copyto(out, b)
-    np.copyto(out, a, where=mask)
-    return out
-
-
 def _deform(lp0, lp1, q):
     """The beta-free terms, off the geometric order, of the blend
     (1/(1-q)) * log((1-beta) * p0^(1-q) + beta * p1^(1-q)) in log space,
@@ -110,11 +90,8 @@ def _deform(lp0, lp1, q):
     x = d * (lp1 - lp0)
     swap = x > 0.0
     # -x where x > 0, not -abs(x), which would flip the sign of a zero gap
-    if _few_runs(swap):
-        em, anchor = np.negative(x, out=np.array(x), where=swap), _fill(x.shape, lp0, lp1, swap)
-    else:
-        em, anchor = np.where(swap, -x, x), np.where(swap, lp1, lp0)
-    return d, x, swap, np.expm1(em, out=em), anchor
+    em = np.where(swap, -x, x)
+    return d, x, swap, np.expm1(em, out=em), np.where(swap, lp1, lp0)
 
 
 def _blend_at(terms, beta):
@@ -124,7 +101,10 @@ def _blend_at(terms, beta):
     d, x, swap, em, anchor = terms
     rows = _Rows([beta], 1) if isinstance(beta, float) else beta
     if not isinstance(rows, _Rows):
-        side = _fill(em.shape, beta, 1.0 - beta, swap) if _few_runs(swap) else np.where(swap, 1.0 - beta, beta)
+        # np.where(swap, 1 - beta, beta) without its broadcast of beta
+        side = np.empty(em.shape)
+        np.copyto(side, beta)
+        np.copyto(side, 1.0 - beta, where=swap)
         return _log1p_pass(side, terms)
     side = np.where(swap, rows.one_minus, rows.beta)
     if rows.small is False:

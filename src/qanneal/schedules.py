@@ -145,11 +145,9 @@ def ess_heuristic_q(
     def losses(terms, beta):
         nonlocal evals
         evals += beta.size
-        log_w = _blend_at(terms, beta[:, None])
-        at1 = beta == 1.0
-        if at1.any():
-            log_w[at1] = ratios
-        err = _ess_rows(log_w) - target
+        # golden-section points lie inside the open bracket, so no row is at
+        # beta = 1; ``start`` holds the loss there
+        err = _ess_rows(_blend_at(terms, beta[:, None])) - target
         return err * err
 
     def beta_search(u):

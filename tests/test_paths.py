@@ -20,7 +20,6 @@ from qanneal.paths import (
     QPath,
     _blend_at,
     _deform,
-    _few_runs,
     blend_log_ratio,
     gaussian_natural_params,
     moment_path_params,
@@ -316,10 +315,10 @@ class TestOnePassBlend:
             assert_same_bits(got, want)
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_masks_of_few_runs_are_bit_identical(self, seed):
+    def test_nearly_uniform_masks_are_bit_identical(self, seed):
         # the target dominates at three elements only, so every swap mask is
-        # nearly all False (q < 1) or nearly all True (q > 1), and large
-        # enough that the terms and the blend take their masked passes
+        # nearly all False (q < 1) or nearly all True (q > 1), with long runs
+        # for an array beta's masked copy, as on the heuristic's toy draws
         rng = np.random.default_rng(seed)
         n = 2048
         lp0 = rng.normal(0.0, 30.0, n)
@@ -331,7 +330,8 @@ class TestOnePassBlend:
         column = rng.uniform(1e-6, 1.0, (rows, 1))
         for q in [0.5, 1.0 - 1e-9, 1.0 + 1e-9, 3.0, (1.0 - 10.0 ** rng.uniform(-12.0, 0.0, (rows, 1)))]:
             terms = _deform(lp0, lp1, q)
-            assert _few_runs(terms[2])
+            # per row, the minority side holds at most the seven elements set apart above
+            assert min(np.count_nonzero(terms[2]), np.count_nonzero(~terms[2])) <= 7 * np.size(q)
             # an array beta broadcasts into the terms' shape
             for beta in [1e-300, 1e-6, 0.5, 1.0 - 1e-16, rng.uniform(1e-9, 1.0, n)] + [column] * np.ndim(q):
                 with np.errstate(divide="raise", invalid="raise"):
