@@ -1,9 +1,9 @@
 """Annealing schedules over beta and selection of the mixing order q.
 
 The heuristic search treats the order through rho = 1/(1-q): restarts jitter
-rho around the largest observed log weight magnitude, then coordinate descent
-tunes (beta, q) until the effective sample size of the deformed importance
-weights hits the target.
+rho around the largest observed log weight magnitude, and each restart keeps
+its q and searches beta alone for the effective sample size of the deformed
+importance weights to hit the target.
 """
 
 from __future__ import annotations
@@ -69,7 +69,6 @@ class HeuristicResult:
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_ITERS = 40
-_MAX_SWEEPS = 50
 _BETA_BOUNDS = (1e-6, 1.0)
 _LOG10_DELTA_BOUNDS = (-12.0, 0.0)
 # the search evaluates its restart rows in blocks of at most this many
@@ -108,16 +107,17 @@ def ess_heuristic_q(
     """Pick (q, beta1) so the deformed importance weights hit the ESS target.
 
     ``log_ws`` are log density ratios at draws from the base.  Restarts
-    sample rho in log10 space around the largest ratio magnitude; each
-    restart runs golden-section coordinate descent on (beta, log10(1-q))
-    from beta = 1, one beta search then one q search per sweep, until it
-    moves less than 1e-6 or has made 50 sweeps.  All restarts run together
-    as rows of one array, and each search runs on blocks of rows of at most
+    sample rho in log10 space around the largest ratio magnitude, and each
+    keeps the q of its draw: the loss (ESS - target)^2 is zero along a curve
+    of (beta, q), so one golden-section search over beta puts a restart on
+    that curve, and a search over q could only slide along it.  A restart
+    keeps beta = 1 unless its search beats the loss there.  All restarts run
+    together as rows of one array, in blocks of rows of at most
     ``_LOSS_BLOCK_ELEMENTS`` floats (one row each when n exceeds it; every
-    row's search is the same in any block).  A beta search computes the
-    blend's q-only terms once per block and then evaluates only the
-    beta-dependent pass at each beta.  Feasible means the squared ESS error got within
-    (5% of target)^2; ties across restarts keep the earliest.
+    row's search is the same in any block).  A block computes the blend's
+    q-only terms once and then evaluates only the beta-dependent pass at
+    each beta.  Feasible means the squared ESS error got within (5% of
+    target)^2; ties across restarts keep the earliest.
     """
     ratios = np.asarray(log_ws, dtype=float)
     if ratios.ndim != 1 or ratios.size == 0:
@@ -133,18 +133,11 @@ def ess_heuristic_q(
         # All ratios zero: every (beta, q) gives equal weights.
         return HeuristicResult(q=choice.q, beta1=1.0, loss=(n - target) ** 2, feasible=False)
 
-    block = max(1, _LOSS_BLOCK_ELEMENTS // n)
     # every restart starts at beta = 1, where the blend is the log ratio
     # itself for every q
     start = float(_ess_rows(ratios)) - target
-    evals = cfg.restarts
-
-    def terms_at(u):
-        return _deform(0.0, ratios, (1.0 - 10.0**u)[:, None])
 
     def losses(terms, beta):
-        nonlocal evals
-        evals += beta.size
         # golden-section points lie inside the open bracket, so no row is at
         # beta = 1; ``start`` holds the loss there
         err = _ess_rows(_blend_at(terms, beta[:, None])) - target
@@ -152,42 +145,27 @@ def ess_heuristic_q(
 
     def beta_search(u):
         # q is fixed along the search, so its terms are computed once
-        return _golden_rows(partial(losses, terms_at(u)), _BETA_BOUNDS, u.size)
-
-    def q_search(beta):
-        return _golden_rows(lambda v: losses(terms_at(v), beta), _LOG10_DELTA_BOUNDS, beta.size)
-
-    def by_blocks(search, per_row):
-        found = [search(per_row[lo : lo + block]) for lo in range(0, per_row.size, block)]
-        return tuple(np.concatenate(parts) for parts in zip(*found))
+        terms = _deform(0.0, ratios, (1.0 - 10.0**u)[:, None])
+        return _golden_rows(partial(losses, terms), _BETA_BOUNDS, u.size)
 
     log10_rho = rng.normal(math.log10(choice.rho), cfg.log10_sd, size=cfg.restarts)
     u = np.clip(-log10_rho, *_LOG10_DELTA_BOUNDS)
-    beta = np.ones(cfg.restarts)
-    best_loss = np.full(cfg.restarts, start * start)
-    best_beta, best_u = beta.copy(), u.copy()
-    active = np.arange(cfg.restarts)
-    for _ in range(_MAX_SWEEPS):
-        if active.size == 0:
-            break
-        u_now = u[active]
-        beta_new, _ = by_blocks(beta_search, u_now)
-        u_new, value = by_blocks(q_search, beta_new)
-        moved = np.abs(beta_new - beta[active]) + np.abs(u_new - u_now)
-        beta[active], u[active] = beta_new, u_new
-        better = value < best_loss[active]
-        rows = active[better]
-        best_loss[rows] = value[better]
-        best_beta[rows], best_u[rows] = beta_new[better], u_new[better]
-        active = active[~(moved < 1e-6)]
+    block = max(1, _LOSS_BLOCK_ELEMENTS // n)
+    found = [beta_search(u[lo : lo + block]) for lo in range(0, u.size, block)]
+    beta, loss = (np.concatenate(parts) for parts in zip(*found))
+    # a restart keeps beta = 1 unless its search beats the start
+    kept = ~(loss < start * start)
+    beta[kept], loss[kept] = 1.0, start * start
 
     # argmin keeps the earliest restart among equal losses; q goes through
-    # the same array power as in terms_at(), so it reproduces the loss exactly
-    k = int(np.argmin(best_loss))
+    # the same array power as in beta_search(), so it reproduces the loss
+    # exactly
+    k = int(np.argmin(loss))
     return HeuristicResult(
-        q=float((1.0 - 10.0**best_u)[k]),
-        beta1=float(best_beta[k]),
-        loss=float(best_loss[k]),
-        feasible=bool(best_loss[k] <= tol_sq),
-        loss_evals=evals,
+        q=float((1.0 - 10.0**u)[k]),
+        beta1=float(beta[k]),
+        loss=float(loss[k]),
+        feasible=bool(loss[k] <= tol_sq),
+        # the start and the golden section's 2 + _GOLDEN_ITERS points
+        loss_evals=cfg.restarts * (3 + _GOLDEN_ITERS),
     )
